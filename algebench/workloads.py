@@ -122,7 +122,7 @@ def draw(workload: str, seed: int):
         for k, kind in enumerate(("dim", "basis", "member", "certificate", "wordspan")):
             ops.append((kind, fresh(6, k, nonmember=False)))
         # the cli at n=4, where its own work is a visible share
-        for k in range(6, 12):
+        for k in range(6, 16):
             ops.append(("cli-nonmember" if k % 2 else "cli-member", fresh(4, k)))
     elif workload == "modp-certify":
         names = add(*(gen.draw_case(rng, f"g{n}", "rational", (n,)) for n in (6, 8, 10, 12)))
