@@ -10,11 +10,14 @@ instances from the seed (gen.py, workloads.py), writes them as instance
 files under ``.algebench_work/`` and loads them through the library, then
 repeats timed passes over its operations for ``--seconds`` seconds.
 
-Accounting.  Every answer is checked against its answer by construction.  A
-wrong answer, an exception or a call over its time limit is a failed answer;
-it is charged its limit on top of the time it took, and the pass goes on.
-A time metric sums, over the operations of a pass, each operation's median
-charged time over the passes.  Times are in reference seconds (clock.py):
+Accounting.  Every answer is checked against its answer by construction, in
+every pass.  An answer fails if it is wrong or raises in any pass, or if its
+op's median time over the passes is over the op's limit; the pass goes on.
+``attempted`` and ``failed`` count each answer of the workload once, however
+many passes the time allowed, so that for one seed they do not depend on the
+host's speed.  A time metric sums, over the operations, each operation's
+median time over the passes plus its limit for each failed answer (its
+charged time).  Times are in reference seconds (clock.py):
 wall time rescaled by a reference mix timed before each call, because this
 kind of shared host changes speed by up to 1.5x from second to second.
 
@@ -104,8 +107,7 @@ class Row(NamedTuple):
 
     elapsed: float  # wall seconds
     scaled: float  # reference seconds (clock.py)
-    charged: float  # scaled, plus the limit for each failed answer
-    verdicts: list
+    verdicts: list  # one per answer: right in this pass
     summary: object  # compared between traced and untraced passes
 
 
@@ -129,7 +131,7 @@ def execute(op, tracer=None):
     except Exception:  # an answer of the wrong shape is a wrong answer
         print(f"{op.label} answer not checkable:\n{traceback.format_exc()}", file=sys.stderr)
         verdicts, summary = [], "unchecked"
-    if len(verdicts) != op.count or elapsed > op.limit * op.count:
+    if len(verdicts) != op.count:
         verdicts = [False] * op.count
     return elapsed, verdicts, summary
 
@@ -143,18 +145,20 @@ def run_pass(ops, tracer=None) -> list[Row]:
     rows = []
     for op, (elapsed, verdicts, summary), before, after in zip(ops, results, refs, refs[1:]):
         scaled = elapsed * clock.REF_S * 2 / (before + after)
-        rows.append(Row(elapsed, scaled, scaled + op.limit * verdicts.count(False), verdicts, summary))
+        rows.append(Row(elapsed, scaled, verdicts, summary))
     return rows
 
 
 def run_passes(ops, budget, make_tracer=None):
-    """Repeat passes while the next one is expected to end within budget.
+    """Repeat passes until budget seconds have gone; at least one pass.
 
-    Returns one list of Rows per pass, and the tracers of traced passes."""
-    passes, tracers = [], []
+    Returns one list of Rows per pass, the tracers of traced passes, and the
+    process's peak resident memory in MB after the first pass: later passes
+    repeat the same calls and add only allocator slack, 0 or 2 MB from one
+    run to the next on f64-edge."""
+    passes, tracers, peak_rss_mb = [], [], None
     start = time.perf_counter()
     while True:
-        t = time.perf_counter()
         if make_tracer is None:
             passes.append(run_pass(ops))
         else:
@@ -162,13 +166,30 @@ def run_passes(ops, budget, make_tracer=None):
             with tracer.installed():
                 passes.append(run_pass(ops, tracer))
             tracers.append(tracer)
-        now = time.perf_counter()
-        if now - start + (now - t) > budget:
-            return passes, tracers
+        if peak_rss_mb is None:
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        if time.perf_counter() - start >= budget:
+            return passes, tracers, peak_rss_mb
 
 
 def per_op_median(passes, field):
     return [statistics.median(getattr(p[i], field) for p in passes) for i in range(len(passes[0]))]
+
+
+def account(ops, passes, checked):
+    """Verdicts and charged times of the ops, one of each per op.
+
+    An answer is right if it is right in every pass of ``checked`` and its
+    op's median wall time over ``passes`` is within the op's limit.  The
+    charged time is the op's median time over ``passes``, plus its limit for
+    each wrong answer."""
+    verdicts, charged = [], []
+    for i, (op, scaled) in enumerate(zip(ops, per_op_median(passes, "scaled"))):
+        in_time = statistics.median(p[i].elapsed for p in passes) <= op.limit * op.count
+        ok = [in_time and all(p[i].verdicts[j] for p in checked) for j in range(op.count)]
+        verdicts.append(ok)
+        charged.append(scaled + op.limit * ok.count(False))
+    return verdicts, charged
 
 
 def time_setup(workdir) -> float:
@@ -194,27 +215,26 @@ def run_workload(workload, seed, seconds, trace) -> dict:
         setup_s = None if trace else time_setup(workdir)
         ops = workloads.bind(workload, seed, cases, descs, files)
         if trace:
-            passes, _ = run_passes(ops, seconds / 2)
-            traced, tracers = run_passes(ops, seconds / 2, tracing.Tracer)
+            passes, _, _ = run_passes(ops, seconds / 2)
+            traced, tracers, _ = run_passes(ops, seconds / 2, tracing.Tracer)
         else:
-            passes, _ = run_passes(ops, seconds)
+            passes, _, peak_rss_mb = run_passes(ops, seconds)
             traced, tracers = [], []
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         with contextlib.suppress(OSError):
             WORK.rmdir()
 
-    rows = [row for p in passes + traced for row in p]
-    attempted = sum(len(row.verdicts) for row in rows)
-    failed = sum(row.verdicts.count(False) for row in rows)
-    charged = per_op_median(passes, "charged")
+    verdicts, charged = account(ops, passes, passes + traced)
+    attempted = sum(op.count for op in ops)
+    failed = sum(ok.count(False) for ok in verdicts)
     if not trace:
         values = {
             "setup_s": setup_s,
             "total_s": sum(charged),
             "cli_s": sum(c for op, c in zip(ops, charged) if op.kind.startswith("cli-")),
             "ok_share": 1 - failed / attempted,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "peak_rss_mb": peak_rss_mb,
         }
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
         return {"correct": True, "attempted": attempted, "failed": failed, "metrics": metrics}
@@ -233,20 +253,21 @@ def run_workload(workload, seed, seconds, trace) -> dict:
     answers = [{p[i].summary for p in passes} for i in range(len(ops))]
     correct = all(p[i].summary in answers[i] for p in traced for i in range(len(ops)))
     correct = correct and all(t.restored for t in tracers)
-    print_trace_ops(ops, traced[0], tracers[0])
+    print_trace_ops(ops, traced[0], tracers[0], verdicts, charged)
     return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
 
 
-def print_trace_ops(ops, rows, tracer):
-    """One line per op of a traced pass: its time, verdicts, layer times and
-    the diagnostics read from the returned reports and prime plans."""
-    for op, row, layers in zip(ops, rows, tracer.per_root()):
+def print_trace_ops(ops, rows, tracer, verdicts, charged):
+    """One line per op of a traced pass: its time, layer times and the
+    diagnostics read from the returned reports and prime plans, with the op's
+    verdicts and charged time over the whole run."""
+    for op, row, layers, ok, charged_s in zip(ops, rows, tracer.per_root(), verdicts, charged):
         record = {
             "op": op.label,
             "n": op.n,
             "elapsed_s": row.elapsed,
-            "charged_s": row.charged,
-            "ok": row.verdicts,
+            "charged_s": charged_s,
+            "ok": ok,
             "layers_s": layers,
             "reports": [r for r in tracer.reports if r["op"] == op.label],
             "primes": [{"p": o.p, "rank": o.rank} for label, plan in tracer.plans

@@ -100,11 +100,22 @@ def test_failed_ops_are_counted_and_charged_and_the_pass_goes_on():
             limit=5.0, count=3),
         _op("right", lambda: 4, lambda a: [a == 4], limit=7.0),
     ]
-    (rows,), _ = run.run_passes(ops, budget=0)
-    assert [row.verdicts for row in rows] == [[False], [False], [False], [True, False, True], [True]]
-    for op, row in zip(ops, rows):
-        assert row.charged == pytest.approx(row.scaled + op.limit * row.verdicts.count(False))
-    assert rows[1].charged >= 3.0 and rows[3].charged >= 5.0 and rows[4].charged < 7.0
+    (rows,), _, _ = run.run_passes(ops, budget=0)
+    assert [row.verdicts for row in rows] == [[False], [False], [True], [True, False, True], [True]]
+    verdicts, charged = run.account(ops, [rows], [rows])
+    assert verdicts == [[False], [False], [False], [True, False, True], [True]]
+    for op, row, ok, c in zip(ops, rows, verdicts, charged):
+        assert c == pytest.approx(row.scaled + op.limit * ok.count(False))
+    assert charged[1] >= 3.0 and charged[3] >= 5.0 and charged[4] < 7.0
+
+
+def test_each_answer_counts_once_however_many_passes():
+    calls = iter([4, 4, 3, 4])
+    ops = [_op("flaky", lambda: next(calls), lambda a: [a == 4]), _op("right", lambda: 4, lambda a: [a == 4])]
+    passes = [run.run_pass(ops) for _ in range(4)]
+    verdicts, _ = run.account(ops, passes, passes)
+    assert verdicts == [[False], [True]]
+    assert run.account(ops, passes[:2], passes[:2])[0] == [[True], [True]]
 
 
 def _snapshot():
@@ -125,9 +136,9 @@ def test_tracer_keeps_answers_and_restores_originals(tmp_path):
     descs += [("intersect", a.name, b.name, inter), ("cli-member", a.name), ("cli-nonmember", b.name)]
     ops = workloads.bind("exact-rational", 0, [a, b], descs, files)
 
-    (plain,), _ = run.run_passes(ops, budget=0)
+    (plain,), _, _ = run.run_passes(ops, budget=0)
     before = _snapshot()  # after the first pass has imported every module
-    (traced,), (tracer,) = run.run_passes(ops, budget=0, make_tracer=tracing.Tracer)
+    (traced,), (tracer,), _ = run.run_passes(ops, budget=0, make_tracer=tracing.Tracer)
     assert _snapshot() == before
     assert tracer.restored
     assert algebragen.inverse is matrix.inverse

@@ -121,13 +121,18 @@ def draw(workload: str, seed: int):
         # 2-3 s there; the n=4-5 batches time it.
         for k, kind in enumerate(("dim", "basis", "member", "certificate", "wordspan")):
             ops.append((kind, fresh(6, k, nonmember=False)))
-        # the cli at n=4, where its own work is a visible share
-        for k in range(6, 16):
+        # the cli at n=4, where its own work is a visible share; thirty
+        # draws, because one call takes only 60-70 ms and a run has only
+        # three or four passes to take its median over
+        for k in range(6, 36):
             ops.append(("cli-nonmember" if k % 2 else "cli-member", fresh(4, k)))
     elif workload == "modp-certify":
         names = add(*(gen.draw_case(rng, f"g{n}", "rational", (n,)) for n in (6, 8, 10, 12)))
         names += add(*(gen.draw_case(rng, f"t{n}", "rational", (n // 2, n // 2)) for n in (8, 12)))
-        ops += [("modp", name) for name in names] + [("cli-modp", "g8"), ("cli-modp", "t8")]
+        ops += [("modp", name) for name in names]
+        # three trial seeds per set: one call takes about 0.1 s, and its cost
+        # depends on the primes its seed samples
+        ops += [("cli-modp", name) for name in ("g8", "t8") for _ in range(3)]
     else:
         raise ValueError(f"unknown workload {workload!r}")
     return cases, ops
