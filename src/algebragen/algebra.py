@@ -63,7 +63,8 @@ def membership(
         raise ValueError("candidate kind differs from generator kind")
     if report is None:
         report = span_matrix(gs, tol=None)
-    member, residual = in_range(report.matrix, vec(z), tol)
+    span = report.matrix if report.pivots is None else _range(report, tol)
+    member, residual = in_range(span, vec(z), tol)
     certificate = None
     if member and want_certificate:
         wb = wordspan.word_span(gs)
@@ -72,10 +73,17 @@ def membership(
     return MembershipResult(member=member, residual=residual, certificate=certificate)
 
 
+def _range(report: SpanMatrixReport, tol: float | None) -> Mat:
+    """Columns spanning the span matrix's column space: on exact kinds its
+    pivot columns, found by the elimination that gave the rank."""
+    if report.pivots is not None:
+        return Mat(report.matrix.data[:, list(report.pivots)], report.matrix.kind)
+    return range_basis(report.matrix, tol)
+
+
 def basis(gs: GeneratorSet, tol: float | None = None) -> AlgebraBasis:
     """Basis matrices devectorized from a range basis of the span matrix."""
-    report = span_matrix(gs, tol=tol)
-    rb = range_basis(report.matrix, tol)
+    rb = _range(span_matrix(gs, tol=tol), tol)
     mats = tuple(unvec(rb.col(j), gs.n, gs.n) for j in range(rb.cols))
     return AlgebraBasis(dim=len(mats), mats=mats, source="resolvent")
 
@@ -88,8 +96,8 @@ def intersect(gs_a: GeneratorSet, gs_b: GeneratorSet, tol: float | None = None) 
         raise ValueError("intersection needs the same scalar kind")
     if gs_a.unital != gs_b.unital:
         raise ValueError("intersection needs matching unital flags")
-    u = range_basis(span_matrix(gs_a, tol=tol).matrix, tol)
-    v = range_basis(span_matrix(gs_b, tol=tol).matrix, tol)
+    u = _range(span_matrix(gs_a, tol=tol), tol)
+    v = _range(span_matrix(gs_b, tol=tol), tol)
     w = subspace_intersect(u, v, tol)
     mats = tuple(unvec(w.col(j), gs_a.n, gs_a.n) for j in range(w.cols))
     return AlgebraBasis(dim=len(mats), mats=mats, source="resolvent")

@@ -190,7 +190,12 @@ def cmd_intersect(args) -> int:
 def cmd_modp_dim(args) -> int:
     from .instances import ParseError
     from .modp import certified_dimension, clear_denominators
+    from .primes import DETERMINISTIC_LIMIT, is_prime
 
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
+    if args.prime is not None and not (args.prime < DETERMINISTIC_LIMIT and is_prime(args.prime)):
+        raise ParseError(f"--prime {args.prime} is not a prime below {DETERMINISTIC_LIMIT}")
     started = time.perf_counter()
     inst = _load(args, args.instance, field=args.field)
     if inst.gs.kind.tag != "rational":
@@ -343,7 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _apply_thread_cap()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits on bad usage and on --help
+        return e.code
     args._argv = list(sys.argv[1:] if argv is None else argv)
 
     from .instances import ParseError

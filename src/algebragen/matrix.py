@@ -4,6 +4,18 @@ Provides the three structural maps (column-stacking vectorization, the block
 realignment involution, and the Kronecker product in its block form) together
 with exact and numerical rank / range / least-squares machinery.
 
+Every exact rank, range, kernel, solve and inverse goes through one
+elimination, ``_rref``, which updates all affected rows of a pivot step in
+one numpy operation:
+
+* over GF(p) on int64 rows while p < INT64_MODULUS_LIMIT (3 037 000 499,
+  where (p - 1)^2 + p reaches 2^63), on Python-int rows above it;
+* over Q on primitive integer rows by fraction-free (Bareiss) elimination,
+  building Fractions only for the reduced rows a caller reads.
+
+Exact results hold Python ``int`` / ``Fraction`` entries, never numpy
+integers, so later object-array products cannot wrap.
+
 Conventions fixed here and relied on everywhere else:
 
 * storage is row-major, ``vec`` stacks columns;
@@ -274,34 +286,84 @@ def norm(a: Mat, which: str = "fro"):
 
 # -- exact elimination ----------------------------------------------------
 
+# Largest modulus whose GF(p) elimination runs on int64 rows: one update
+# step computes (p - 1)^2 + p, which must stay below 2^63.
+INT64_MODULUS_LIMIT = 3_037_000_499
 
-def _rref(data: np.ndarray, kind: ScalarKind):
-    """Reduced row echelon form over an exact kind; returns (R, pivot_cols)."""
-    a = np.array(data, dtype=object, copy=True)
+
+def _integer_rows(data: np.ndarray) -> np.ndarray:
+    """Scale each rational row by its denominator lcm and divide out the
+    content: a primitive integer row (Python ints) spanning the same line."""
+    out = np.empty(data.shape, dtype=object)
+    for i, row in enumerate(data):
+        dens = [int(x.denominator) for x in row]
+        lcm = math.lcm(*dens)
+        ints = [int(x.numerator) * (lcm // d) for x, d in zip(row, dens)]
+        g = math.gcd(*ints)
+        out[i] = [v // g for v in ints] if g > 1 else ints
+    return out
+
+
+def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
+    """Row echelon form over an exact kind; returns (R, pivot_cols).
+
+    With ``reduced`` the rows are eliminated above each pivot as well and R
+    is the reduced row echelon form, with entries of the kind's scalar type
+    (``int`` over GF(p), ``Fraction`` over Q).  Without it only the pivot
+    columns are meaningful and R is None: rank and range need no more.
+
+    Each pivot step on row r, column c is one vectorized update of the rows
+    m it touches, with f = A[m, c].  Over GF(p) the rows are int64 when
+    p < INT64_MODULUS_LIMIT, else Python ints, the pivot row is normalized
+    and ``A[m] = (A[m] - f * A[r] % p) % p``.  Over Q the rows are primitive
+    integer rows reduced by fraction-free (Bareiss) elimination,
+    ``A[m] = (d * A[m] - f * A[r]) // d_prev`` with d the pivot and d_prev
+    the one before, where the division is exact.  Every pivot row then ends
+    with the last pivot on its pivot column, so R is the integer rows over
+    that one number.
+    """
+    p = kind.modulus
+    if p is None:
+        a = _integer_rows(data)
+    else:
+        dtype = np.int64 if p < INT64_MODULUS_LIMIT else object
+        a = (np.asarray(data, dtype=object) % p).astype(dtype)
     rows, cols = a.shape
-    modulus = kind.modulus
+    order = np.arange(rows)
     pivots = []
-    r = 0
+    prev = 1
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i, c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        if modulus is not None:
-            a[r] = a[r] * pow(int(a[r, c]), -1, modulus) % modulus
-        else:
-            a[r] = a[r] / a[r, c]
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
-                if modulus is not None:
-                    a[i] = a[i] % modulus
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
-    return a, pivots
+        nz = np.flatnonzero(a[r:, c] != 0)
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        # rows to update: those below r, and in reduced form those above it
+        rest = np.concatenate((order[0 if reduced else r : r], order[r + 1 :]))
+        f = a[rest, c]
+        if p is not None:
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+            hit = f != 0
+            rest, f = rest[hit], f[hit]
+            a[rest, c:] = (a[rest, c:] - f[:, None] * a[r, c:] % p) % p
+        else:
+            # every row in rest changes, even where f is 0
+            d = a[r, c]
+            a[rest] = (d * a[rest] - f[:, None] * a[r]) // prev
+            prev = d
+        pivots.append(c)
+    if not reduced:
+        return None, pivots
+    if p is not None:
+        return a.astype(object), pivots
+    out = np.full(a.shape, Fraction(0), dtype=object)
+    for i in range(len(pivots)):
+        out[i] = [Fraction(v, prev) for v in a[i]]
+    return out, pivots
 
 
 def _solve_exact(a: Mat, b: Mat):
@@ -309,11 +371,10 @@ def _solve_exact(a: Mat, b: Mat):
     None when the system is inconsistent."""
     aug = np.concatenate([a.data, b.data], axis=1)
     r, pivots = _rref(aug, a.kind)
-    if any(c >= a.cols for c in pivots):
+    if pivots and pivots[-1] >= a.cols:
         return None
     x = Mat.zeros(a.cols, b.cols, a.kind)
-    for row, c in enumerate(pivots):
-        x.data[c, :] = r[row, a.cols :]
+    x.data[pivots] = r[: len(pivots), a.cols :]
     return x
 
 
@@ -373,12 +434,17 @@ def inverse(a: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class RankInfo:
-    """Rank together with the diagnostics that produced it."""
+    """Rank together with the diagnostics that produced it.
+
+    ``pivots`` are the pivot columns on exact kinds (they span the column
+    space) and None on approximate kinds.
+    """
 
     rank: int
     tol: float | None
     ill_conditioned: bool
     singular_values: tuple[float, ...] | None
+    pivots: tuple[int, ...] | None = None
 
 
 def rank_info(a: Mat, tol: float | None = None) -> RankInfo:
@@ -390,8 +456,8 @@ def rank_info(a: Mat, tol: float | None = None) -> RankInfo:
     retained/discarded cut differ by less than ILL_CONDITIONED_RATIO.
     """
     if a.kind.exact:
-        _, pivots = _rref(a.data, a.kind)
-        return RankInfo(len(pivots), None, False, None)
+        _, pivots = _rref(a.data, a.kind, reduced=False)
+        return RankInfo(len(pivots), None, False, None, tuple(pivots))
     if min(a.data.shape) == 0:
         return RankInfo(0, 0.0, False, ())
     sv = np.linalg.svd(a.data, compute_uv=False)
@@ -413,8 +479,8 @@ def range_basis(a: Mat, tol: float | None = None) -> Mat:
     """Columns spanning the column space: pivot columns of ``a`` on exact
     kinds, an orthonormal basis on approximate kinds."""
     if a.kind.exact:
-        _, pivots = _rref(a.data, a.kind)
-        return Mat(a.data[:, pivots].copy(), a.kind)
+        _, pivots = _rref(a.data, a.kind, reduced=False)
+        return Mat(a.data[:, pivots], a.kind)
     u, sv, _ = np.linalg.svd(a.data, full_matrices=False)
     if tol is None:
         tol = max(a.rows, a.cols) * _EPS * (float(sv[0]) if len(sv) else 0.0)
@@ -426,17 +492,11 @@ def null_space(a: Mat, tol: float | None = None) -> Mat:
     """Columns spanning the right kernel of ``a``."""
     if a.kind.exact:
         r, pivots = _rref(a.data, a.kind)
-        free = [c for c in range(a.cols) if c not in pivots]
-        out = Mat.zeros(a.cols, len(free), a.kind)
-        one = a.kind.one()
-        for j, f in enumerate(free):
-            out.data[f, j] = one
-            for row, c in enumerate(pivots):
-                val = -r[row, f]
-                if a.kind.tag == "gfp":
-                    val %= a.kind.modulus
-                out.data[c, j] = val
-        return out
+        free = sorted(set(range(a.cols)) - set(pivots))
+        out = Mat.zeros(a.cols, len(free), a.kind).data
+        out[free, np.arange(len(free))] = a.kind.one()
+        out[pivots] = -r[: len(pivots)][:, free]
+        return Mat.wrap(out, a.kind)
     if min(a.data.shape) == 0:
         return Mat.identity(a.cols, a.kind)
     u, sv, vh = np.linalg.svd(a.data)
@@ -458,17 +518,23 @@ def in_range(a: Mat, v: Mat, tol: float | None = None):
     if v.cols != 1 or v.rows != a.rows:
         raise ValueError(f"candidate must be a {a.rows}x1 column")
     if a.kind.exact:
-        x = _solve_exact(a, v)
-        if x is not None:
+        _, pivots = _rref(np.concatenate([a.data, v.data], axis=1), a.kind, reduced=False)
+        if not pivots or pivots[-1] < a.cols:
             return True, a.kind.zero()
         if a.kind.tag == "gfp":
             return False, 1
-        # normal equations are always consistent; defect of the projection
-        g = a.T @ a
-        rhs = a.T @ v
-        xo = _solve_exact(g, rhs)
-        resid = a @ xo - v
-        return False, sum((e * e for e in resid.data.ravel()), Fraction(0))
+        # The pivot columns of a, scaled to integer columns c, have full
+        # column rank and span col(a), so c^T c y = h = c^T w has one
+        # solution.  For w = l * v an integer vector the least-squares defect
+        # of w is w.w - h.y (its residual is orthogonal to c), and that of
+        # v is 1 / l^2 times it.
+        c = _integer_rows(a.data[:, pivots[:-1]].T).T
+        l = math.lcm(*(x.denominator for x in v.data[:, 0]))
+        w = np.array([x.numerator * (l // x.denominator) for x in v.data[:, 0]], dtype=object)
+        h = c.T.dot(w)
+        y = _solve_exact(Mat(c.T.dot(c), a.kind), Mat(h[:, None], a.kind))
+        defect = w.dot(w) - sum((hi * yi for hi, yi in zip(h, y.data[:, 0])), Fraction(0))
+        return False, defect / (l * l)
     if tol is None:
         tol = DEFAULT_RESIDUAL_RTOL
     x, *_ = np.linalg.lstsq(a.data, v.data, rcond=None)

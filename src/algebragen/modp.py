@@ -135,16 +135,22 @@ def sample_prime(bound: float, rng=None) -> tuple[int, int, float]:
             return c, n, per_prime_failure_bound(bound, n)
 
 
-def dimension_mod_p(gens: Sequence[Mat], p: int, n: int | None = None) -> PrimeOutcome:
+def dimension_mod_p(
+    gens: Sequence[Mat], p: int, n: int | None = None, b: int | None = None
+) -> PrimeOutcome:
     """Rank of the realigned inverse of (B - S) over GF(p), or a singular
-    skip when p divides det(B - S)."""
+    skip when p divides det(B - S).
+
+    ``b`` is compute_B(gens), computed here when not given.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n is None:
         if not gens:
             raise ValueError("pass n explicitly for an empty generator list")
         n = gens[0].rows
-    b = compute_B(gens)
+    if b is None:
+        b = compute_B(gens)
     kind = gf(p)
     reduced = [g.convert(kind) for g in gens]
     nn = n * n
@@ -191,7 +197,7 @@ def certified_dimension(
     outcomes: list[PrimeOutcome] = []
     successes = 0
     if forced_prime is not None:
-        outcome = dimension_mod_p(gens, forced_prime, n=n)
+        outcome = dimension_mod_p(gens, forced_prime, n=n, b=b)
         outcomes.append(outcome)
         if not outcome.singular:
             successes += 1
@@ -200,7 +206,7 @@ def certified_dimension(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
         while True:
             p, _, _ = sample_prime(bound, rng)
-            outcome = dimension_mod_p(gens, p, n=n)
+            outcome = dimension_mod_p(gens, p, n=n, b=b)
             outcomes.append(outcome)
             if not outcome.singular:
                 successes += 1

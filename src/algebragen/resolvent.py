@@ -70,7 +70,11 @@ def auto_variant(gs: GeneratorSet) -> Variant:
 
 @dataclass(frozen=True)
 class SpanMatrixReport:
-    """A computed span matrix with its provenance and rank diagnostics."""
+    """A computed span matrix with its provenance and rank diagnostics.
+
+    On exact kinds ``pivots`` are the pivot columns of ``matrix``, which
+    form a basis of its column space; None on approximate kinds.
+    """
 
     matrix: Mat
     variant: Variant
@@ -79,6 +83,7 @@ class SpanMatrixReport:
     tol: float | None
     ill_conditioned: bool
     singular_values: tuple[float, ...] | None
+    pivots: tuple[int, ...] | None = None
 
 
 def sum_kron(gs: GeneratorSet, conjugate: bool = False) -> Mat:
@@ -193,4 +198,5 @@ def span_matrix(
         tol=info.tol,
         ill_conditioned=info.ill_conditioned,
         singular_values=info.singular_values,
+        pivots=info.pivots,
     )

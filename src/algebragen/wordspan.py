@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat, _solve_exact, vec
+from .matrix import Mat, _integer_rows, _solve_exact, vec
 from .scalars import ScalarKind
 
 # relative residual under which a candidate counts as dependent (approximate
@@ -45,23 +45,11 @@ class _Accumulator:
     def __len__(self):
         return len(self.rows)
 
-    def _primitive(self, v: np.ndarray) -> np.ndarray:
-        den = 1
-        for x in v:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        w = np.array([int(x * den) for x in v], dtype=object)
-        g = 0
-        for x in w:
-            g = math.gcd(g, x)
-        if g > 1:
-            w //= g
-        return w
-
     def insert(self, column: np.ndarray) -> bool:
         """Reduce a vector against the accumulator; keep and report True
         when it is independent of everything inserted so far."""
         if self.kind.tag == "rational":
-            v = self._primitive(column)
+            v = _integer_rows(column[None, :])[0]
             for p, r in zip(self.pivots, self.rows):
                 if v[p] != 0:
                     v = v * r[p] - v[p] * r

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.matrix import _rref
+from algebragen.matrix import _rref, _solve_exact
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
@@ -393,3 +393,127 @@ def test_rref_pivots_gfp_and_rational():
     r_q, piv_q = _rref(np.array(m, dtype=object), ag.RATIONAL)
     r_p, piv_p = _rref(np.array(m, dtype=object), ag.gf(7))
     assert piv_q == piv_p == [0, 2]
+
+
+# -- vectorized elimination against a textbook Gauss-Jordan ------------------
+
+# GF(p) moduli on both sides of the int64 limit: 3037000493 is the largest
+# prime with (p - 1)^2 + p < 2^63, 4294967311 runs on Python-int rows.
+GF_PRIMES = (2, 7, 2**31 - 1, 3037000493, 4294967311)
+
+
+def reference_rref(rows, kind):
+    """Gauss-Jordan on lists of Python scalars, one row at a time."""
+    p = kind.modulus
+    a = [[kind.coerce(x) for x in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p) if p else 1 / a[r][c]
+        a[r] = [x * inv % p if p else x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def low_rank_rows(rng, kind, rows, cols, rank, zero_rows):
+    """rows x cols entries of rank at most ``rank``, with some rows zeroed."""
+    if kind.tag == "rational":
+        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    else:
+        draw = lambda: rng.randrange(kind.modulus)
+    left = [[draw() for _ in range(rank)] for _ in range(rows)]
+    right = [[draw() for _ in range(cols)] for _ in range(rank)]
+    out = [[sum((l[k] * right[k][j] for k in range(rank)), kind.zero()) for j in range(cols)] for l in left]
+    for i in rng.sample(range(rows), min(zero_rows, rows)):
+        out[i] = [kind.zero()] * cols
+    return [[kind.coerce(x) for x in row] for row in out]
+
+
+def check_rref(rows, kind, ncols):
+    data = np.empty((len(rows), ncols), dtype=object)
+    for i, row in enumerate(rows):
+        data[i, :] = row
+    ref, ref_pivots = reference_rref(rows, kind)
+    r, pivots = _rref(data, kind)
+    assert pivots == ref_pivots
+    assert [list(row) for row in r] == ref
+    assert _rref(data, kind, reduced=False)[1] == ref_pivots
+    scalar = Fraction if kind.tag == "rational" else int
+    assert all(type(x) is scalar for x in r.ravel())  # never np.int64
+
+
+elimination_shapes = dict(
+    rows=st.integers(0, 7), cols=st.integers(1, 7), rank=st.integers(0, 7),
+    zero_rows=st.integers(0, 2), seed=st.integers(0, 10**6),
+)
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+@given(**elimination_shapes)
+@settings(max_examples=40, deadline=None)
+def test_rref_gfp_matches_reference(p, rows, cols, rank, zero_rows, seed):
+    kind = ag.gf(p)
+    rng = random.Random(seed)
+    check_rref(low_rank_rows(rng, kind, rows, cols, min(rank, rows, cols), zero_rows), kind, cols)
+
+
+@given(**elimination_shapes)
+@settings(max_examples=80, deadline=None)
+def test_rref_rational_matches_reference(rows, cols, rank, zero_rows, seed):
+    rng = random.Random(seed)
+    check_rref(low_rank_rows(rng, ag.RATIONAL, rows, cols, min(rank, rows, cols), zero_rows), ag.RATIONAL, cols)
+
+
+def test_rref_gfp_int64_edge_entries():
+    # every entry p - 1: each product in the update is the largest int64 sees
+    for p in (3037000493, 4294967311):
+        kind = ag.gf(p)
+        rows = [[p - 1, p - 1, 1], [p - 1, 1, p - 1], [1, p - 1, p - 1]]
+        check_rref(rows, kind, 3)
+
+
+def test_exact_outputs_are_python_scalars():
+    rng = random.Random(21)
+    for kind in (ag.gf(1048583), ag.gf(4294967311), ag.RATIONAL):
+        m = rand_mat(rng, 4, kind, max_den=3)
+        for out in (ag.inverse(m) if ag.rank(m) == 4 else m, ag.null_space(m), ag.range_basis(m)):
+            scalar = Fraction if kind.tag == "rational" else int
+            assert all(type(x) is scalar for x in out.data.ravel())
+
+
+def test_rank_info_pivots_exact_only():
+    m = ag.Mat.from_rows([[0, 1, 2], [0, 2, 4], [1, 0, 0]], ag.RATIONAL)
+    assert ag.rank_info(m).pivots == (0, 1)
+    assert ag.rank_info(m.convert(ag.gf(5))).pivots == (0, 1)
+    assert ag.rank_info(m.convert(ag.F64)).pivots is None
+
+
+def test_in_range_defect_matches_all_column_normal_equations():
+    # the pivot-column projection gives the same defect as the normal
+    # equations on every column of a
+    rng = random.Random(23)
+    checked = 0
+    while checked < 6:
+        n = rng.randint(3, 5)
+        rank = rng.randint(1, n - 1)
+        a = ag.Mat.from_rows(low_rank_rows(rng, ag.RATIONAL, n, n, rank, 0), ag.RATIONAL)
+        v = rand_mat(rng, n, ag.RATIONAL, max_den=4).col(0)
+        ok, residual = ag.in_range(a, v)
+        if ok:
+            continue
+        xo = _solve_exact(a.T @ a, a.T @ v)
+        resid = a @ xo - v
+        assert residual == sum((e * e for e in resid.data.ravel()), Fraction(0))
+        assert residual > 0
+        checked += 1

@@ -1,0 +1,58 @@
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import algebragen as ag
+
+from conftest import rand_int_generator_set
+
+
+def b_minus_s_det(gs: ag.GeneratorSet) -> Fraction:
+    b = ag.compute_B(list(gs.gens))
+    return ag.det(ag.Mat.identity(gs.n * gs.n, gs.kind) * b - ag.sum_kron(gs))
+
+
+def test_forced_prime_dividing_det_is_a_singular_skip():
+    rng = random.Random(3)
+    while True:
+        gs = rand_int_generator_set(rng, 2, 2, True)
+        det = b_minus_s_det(gs)
+        q = next((q for q in (2, 3, 5, 7, 11, 13) if det.numerator % q == 0), None)
+        if q is not None:
+            break
+    gens = list(gs.gens)
+    assert ag.dimension_mod_p(gens, q) == ag.PrimeOutcome(p=q, rank=None)
+    dim, plan = ag.certified_dimension(gens, trials=1, seed=0, forced_prime=q)
+    assert plan.outcomes[0] == ag.PrimeOutcome(p=q, rank=None)
+    assert not plan.outcomes[-1].singular
+    assert dim == ag.dimension(gs)
+
+
+def test_prime_plan_is_seed_deterministic():
+    rng = random.Random(4)
+    gens = list(rand_int_generator_set(rng, 3, 2, True).gens)
+    dim1, plan1 = ag.certified_dimension(gens, trials=3, seed=12345)
+    dim2, plan2 = ag.certified_dimension(gens, trials=3, seed=12345)
+    assert (dim1, plan1) == (dim2, plan2)
+    _, other = ag.certified_dimension(gens, trials=3, seed=54321)
+    assert [o.p for o in other.outcomes] != [o.p for o in plan1.outcomes]
+
+
+def test_precomputed_b_gives_the_same_outcome():
+    rng = random.Random(5)
+    gens = list(rand_int_generator_set(rng, 3, 2, True).gens)
+    b = ag.compute_B(gens)
+    for p in (1048583, 4294967311):  # int64 rows, then Python-int rows
+        assert ag.dimension_mod_p(gens, p, b=b) == ag.dimension_mod_p(gens, p)
+
+
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_certified_dimension_matches_rational(n, d, seed):
+    rng = random.Random(seed)
+    gs = rand_int_generator_set(rng, n, d, True)
+    dim, plan = ag.certified_dimension(list(gs.gens), trials=2, seed=seed, n=n)
+    assert dim == ag.dimension(gs)
+    assert sum(not o.singular for o in plan.outcomes) == 2
