@@ -15,10 +15,8 @@ from .matrix import (
     Mat,
     RankInfo,
     SingularMatrixError,
-    det,
     in_range,
     inverse,
-    is_psd,
     kron,
     norm,
     null_space,

@@ -48,20 +48,22 @@ def _emit(report: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _scalar_str(x) -> str:
-    return x if isinstance(x, str) else str(x)
-
-
 def _entropy_seed() -> int:
     import numpy as np
 
     return int(np.random.SeedSequence().entropy) % (1 << 63)
 
 
-def _load(args, path, field=None, unital=None):
-    from .instances import load_instance
+def _load(path, field=None, unital=None):
+    from .instances import ParseError, load_instance
 
-    return load_instance(path, field=field, unital=unital)
+    inst = load_instance(path, field=field, unital=unital)
+    if inst.gs.kind.tag == "gfp":
+        raise ParseError(
+            f"no command serves {inst.field} instances; "
+            "certify integer data over random primes with modp-dim"
+        )
+    return inst
 
 
 def _variant_and_scale(args, n):
@@ -92,7 +94,7 @@ def cmd_dim(args) -> int:
     from .resolvent import span_matrix
 
     started = time.perf_counter()
-    inst = _load(args, args.instance, field=args.field, unital=False if args.nonunital else None)
+    inst = _load(args.instance, field=args.field, unital=False if args.nonunital else None)
     variant, scale = _variant_and_scale(args, inst.n)
     if variant is not None and not inst.gs.unital:
         raise argparse.ArgumentTypeError("--power computes the unital algebra; drop --nonunital")
@@ -102,7 +104,7 @@ def cmd_dim(args) -> int:
         {
             "dimension": rep.rank,
             "variant": rep.variant.tag + (f":{rep.variant.k}" if rep.variant.k else ""),
-            "scale": _scalar_str(rep.scale),
+            "scale": str(rep.scale),
             "rank_tolerance": rep.tol,
             "conditioning_flag": rep.ill_conditioned,
         }
@@ -113,12 +115,12 @@ def cmd_dim(args) -> int:
 
 def cmd_member(args) -> int:
     from .algebra import membership
-    from .instances import ParseError, grid_of
+    from .instances import ParseError
     from .resolvent import span_matrix
 
     started = time.perf_counter()
-    inst = _load(args, args.generators, field=args.field, unital=False if args.nonunital else None)
-    cand = _load(args, args.candidate, field=inst.field)
+    inst = _load(args.generators, field=args.field, unital=False if args.nonunital else None)
+    cand = _load(args.candidate, field=inst.field)
     if cand.d != 1:
         raise ParseError("candidate file must hold exactly one matrix")
     if cand.n != inst.n:
@@ -131,12 +133,12 @@ def cmd_member(args) -> int:
         {
             "candidate": args.candidate,
             "member": result.member,
-            "residual": _scalar_str(result.residual),
+            "residual": str(result.residual),
             "tolerance": args.tol,
             "certificate": None
             if result.certificate is None
             else [
-                {"word": list(word), "coeff": _scalar_str(c)}
+                {"word": list(word), "coeff": str(c)}
                 for word, c in result.certificate
             ],
         }
@@ -151,7 +153,7 @@ def cmd_basis(args) -> int:
     from .instances import grid_of
 
     started = time.perf_counter()
-    inst = _load(args, args.instance, field=args.field, unital=False if args.nonunital else None)
+    inst = _load(args.instance, field=args.field, unital=False if args.nonunital else None)
     ab = basis(inst.gs, tol=args.tol)
     report = _report_base(args, inst, started)
     report.update(
@@ -170,8 +172,8 @@ def cmd_intersect(args) -> int:
     from .instances import ParseError, grid_of
 
     started = time.perf_counter()
-    a = _load(args, args.instance_a, field=args.field)
-    b = _load(args, args.instance_b, field=args.field)
+    a = _load(args.instance_a, field=args.field)
+    b = _load(args.instance_b, field=args.field)
     if a.n != b.n or a.field != b.field or a.gs.unital != b.gs.unital:
         raise ParseError("intersection needs equal n, field and unital flag")
     ab = intersect(a.gs, b.gs, tol=args.tol)
@@ -197,9 +199,11 @@ def cmd_modp_dim(args) -> int:
     if args.prime is not None and not (args.prime < DETERMINISTIC_LIMIT and is_prime(args.prime)):
         raise ParseError(f"--prime {args.prime} is not a prime below {DETERMINISTIC_LIMIT}")
     started = time.perf_counter()
-    inst = _load(args, args.instance, field=args.field)
+    inst = _load(args.instance, field=args.field)
     if inst.gs.kind.tag != "rational":
         raise ParseError("modp-dim needs exact integer or rational data")
+    if not inst.gs.unital:
+        raise ParseError("modp-dim certifies the unital algebra; the instance is non-unital")
     gens = clear_denominators(inst.gs.gens)
     seed = args.seed if args.seed is not None else _entropy_seed()
     dim, plan = certified_dimension(
@@ -243,7 +247,7 @@ def cmd_bench(args) -> int:
         for _ in range(count):
             instances.append((f"random-{n}x{n}-d{d}", random_generator_set(n, d, rng)))
     elif args.instance is not None:
-        inst = _load(args, args.instance)
+        inst = _load(args.instance)
         instances.append((inst.path, inst.gs))
     else:
         raise ParseError("bench needs an instance path or --random N D COUNT")
@@ -266,9 +270,9 @@ def cmd_bench(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["n", "d", "method", "dim", "seconds", "agrees"])
+            writer.writerow(["label", "n", "d", "method", "dim", "seconds", "agrees"])
             for row in rows:
-                writer.writerow([row["n"], row["d"], row["method"], row["dim"], row["seconds"], str(row["agrees"]).lower()])
+                writer.writerow([row["label"], row["n"], row["d"], row["method"], row["dim"], row["seconds"], str(row["agrees"]).lower()])
 
     report = {
         "command": "bench",
@@ -297,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
         if field:
-            p.add_argument("--field", default=None, help="force field: f64|c64|rational|gfp:<p>")
+            p.add_argument("--field", default=None, help="force field: f64|c64|rational")
         if unital:
             p.add_argument("--nonunital", action="store_true", help="use the non-unital algebra")
 

@@ -58,10 +58,6 @@ def kind_from_field(field: str) -> ScalarKind:
     raise ParseError(f"unknown field {field!r}")
 
 
-def field_of(kind: ScalarKind) -> str:
-    return str(kind)
-
-
 def parse_entry(text, kind: ScalarKind):
     """Parse one entry string under the given field."""
     if isinstance(text, bool):
@@ -110,7 +106,7 @@ def format_entry(x, kind: ScalarKind) -> str:
     if kind.tag == "f64":
         return repr(float(x))
     z = complex(x)
-    sign = "+" if z.imag >= 0 else "-"
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"  # keeps -0.0
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
@@ -179,7 +175,7 @@ def instance_from_dict(doc: dict, field: str | None = None, unital: bool | None 
             raise ParseError(f"generator {gi}: {e}") from None
         gens.append(mat)
     gs = GeneratorSet(n=n, gens=tuple(gens), kind=kind, unital=unital)
-    return Instance(gs=gs, field=field_of(kind), path=path)
+    return Instance(gs=gs, field=str(kind), path=path)
 
 
 def load_instance(path: str, field: str | None = None, unital: bool | None = None) -> Instance:
@@ -195,21 +191,6 @@ def load_instance(path: str, field: str | None = None, unital: bool | None = Non
 
 def grid_of(mat: Mat) -> list[list[str]]:
     return [[format_entry(x, mat.kind) for x in row] for row in mat.data]
-
-
-def instance_dict(gs: GeneratorSet) -> dict:
-    return {
-        "n": gs.n,
-        "field": field_of(gs.kind),
-        "unital": gs.unital,
-        "generators": [grid_of(g) for g in gs.gens],
-    }
-
-
-def save_instance(gs: GeneratorSet, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_dict(gs), fh, indent=2)
-        fh.write("\n")
 
 
 def random_generator_set(n: int, d: int, rng, unital: bool = True) -> GeneratorSet:

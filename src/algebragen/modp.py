@@ -1,26 +1,28 @@
 """Exact randomized dimension computation for integer generators.
 
 For integer generators the unital algebra dimension equals the GF(p) rank
-of the realigned inverse of (B - S), where S is the summed Kronecker square
-and B exceeds the total squared Frobenius norm, for all but an explicitly
-bounded number of bad primes.  Sampling a random prime below a ceiling far
-above that bound gives the right answer with high probability, and a bad
-prime can only under-count, so the maximum over several independent primes
-is taken.
+of the span matrix built from B*I - S (``resolvent.span_matrix`` over GF(p)
+with scale B), where S is the summed Kronecker square and B exceeds the
+total squared Frobenius norm, for all but an explicitly bounded number of
+bad primes.  This module only samples the primes and records the audit
+trail: a random prime below a ceiling far above that bound gives the right
+answer with high probability, and a bad prime can only under-count, so the
+maximum over several independent primes is taken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .matrix import Mat, SingularMatrixError, inverse, kron, rank, realign
+from .generators import GeneratorSet
+from .matrix import Mat, SingularMatrixError
 from .primes import DETERMINISTIC_LIMIT, is_prime
-from .scalars import gf
+from .resolvent import scale_bound, span_matrix
+from .scalars import RATIONAL, gf
 
 MIN_CEILING = 1 << 20
 DEFAULT_TRIALS = 2
@@ -83,10 +85,8 @@ def _require_integer(gens: Sequence[Mat]):
 def compute_B(gens: Sequence[Mat]) -> int:
     """B = (sum of squared Frobenius norms) + 1 for integer generators."""
     _require_integer(gens)
-    total = Fraction(0)
-    for g in gens:
-        total += sum((x * x for x in g.data.ravel()), Fraction(0))
-    return int(total) + 1
+    # scale_bound reads only the generators: any side will do for none
+    return scale_bound(GeneratorSet(gens[0].rows if gens else 1, tuple(gens), RATIONAL))
 
 
 def bad_prime_bound(n: int, b: int) -> float:
@@ -138,13 +138,11 @@ def sample_prime(bound: float, rng=None) -> tuple[int, int, float]:
 def dimension_mod_p(
     gens: Sequence[Mat], p: int, n: int | None = None, b: int | None = None
 ) -> PrimeOutcome:
-    """Rank of the realigned inverse of (B - S) over GF(p), or a singular
-    skip when p divides det(B - S).
+    """Rank over GF(p) of the span matrix built from B*I - S, or a singular
+    skip when p divides det(B*I - S).
 
     ``b`` is compute_B(gens), computed here when not given.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if n is None:
         if not gens:
             raise ValueError("pass n explicitly for an empty generator list")
@@ -152,17 +150,11 @@ def dimension_mod_p(
     if b is None:
         b = compute_B(gens)
     kind = gf(p)
-    reduced = [g.convert(kind) for g in gens]
-    nn = n * n
-    s = Mat.zeros(nn, nn, kind)
-    for g in reduced:
-        s = s + kron(g, g)
-    m = Mat.identity(nn, kind) * b - s
+    gs = GeneratorSet(n, tuple(g.convert(kind) for g in gens), kind)
     try:
-        core = inverse(m)
+        return PrimeOutcome(p=p, rank=span_matrix(gs, scale=b).rank)
     except SingularMatrixError:
         return PrimeOutcome(p=p, rank=None)
-    return PrimeOutcome(p=p, rank=rank(realign(core)))
 
 
 def certified_dimension(

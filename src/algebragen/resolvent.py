@@ -6,6 +6,11 @@ semi-definite, its column space is the vectorized algebra generated by the
 input matrices, and its rank is the dimension of that algebra.  Variants
 cover the unital and non-unital algebras, entrywise conjugation for complex
 inputs, and a powering form that needs no norm hypothesis.
+
+Over GF(p) the same object is built from an explicit integer B in the form
+B*I - S: its inverse is the reduction mod p of the rational
+(I - S/B)^-1 / B, and it stays defined when p divides B, where S/B does not.
+This is the mod-p certificate of the ``modp`` module.
 """
 
 from __future__ import annotations
@@ -150,10 +155,13 @@ def span_matrix(
     rescaling; the contraction hypothesis is checked and NormBoundError is
     raised when every cheap norm is >= 1), or an explicit positive divisor
     (also checked).  The power variant needs no norm hypothesis and skips
-    the check.
+    the check.  Over GF(p) ``scale`` must be an explicit integer B, the
+    identity is scaled by B in place of dividing S by it, and there is no
+    norm check; SingularMatrixError means p divides det(B*I - S).
     """
-    if gs.kind.tag == "gfp":
-        raise ValueError("span matrices over GF(p) go through the modp module")
+    gfp = gs.kind.tag == "gfp"
+    if gfp and not isinstance(scale, int):
+        raise ValueError("span matrices over GF(p) need an explicit integer scale B")
     if variant is None:
         variant = auto_variant(gs)
     if variant.unital != gs.unital:
@@ -172,16 +180,18 @@ def span_matrix(
         divisor = scale
         if not (divisor > 0):
             raise ValueError("explicit scale must be positive")
-    if divisor != 1:
+    eye = Mat.identity(gs.n * gs.n, gs.kind)
+    if gfp:
+        eye = eye * divisor
+    elif divisor != 1:
         s = s / divisor
 
-    if variant.tag != "power" and scale != "auto" and not _norm_ok(s):
+    if variant.tag != "power" and scale != "auto" and not gfp and not _norm_ok(s):
         raise NormBoundError(
             "summed Kronecker square has norm >= 1 in all of Frobenius/l1/linf; "
             "rescale (scale='auto') or pass an explicit divisor"
         )
 
-    eye = Mat.identity(gs.n * gs.n, gs.kind)
     if variant.tag == "power":
         core = _matrix_power(eye + s, variant.k)
     else:

@@ -1,24 +1,25 @@
 """Ground-truth basis builder: breadth-first products plus elimination.
 
 Words over the generators are enumerated by degree (empty word first when
-unital), each product is reduced against an echelon accumulator, and a word
-is kept exactly when it enlarges the span so far.  Only kept words are
-extended; the span of kept words still contains every word, because a
-dependent word's extensions are spanned by extensions of earlier kept words.
-This is the simple baseline the span-matrix construction is validated
-against, and the source of explicit word certificates.
+unital), and a word is kept exactly when it enlarges the span of the words
+kept before it.  On exact kinds each degree layer is selected in one
+elimination (``matrix._rref``): its new words are the pivot columns of
+[kept words | layer candidates] past the kept ones.  On approximate kinds
+each candidate is projected against an orthonormal accumulator.  Only kept
+words are extended; the span of kept words still contains every word,
+because a dependent word's extensions are spanned by extensions of earlier
+kept words.  This is the simple baseline the span-matrix construction is
+validated against, and the source of explicit word certificates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat, _integer_rows, _solve_exact, vec
+from .matrix import Mat, _rref, _solve_exact, vec
 from .scalars import ScalarKind
 
 # relative residual under which a candidate counts as dependent (approximate
@@ -27,68 +28,29 @@ DEFAULT_INDEPENDENCE_RTOL = 1e-9
 
 
 class _Accumulator:
-    """Incremental row echelon over any backend.
+    """Incremental orthonormal rows for the approximate kinds."""
 
-    Rational rows are kept as primitive integer vectors and reduced
-    fraction-free (cross-multiply, then divide by the content), which is
-    much faster than normalized Fraction arithmetic.  GF(p) rows are kept
-    pivot-normalized; approximate rows orthonormal.
-    """
-
-    def __init__(self, kind: ScalarKind, dim: int, tol: float | None = None):
+    def __init__(self, kind: ScalarKind, tol: float | None = None):
         self.kind = kind
-        self.dim = dim
         self.tol = DEFAULT_INDEPENDENCE_RTOL if tol is None else tol
         self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    def __len__(self):
-        return len(self.rows)
 
     def insert(self, column: np.ndarray) -> bool:
         """Reduce a vector against the accumulator; keep and report True
         when it is independent of everything inserted so far."""
-        if self.kind.tag == "rational":
-            v = _integer_rows(column[None, :])[0]
-            for p, r in zip(self.pivots, self.rows):
-                if v[p] != 0:
-                    v = v * r[p] - v[p] * r
-                    g = 0
-                    for x in v:
-                        g = math.gcd(g, x)
-                    if g > 1:
-                        v //= g
-            nz = next((i for i in range(self.dim) if v[i] != 0), None)
-            if nz is None:
-                return False
-            if v[nz] < 0:
-                v = -v
-        elif self.kind.tag == "gfp":
-            q = self.kind.modulus
-            v = np.array([int(x) % q for x in column], dtype=object)
-            for p, r in zip(self.pivots, self.rows):
-                if v[p] != 0:
-                    v = (v - v[p] * r) % q
-            nz = next((i for i in range(self.dim) if v[i] != 0), None)
-            if nz is None:
-                return False
-            v = v * pow(int(v[nz]), -1, q) % q
-        else:
-            v = np.asarray(column, dtype=self.kind.dtype)
-            scale = np.linalg.norm(v)
-            if scale == 0:
-                return False
-            # project out twice for numerical stability
-            for _ in range(2):
-                for r in self.rows:
-                    v = v - np.vdot(r, v) * r
-            resid = np.linalg.norm(v)
-            if resid <= self.tol * scale:
-                return False
-            v = v / resid
-            nz = int(np.argmax(np.abs(v)))
+        v = np.asarray(column, dtype=self.kind.dtype)
+        scale = np.linalg.norm(v)
+        if scale == 0:
+            return False
+        # project out twice for numerical stability
+        for _ in range(2):
+            for r in self.rows:
+                v = v - np.vdot(r, v) * r
+        resid = np.linalg.norm(v)
+        if resid <= self.tol * scale:
+            return False
+        v = v / resid
         self.rows.append(v)
-        self.pivots.append(nz)
         return True
 
 
@@ -125,47 +87,48 @@ def word_span(gs: GeneratorSet, degree_cap: int | None = None, tol: float | None
     if degree_cap < 1:
         raise ValueError("degree cap must be >= 1")
     full = gs.n * gs.n
-    acc = _Accumulator(gs.kind, full, tol)
+    acc = None if gs.kind.exact else _Accumulator(gs.kind, tol)
+    kept: list[np.ndarray] = []  # vectorized kept words, exact kinds only
     words: list[tuple[int, ...]] = []
     mats: list[Mat] = []
 
-    def keep(word, m) -> bool:
-        if acc.insert(vec(m).data.ravel()):
-            words.append(word)
-            mats.append(m)
-            return True
-        return False
+    def keep(candidates):
+        """Keep, in order, the candidates that enlarge the span; return them."""
+        if not candidates:
+            return []
+        vecs = [vec(m).data for _, m in candidates]
+        if acc is None:
+            k = len(kept)
+            _, pivots = _rref(np.concatenate(kept + vecs, axis=1), gs.kind, reduced=False)
+            new = [c - k for c in pivots[k:]]
+            kept.extend(vecs[j] for j in new)
+        else:
+            new = [j for j, v in enumerate(vecs) if acc.insert(v.ravel())]
+        layer = [candidates[j] for j in new]
+        words.extend(word for word, _ in layer)
+        mats.extend(m for _, m in layer)
+        return layer
 
     if gs.unital:
-        frontier = [((), Mat.identity(gs.n, gs.kind))]
-        for word, m in frontier:
-            keep(word, m)
+        frontier = keep([((), Mat.identity(gs.n, gs.kind))])
         degree = 0
     else:
-        frontier = []
-        for i, g in enumerate(gs.gens):
-            if keep((i,), g):
-                frontier.append(((i,), g))
+        frontier = keep([((i,), g) for i, g in enumerate(gs.gens)])
         degree = 1
 
-    saturated = not frontier or len(acc) == full
+    saturated = not frontier or len(words) == full
     degree_reached = degree
-    while frontier and len(acc) < full and degree < degree_cap:
-        layer = []
-        for word, m in frontier:
-            for i, g in enumerate(gs.gens):
-                extended = m @ g
-                if keep(word + (i,), extended):
-                    layer.append((word + (i,), extended))
+    while frontier and len(words) < full and degree < degree_cap:
+        layer = keep([(word + (i,), m @ g) for word, m in frontier for i, g in enumerate(gs.gens)])
         degree += 1
         if layer:
             degree_reached = degree
-        if not layer or len(acc) == full:
+        if not layer or len(words) == full:
             saturated = True
             break
         frontier = layer
     else:
-        saturated = saturated or not frontier or len(acc) == full
+        saturated = saturated or not frontier or len(words) == full
 
     return WordBasis(
         n=gs.n,

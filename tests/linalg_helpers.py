@@ -1,0 +1,88 @@
+"""Determinant and positive semi-definiteness checks used by the tests.
+
+The library itself never needs them: it decides rank, range and
+invertibility through ``matrix._rref``.  They stay here as independent
+checks on the span matrix (it is PSD) and on the mod-p certificate (a
+singular skip means p divides det(B*I - S)).
+"""
+
+import numpy as np
+
+from algebragen.matrix import Mat
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def det(a: Mat):
+    """Determinant (exact on exact kinds, numpy on approximate kinds)."""
+    if a.rows != a.cols:
+        raise ValueError("determinant needs a square matrix")
+    if not a.kind.exact:
+        return np.linalg.det(a.data)
+    m = np.array(a.data, dtype=object, copy=True)
+    modulus = a.kind.modulus
+    n = a.rows
+    sign = 1
+    result = a.kind.one()
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i, c] != 0), None)
+        if pr is None:
+            return a.kind.zero()
+        if pr != c:
+            m[[c, pr]] = m[[pr, c]]
+            sign = -sign
+        pivot = m[c, c]
+        result = result * pivot
+        if modulus is not None:
+            result %= modulus
+            inv = pow(int(pivot), -1, modulus)
+            for i in range(c + 1, n):
+                if m[i, c] != 0:
+                    m[i] = (m[i] - m[i, c] * inv % modulus * m[c]) % modulus
+        else:
+            for i in range(c + 1, n):
+                if m[i, c] != 0:
+                    m[i] = m[i] - m[i, c] / pivot * m[c]
+    if sign < 0:
+        result = -result % modulus if modulus is not None else -result
+    return result
+
+
+def is_psd(a: Mat, tol: float | None = None) -> bool:
+    """Positive semi-definiteness check.
+
+    Exact kinds use symmetric pivoting (diagonal pivots must stay
+    nonnegative, and a vanished diagonal forces its whole row to vanish);
+    approximate kinds check the spectrum of the Hermitian part.
+    """
+    if a.rows != a.cols:
+        return False
+    if a.kind.tag == "gfp":
+        raise ValueError("positive semi-definiteness is not defined over GF(p)")
+    if not a.kind.exact:
+        h = (a.data + a.data.conj().T) / 2
+        atol = tol if tol is not None else 1e-9
+        if not np.allclose(a.data, h, rtol=1e-9, atol=atol):
+            return False
+        w = np.linalg.eigvalsh(h)
+        bound = tol if tol is not None else a.rows * _EPS * max(1.0, float(abs(w).max()))
+        return bool(w.min() >= -bound)
+    if not np.array_equal(a.data, a.data.T):
+        return False
+    w = np.array(a.data, dtype=object, copy=True)
+    active = list(range(a.rows))
+    while active:
+        if any(w[i, i] < 0 for i in active):
+            return False
+        piv = next((i for i in active if w[i, i] > 0), None)
+        if piv is None:
+            # zero diagonal throughout: PSD iff the remaining block vanishes
+            return all(w[i, j] == 0 for i in active for j in active)
+        active.remove(piv)
+        d = w[piv, piv]
+        for i in active:
+            if w[i, piv] != 0:
+                f = w[i, piv] / d
+                for j in active:
+                    w[i, j] = w[i, j] - f * w[piv, j]
+    return True

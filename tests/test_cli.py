@@ -1,5 +1,8 @@
+import csv
 import json
 from pathlib import Path
+
+import pytest
 
 from algebragen import cli
 
@@ -33,3 +36,79 @@ def test_modp_dim_composite_prime_is_a_usage_error(capsys):
 def test_bad_arguments_return_the_parse_code(capsys):
     assert run(capsys, "modp-dim")[0] == cli.EXIT_PARSE
     assert run(capsys, "no-such-command")[0] == cli.EXIT_PARSE
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+MEMBER = str(INSTANCES / "candidate_member.json")
+NONMEMBER = str(INSTANCES / "candidate_nonmember.json")
+
+
+def write_instance(tmp_path, doc, name="instance.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_member_and_nonmember_exit_codes(capsys):
+    code, out, _ = run(capsys, "member", TRIANGULAR, MEMBER)
+    assert code == cli.EXIT_OK and json.loads(out)["member"]
+    code, out, _ = run(capsys, "member", TRIANGULAR, NONMEMBER)
+    assert code == cli.EXIT_NONMEMBER and not json.loads(out)["member"]
+
+
+def test_norm_bound_without_rescaling_exits_3(capsys, tmp_path):
+    path = write_instance(tmp_path, {"n": 2, "generators": [[["1", "2"], ["3", "4"]]]})
+    assert run(capsys, "dim", path, "--no-rescale")[0] == cli.EXIT_NORM_BOUND
+    assert run(capsys, "dim", path)[0] == cli.EXIT_OK
+
+
+def test_prime_ceiling_beyond_primality_range_exits_5(capsys, monkeypatch):
+    from algebragen import modp
+
+    monkeypatch.setattr(modp, "DETERMINISTIC_LIMIT", modp.MIN_CEILING - 1)
+    assert run(capsys, "modp-dim", TRIANGULAR, "--seed", "1")[0] == cli.EXIT_RANGE
+
+
+def test_bench_disagreement_on_exact_data_exits_6(capsys, monkeypatch):
+    from algebragen import wordspan
+
+    real = wordspan.dimension
+    monkeypatch.setattr(wordspan, "dimension", lambda gs: real(gs) + 1)
+    code, out, err = run(capsys, "bench", TRIANGULAR, "--seed", "1")
+    assert code == cli.EXIT_DISAGREE
+    assert "disagreed" in err
+    assert not any(row["agrees"] for row in json.loads(out)["rows"])
+
+
+def test_modp_dim_refuses_nonunital_instances(capsys, tmp_path):
+    doc = {"n": 2, "unital": False, "generators": [[["0", "1"], ["0", "0"]]]}
+    path = write_instance(tmp_path, doc)
+    code, out, _ = run(capsys, "dim", path)
+    assert code == cli.EXIT_OK and json.loads(out)["dimension"] == 1
+    code, _, err = run(capsys, "modp-dim", path, "--seed", "1")
+    assert code == cli.EXIT_PARSE
+    assert "non-unital" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["dim", "{a}"], ["member", "{a}", "{a}"], ["basis", "{a}"], ["intersect", "{a}", "{a}"], ["bench", "{a}"]],
+)
+def test_gfp_instances_are_usage_errors(capsys, tmp_path, command):
+    doc = {"n": 2, "field": "gfp:7", "generators": [[["1", "2"], ["3", "4"]]]}
+    path = write_instance(tmp_path, doc)
+    code, _, err = run(capsys, *[arg.format(a=path) for arg in command])
+    assert code == cli.EXIT_PARSE
+    assert "modp-dim" in err
+
+
+def test_bench_csv_carries_the_label(capsys, tmp_path):
+    out_csv = tmp_path / "bench.csv"
+    code, out, _ = run(capsys, "bench", "--random", "3", "2", "2", "--seed", "0", "--csv", str(out_csv))
+    assert code == cli.EXIT_OK
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["label", "n", "d", "method", "dim", "seconds", "agrees"]
+    expected = json.loads(out)["rows"]
+    assert [r["label"] for r in rows] == [r["label"] for r in expected]
+    assert [(r["method"], int(r["dim"])) for r in rows] == [(r["method"], r["dim"]) for r in expected]

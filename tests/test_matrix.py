@@ -11,6 +11,7 @@ from algebragen.matrix import _rref, _solve_exact
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
+from linalg_helpers import det, is_psd
 
 ALL_KINDS = (ag.RATIONAL, ag.gf(1048583), ag.F64, ag.C64)
 
@@ -201,16 +202,16 @@ def test_inverse_errors():
 
 
 def test_det():
-    assert ag.det(ag.Mat.from_rows([[2, 1], [1, 1]], ag.RATIONAL)) == 1
-    assert ag.det(ag.Mat.from_rows([[0, 1], [1, 0]], ag.RATIONAL)) == -1
-    assert ag.det(ag.Mat.from_rows([[0, 1], [1, 0]], ag.gf(7))) == 6
-    assert ag.det(ag.Mat.zeros(3, 3, ag.RATIONAL)) == 0
+    assert det(ag.Mat.from_rows([[2, 1], [1, 1]], ag.RATIONAL)) == 1
+    assert det(ag.Mat.from_rows([[0, 1], [1, 0]], ag.RATIONAL)) == -1
+    assert det(ag.Mat.from_rows([[0, 1], [1, 0]], ag.gf(7))) == 6
+    assert det(ag.Mat.zeros(3, 3, ag.RATIONAL)) == 0
     rng = random.Random(2)
     for _ in range(10):
         m = rand_mat(rng, 4, ag.RATIONAL, max_den=2)
         i, j = rng.sample(range(4), 2)
         swapped = ag.Mat.wrap(m.data[[j if r == i else (i if r == j else r) for r in range(4)], :], ag.RATIONAL)
-        assert ag.det(swapped) == -ag.det(m)
+        assert det(swapped) == -det(m)
 
 
 # -- rank ------------------------------------------------------------------
@@ -363,26 +364,26 @@ def test_subspace_intersect_disjoint():
 
 
 def test_is_psd_exact_cases():
-    assert ag.is_psd(ag.Mat.from_rows([[2, 1], [1, 1]], ag.RATIONAL))
-    assert ag.is_psd(ag.Mat.zeros(3, 3, ag.RATIONAL))
-    assert not ag.is_psd(ag.Mat.from_rows([[1, 2], [2, 1]], ag.RATIONAL))
-    assert not ag.is_psd(ag.Mat.from_rows([[0, 1], [1, 0]], ag.RATIONAL))
-    assert not ag.is_psd(ag.Mat.from_rows([[-1]], ag.RATIONAL))
-    assert not ag.is_psd(ag.Mat.from_rows([[1, 2], [0, 1]], ag.RATIONAL))  # not symmetric
+    assert is_psd(ag.Mat.from_rows([[2, 1], [1, 1]], ag.RATIONAL))
+    assert is_psd(ag.Mat.zeros(3, 3, ag.RATIONAL))
+    assert not is_psd(ag.Mat.from_rows([[1, 2], [2, 1]], ag.RATIONAL))
+    assert not is_psd(ag.Mat.from_rows([[0, 1], [1, 0]], ag.RATIONAL))
+    assert not is_psd(ag.Mat.from_rows([[-1]], ag.RATIONAL))
+    assert not is_psd(ag.Mat.from_rows([[1, 2], [0, 1]], ag.RATIONAL))  # not symmetric
 
 
 def test_is_psd_gram_matrices():
     rng = random.Random(6)
     for _ in range(10):
         m = rand_mat(rng, 3, ag.RATIONAL, max_den=3)
-        assert ag.is_psd(m.T @ m)
+        assert is_psd(m.T @ m)
         f = m.convert(ag.F64)
-        assert ag.is_psd(f.T @ f)
+        assert is_psd(f.T @ f)
 
 
 def test_is_psd_gfp_rejected():
     with pytest.raises(ValueError):
-        ag.is_psd(ag.Mat.identity(2, ag.gf(5)))
+        is_psd(ag.Mat.identity(2, ag.gf(5)))
 
 
 # -- rref internals -----------------------------------------------------------

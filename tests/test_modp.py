@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 import algebragen as ag
 
-from conftest import rand_int_generator_set
+from conftest import rand_int_generator_set, rand_mat
+from linalg_helpers import det
 
 
 def b_minus_s_det(gs: ag.GeneratorSet) -> Fraction:
     b = ag.compute_B(list(gs.gens))
-    return ag.det(ag.Mat.identity(gs.n * gs.n, gs.kind) * b - ag.sum_kron(gs))
+    return det(ag.Mat.identity(gs.n * gs.n, gs.kind) * b - ag.sum_kron(gs))
 
 
 def test_forced_prime_dividing_det_is_a_singular_skip():
@@ -56,3 +57,41 @@ def test_certified_dimension_matches_rational(n, d, seed):
     dim, plan = ag.certified_dimension(list(gs.gens), trials=2, seed=seed, n=n)
     assert dim == ag.dimension(gs)
     assert sum(not o.singular for o in plan.outcomes) == 2
+
+
+def reference_mod_p(gs: ag.GeneratorSet, p: int):
+    """Rank of realign((B I - S)^-1) over GF(p), built step by step from the
+    public pieces; None when B I - S is singular mod p."""
+    b = sum(x * x for g in gs.gens for x in g.data.ravel()) + 1
+    kind = ag.gf(p)
+    s = ag.sum_kron(gs.convert(kind))
+    try:
+        core = ag.inverse(ag.Mat.identity(gs.n * gs.n, kind) * b - s)
+    except ag.SingularMatrixError:
+        return None
+    return ag.rank(ag.realign(core))
+
+
+def test_dimension_mod_p_matches_reference():
+    rng = random.Random(7)
+    divides_b = singular = 0
+    for _ in range(60):
+        gs = rand_int_generator_set(rng, rng.randint(1, 3), rng.randint(0, 3), True, lo=-2, hi=2)
+        gens = list(gs.gens)
+        b = ag.compute_B(gens)
+        for p in (2, 3, 5, 7, 1048583):
+            outcome = ag.dimension_mod_p(gens, p, n=gs.n)
+            assert outcome == ag.PrimeOutcome(p=p, rank=reference_mod_p(gs, p))
+            divides_b += b % p == 0
+            singular += outcome.singular
+    assert divides_b > 20 and singular > 20
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=15, deadline=None)
+def test_clear_denominators_keeps_the_dimension(n, d, seed):
+    rng = random.Random(seed)
+    gens = tuple(rand_mat(rng, n, ag.RATIONAL, max_den=6) for _ in range(d))
+    gs = ag.GeneratorSet(n=n, gens=gens, kind=ag.RATIONAL)
+    dim, _ = ag.certified_dimension(ag.clear_denominators(list(gens)), trials=2, seed=seed)
+    assert dim == ag.dimension(gs)

@@ -2,11 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algebragen as ag
 from algebragen import wordspan
 
-from conftest import rand_int_generator_set, word_value
+from conftest import rand_int_generator_set, rand_mat, word_value
 
 
 def test_golden_word_basis(tri_gens):
@@ -114,3 +116,45 @@ def test_express_validation(tri_gens):
         wordspan.express(wb, ag.Mat.identity(2, ag.RATIONAL))
     with pytest.raises(ValueError):
         wordspan.express(wb, ag.Mat.identity(3, ag.F64))
+
+
+def greedy_words(gs: ag.GeneratorSet):
+    """Breadth-first words kept one at a time by a rank test, the order and
+    the rule word_span must reproduce."""
+    kept, words = None, []
+
+    def keep(word, m):
+        nonlocal kept
+        v = ag.vec(m)
+        grown = v if kept is None else ag.Mat.wrap(np.concatenate([kept.data, v.data], axis=1), gs.kind)
+        if ag.rank(grown) > len(words):
+            kept = grown
+            words.append((word, m))
+            return True
+        return False
+
+    if gs.unital:
+        keep((), ag.Mat.identity(gs.n, gs.kind))
+        frontier = list(words)
+    else:
+        frontier = [(w, m) for w, m in (((i,), g) for i, g in enumerate(gs.gens)) if keep(w, m)]
+    while frontier and len(words) < gs.n * gs.n:
+        frontier = [
+            (word + (i,), m @ g)
+            for word, m in frontier
+            for i, g in enumerate(gs.gens)
+            if keep(word + (i,), m @ g)
+        ]
+    return tuple(w for w, _ in words)
+
+
+@pytest.mark.parametrize("kind", [ag.RATIONAL, ag.gf(5), ag.gf(2147483647)], ids=str)
+@given(st.integers(1, 3), st.integers(0, 3), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_word_span_keeps_the_greedy_words(kind, n, d, unital, seed):
+    rng = random.Random(seed)
+    gens = tuple(rand_mat(rng, n, kind, -2, 2, max_den=3) for _ in range(d))
+    gs = ag.GeneratorSet(n=n, gens=gens, kind=kind, unital=unital)
+    wb = wordspan.word_span(gs)
+    assert wb.saturated
+    assert wb.words == greedy_words(gs)
