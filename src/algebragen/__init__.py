@@ -11,7 +11,6 @@ dimensions of integer instances via random primes.
 from .algebra import AlgebraBasis, MembershipResult, basis, dimension, intersect, membership
 from .generators import GeneratorSet
 from .matrix import (
-    BlockShape,
     Mat,
     RankInfo,
     SingularMatrixError,
@@ -40,15 +39,9 @@ from .modp import (
     sample_prime,
 )
 from .resolvent import (
-    RESOLVENT,
-    RESOLVENT_CONJUGATE,
-    RESOLVENT_NONUNITAL,
     NormBoundError,
     SpanMatrixReport,
-    Variant,
-    auto_variant,
     default_power_exponent,
-    power,
     scale_bound,
     span_matrix,
     sum_kron,

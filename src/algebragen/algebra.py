@@ -67,9 +67,7 @@ def membership(
     member, residual = in_range(span, vec(z), tol)
     certificate = None
     if member and want_certificate:
-        wb = wordspan.word_span(gs)
-        if wb.saturated:
-            certificate = wordspan.express(wb, z, tol)
+        certificate = wordspan.express(wordspan.word_span(gs), z, tol)
     return MembershipResult(member=member, residual=residual, certificate=certificate)
 
 

@@ -17,9 +17,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
+
+import numpy as np
+
+from . import wordspan
+from .algebra import basis, dimension, intersect, membership
+from .instances import ParseError, grid_of, load_instance, random_generator_set
+from .modp import PrimeRangeError, certified_dimension, clear_denominators
+from .primes import DETERMINISTIC_LIMIT, is_prime
+from .resolvent import NormBoundError, default_power_exponent, span_matrix
 
 EXIT_OK = 0
 EXIT_NONMEMBER = 1
@@ -29,18 +37,19 @@ EXIT_NUMERIC = 4
 EXIT_RANGE = 5
 EXIT_DISAGREE = 6
 
+# Exit code of an error a command raises: the first class that matches.
+# ParseError, NormBoundError and PrimeRangeError are ValueErrors, and
+# SingularMatrixError is an ArithmeticError.
+_ERROR_EXITS = (
+    (ParseError, EXIT_PARSE),
+    (NormBoundError, EXIT_NORM_BOUND),
+    (PrimeRangeError, EXIT_RANGE),
+    ((ArithmeticError, ValueError), EXIT_NUMERIC),
+)
 
-def _apply_thread_cap():
-    """Best-effort cap on BLAS parallelism; must run before numpy loads."""
-    cap = os.environ.get("ALGEBRAGEN_THREADS")
-    if cap:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
+# const of a bare --power, which no --power K can give (argparse would pass
+# a string const through int)
+_SATURATION = object()
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -49,14 +58,10 @@ def _emit(report: dict, summary: str) -> None:
 
 
 def _entropy_seed() -> int:
-    import numpy as np
-
     return int(np.random.SeedSequence().entropy) % (1 << 63)
 
 
 def _load(path, field=None, unital=None):
-    from .instances import ParseError, load_instance
-
     inst = load_instance(path, field=field, unital=unital)
     if inst.gs.kind.tag == "gfp":
         raise ParseError(
@@ -64,17 +69,6 @@ def _load(path, field=None, unital=None):
             "certify integer data over random primes with modp-dim"
         )
     return inst
-
-
-def _variant_and_scale(args, n):
-    from . import resolvent
-
-    variant = None
-    if getattr(args, "power", None) is not None:
-        k = args.power if args.power > 0 else resolvent.default_power_exponent(n)
-        variant = resolvent.power(k)
-    scale = None if getattr(args, "no_rescale", False) else "auto"
-    return variant, scale
 
 
 def _report_base(args, inst, started) -> dict:
@@ -91,19 +85,22 @@ def _report_base(args, inst, started) -> dict:
 
 
 def cmd_dim(args) -> int:
-    from .resolvent import span_matrix
-
+    power = args.power
+    if isinstance(power, int) and power < 1:
+        raise ParseError(f"--power K needs K >= 1, got {power}")
     started = time.perf_counter()
     inst = _load(args.instance, field=args.field, unital=False if args.nonunital else None)
-    variant, scale = _variant_and_scale(args, inst.n)
-    if variant is not None and not inst.gs.unital:
-        raise argparse.ArgumentTypeError("--power computes the unital algebra; drop --nonunital")
-    rep = span_matrix(inst.gs, variant=variant, scale=scale, tol=args.tol)
+    if power is not None and not inst.gs.unital:
+        raise ParseError("--power computes the unital algebra; drop --nonunital")
+    if power is _SATURATION:
+        power = default_power_exponent(inst.n)
+    scale = None if args.no_rescale else "auto"
+    rep = span_matrix(inst.gs, power=power, scale=scale, tol=args.tol)
     report = _report_base(args, inst, started)
     report.update(
         {
             "dimension": rep.rank,
-            "variant": rep.variant.tag + (f":{rep.variant.k}" if rep.variant.k else ""),
+            "variant": rep.variant,
             "scale": str(rep.scale),
             "rank_tolerance": rep.tol,
             "conditioning_flag": rep.ill_conditioned,
@@ -114,10 +111,6 @@ def cmd_dim(args) -> int:
 
 
 def cmd_member(args) -> int:
-    from .algebra import membership
-    from .instances import ParseError
-    from .resolvent import span_matrix
-
     started = time.perf_counter()
     inst = _load(args.generators, field=args.field, unital=False if args.nonunital else None)
     cand = _load(args.candidate, field=inst.field)
@@ -149,9 +142,6 @@ def cmd_member(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    from .algebra import basis
-    from .instances import grid_of
-
     started = time.perf_counter()
     inst = _load(args.instance, field=args.field, unital=False if args.nonunital else None)
     ab = basis(inst.gs, tol=args.tol)
@@ -168,9 +158,6 @@ def cmd_basis(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    from .algebra import intersect
-    from .instances import ParseError, grid_of
-
     started = time.perf_counter()
     a = _load(args.instance_a, field=args.field)
     b = _load(args.instance_b, field=args.field)
@@ -190,10 +177,6 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_modp_dim(args) -> int:
-    from .instances import ParseError
-    from .modp import certified_dimension, clear_denominators
-    from .primes import DETERMINISTIC_LIMIT, is_prime
-
     if args.trials < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     if args.prime is not None and not (args.prime < DETERMINISTIC_LIMIT and is_prime(args.prime)):
@@ -232,17 +215,13 @@ def cmd_modp_dim(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .algebra import dimension
-    from .instances import ParseError, random_generator_set
-    from . import wordspan
-
     started = time.perf_counter()
-    import numpy as np
-
     seed = args.seed if args.seed is not None else _entropy_seed()
     instances = []
     if args.random is not None:
         n, d, count = args.random
+        if n < 1 or d < 0 or count < 1:
+            raise ParseError(f"--random N D COUNT needs N >= 1, D >= 0 and COUNT >= 1, got {n} {d} {count}")
         rng = np.random.default_rng(seed)
         for _ in range(count):
             instances.append((f"random-{n}x{n}-d{d}", random_generator_set(n, d, rng)))
@@ -309,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     common(p, unital=True)
     p.add_argument("--no-rescale", action="store_true", help="fail instead of rescaling when norms are >= 1")
-    p.add_argument("--power", nargs="?", type=int, const=0, default=None, metavar="K",
+    p.add_argument("--power", nargs="?", type=int, const=_SATURATION, default=None, metavar="K",
                    help="use the powering form, exponent K (default: saturation exponent)")
     p.set_defaults(func=cmd_dim)
 
@@ -350,39 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:  # argparse exits on bad usage and on --help
         return e.code
     args._argv = list(sys.argv[1:] if argv is None else argv)
-
-    from .instances import ParseError
-    from .matrix import SingularMatrixError
-    from .modp import PrimeRangeError
-    from .resolvent import NormBoundError
-
     try:
         return args.func(args)
-    except ParseError as e:
+    except (ArithmeticError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except argparse.ArgumentTypeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except NormBoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NORM_BOUND
-    except PrimeRangeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RANGE
-    except (SingularMatrixError, ArithmeticError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for cls, code in _ERROR_EXITS if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -138,10 +138,9 @@ class Instance:
 def instance_from_dict(doc: dict, field: str | None = None, unital: bool | None = None, path=None) -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError('instance needs an integer "n"') from None
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(f'instance needs an integer "n", got {n!r}')
     if n < 1:
         raise ParseError('"n" must be positive')
     grids = doc.get("generators", [])

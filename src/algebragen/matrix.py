@@ -1,8 +1,9 @@
 """Dense matrices over the four scalar backends.
 
 Provides the three structural maps (column-stacking vectorization, the block
-realignment involution, and the Kronecker product in its block form) together
-with exact and numerical rank / range / least-squares machinery.
+realignment involution on n^2 x n^2 matrices, and the Kronecker product in
+its block form) together with exact and numerical rank / range /
+least-squares machinery.
 
 Every exact rank, range, kernel, solve and inverse, and the word-span
 insertion of ``wordspan``, goes through one elimination, ``_rref``, which
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import C64, F64, RATIONAL, ScalarKind
+from .scalars import ScalarKind
 
 # A numerical rank is reported as ill-conditioned when the smallest retained
 # and largest discarded singular values are closer than this factor.
@@ -174,51 +175,6 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {self.kind})"
 
 
-@dataclass(frozen=True)
-class BlockShape:
-    """Block grid parameters for the realignment map.
-
-    Describes an (n*m) x (p*q) matrix viewed as an m x q grid of n x p
-    blocks.  Realigning with shape (n, m, p, q) and then with the swapped
-    shape (n, p, m, q) is the identity; for n = m = p = q the map is its own
-    inverse.
-    """
-
-    n: int
-    m: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if min(self.n, self.m, self.p, self.q) < 1:
-            raise ValueError("block shape entries must be positive")
-
-    @property
-    def rows(self) -> int:
-        return self.n * self.m
-
-    @property
-    def cols(self) -> int:
-        return self.p * self.q
-
-    @property
-    def swapped(self) -> "BlockShape":
-        return BlockShape(self.n, self.p, self.m, self.q)
-
-    @staticmethod
-    def square(side: int) -> "BlockShape":
-        return BlockShape(side, side, side, side)
-
-
-def _infer_square_shape(a: Mat) -> BlockShape:
-    side = math.isqrt(a.rows)
-    if a.rows != a.cols or side * side != a.rows:
-        raise ValueError(
-            f"cannot infer a square block shape for a {a.rows}x{a.cols} matrix"
-        )
-    return BlockShape.square(side)
-
-
 # -- structural maps ----------------------------------------------------
 
 
@@ -240,22 +196,15 @@ def unvec(v: Mat, rows: int, cols: int) -> Mat:
     return Mat.wrap(v.data.reshape(rows, cols, order="F"), v.kind)
 
 
-def realign(a: Mat, shape: BlockShape | None = None) -> Mat:
-    """Block realignment: column (l*m + j) of the result is the
-    vectorization of block (j, l) of ``a``.
-
-    ``a`` is (n*m) x (p*q), viewed as an m x q grid of n x p blocks; the
-    result is (n*p) x (m*q).  With ``shape`` omitted, a square shape is
-    inferred (both dimensions must be perfect squares of the same side).
+def realign(a: Mat) -> Mat:
+    """Block realignment of an n^2 x n^2 matrix viewed as an n x n grid of
+    n x n blocks: column (l*n + j) of the result is the vectorization of
+    block (j, l) of ``a``.  The map is its own inverse.
     """
-    if shape is None:
-        shape = _infer_square_shape(a)
-    n, m, p, q = shape.n, shape.m, shape.p, shape.q
-    if a.rows != shape.rows or a.cols != shape.cols:
-        raise ValueError(
-            f"matrix is {a.rows}x{a.cols}, block shape wants {shape.rows}x{shape.cols}"
-        )
-    out = a.data.reshape(m, n, q, p).transpose(3, 1, 2, 0).reshape(n * p, m * q)
+    n = math.isqrt(a.rows)
+    if a.rows != a.cols or n * n != a.rows:
+        raise ValueError(f"realign needs an n^2 x n^2 matrix, got {a.rows}x{a.cols}")
+    out = a.data.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
     return Mat.wrap(out, a.kind)
 
 

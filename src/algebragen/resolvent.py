@@ -3,9 +3,12 @@
 The span matrix is the realignment of a resolvent (or matrix power) in the
 summed Kronecker square of the generators.  It is symmetric positive
 semi-definite, its column space is the vectorized algebra generated by the
-input matrices, and its rank is the dimension of that algebra.  Variants
-cover the unital and non-unital algebras, entrywise conjugation for complex
-inputs, and a powering form that needs no norm hypothesis.
+input matrices, and its rank is the dimension of that algebra.  The right
+Kronecker factor is conjugated (a no-op on real and exact kinds), and the
+generator set's unital flag selects the resolvent R = (I - S)^-1 (unital
+algebra) or S R (non-unital).  ``power=k`` builds (I + S)^k in place of the
+resolvent: it spans the unital algebra once k reaches the word length at
+which products saturate, and needs no norm hypothesis.
 
 Over GF(p) the same object is built from an explicit integer B in the form
 B*I - S: its inverse is the reduction mod p of the rational
@@ -28,61 +31,17 @@ class NormBoundError(ValueError):
 
 
 @dataclass(frozen=True)
-class Variant:
-    """Which span matrix to build.
-
-    tag: "resolvent" (unital), "resolvent_conjugate" (unital, conjugated
-    right Kronecker factor), "resolvent_nonunital", or "power" (unital,
-    (1 + S)^k, no norm hypothesis).  ``k`` applies to "power" only.
-    """
-
-    tag: str
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.tag not in ("resolvent", "resolvent_conjugate", "resolvent_nonunital", "power"):
-            raise ValueError(f"unknown variant {self.tag!r}")
-        if self.tag == "power":
-            if self.k is None or self.k < 1:
-                raise ValueError("power variant needs an exponent k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"variant {self.tag!r} takes no exponent")
-
-    @property
-    def conjugated(self) -> bool:
-        return self.tag != "resolvent"
-
-    @property
-    def unital(self) -> bool:
-        return self.tag != "resolvent_nonunital"
-
-
-RESOLVENT = Variant("resolvent")
-RESOLVENT_CONJUGATE = Variant("resolvent_conjugate")
-RESOLVENT_NONUNITAL = Variant("resolvent_nonunital")
-
-
-def power(k: int) -> Variant:
-    return Variant("power", int(k))
-
-
-def auto_variant(gs: GeneratorSet) -> Variant:
-    """Default variant: conjugated for complex input, per the unital flag."""
-    if not gs.unital:
-        return RESOLVENT_NONUNITAL
-    return RESOLVENT_CONJUGATE if gs.kind.tag == "c64" else RESOLVENT
-
-
-@dataclass(frozen=True)
 class SpanMatrixReport:
     """A computed span matrix with its provenance and rank diagnostics.
 
-    On exact kinds ``pivots`` are the pivot columns of ``matrix``, which
-    form a basis of its column space; None on approximate kinds.
+    ``variant`` names what was realigned: "resolvent", "resolvent_conjugate"
+    (complex input), "resolvent_nonunital" or "power:<k>".  On exact kinds
+    ``pivots`` are the pivot columns of ``matrix``, which form a basis of
+    its column space; None on approximate kinds.
     """
 
     matrix: Mat
-    variant: Variant
+    variant: str
     scale: object  # divisor applied to the summed Kronecker square
     rank: int
     tol: float | None
@@ -91,12 +50,12 @@ class SpanMatrixReport:
     pivots: tuple[int, ...] | None = None
 
 
-def sum_kron(gs: GeneratorSet, conjugate: bool = False) -> Mat:
-    """Sum of kron(X, X) (or kron(X, conj X)) over the generators."""
+def sum_kron(gs: GeneratorSet) -> Mat:
+    """Sum of kron(X, conj X) over the generators."""
     nn = gs.n * gs.n
     total = Mat.zeros(nn, nn, gs.kind)
     for g in gs.gens:
-        total = total + kron(g, g.conj() if conjugate else g)
+        total = total + kron(g, g.conj())
     return total
 
 
@@ -145,33 +104,32 @@ def _norm_ok(s: Mat) -> bool:
 
 def span_matrix(
     gs: GeneratorSet,
-    variant: Variant | None = None,
+    power: int | None = None,
     scale="auto",
     tol: float | None = None,
 ) -> SpanMatrixReport:
     """Build the span matrix of ``gs`` and compute its rank.
 
-    ``scale`` is "auto" (divide by the scale_bound integer), None (no
-    rescaling; the contraction hypothesis is checked and NormBoundError is
-    raised when every cheap norm is >= 1), or an explicit positive divisor
-    (also checked).  The power variant needs no norm hypothesis and skips
-    the check.  Over GF(p) ``scale`` must be an explicit integer B, the
-    identity is scaled by B in place of dividing S by it, and there is no
-    norm check; SingularMatrixError means p divides det(B*I - S).
+    ``power`` is None for the resolvent form, or an exponent k >= 1 for the
+    powering form (I + S)^k of a unital set.  ``scale`` is "auto" (divide by
+    the scale_bound integer), None (no rescaling; the contraction hypothesis
+    is checked and NormBoundError is raised when every cheap norm is >= 1),
+    or an explicit positive divisor (also checked).  The power form needs no
+    norm hypothesis and skips the check.  Over GF(p) ``scale`` must be an
+    explicit integer B, the identity is scaled by B in place of dividing S
+    by it, and there is no norm check; SingularMatrixError means p divides
+    det(B*I - S).
     """
     gfp = gs.kind.tag == "gfp"
     if gfp and not isinstance(scale, int):
         raise ValueError("span matrices over GF(p) need an explicit integer scale B")
-    if variant is None:
-        variant = auto_variant(gs)
-    if variant.unital != gs.unital:
-        raise ValueError(
-            f"variant {variant.tag!r} computes the "
-            f"{'unital' if variant.unital else 'non-unital'} algebra but the "
-            f"generator set is {'unital' if gs.unital else 'non-unital'}"
-        )
+    if power is not None:
+        if power < 1:
+            raise ValueError(f"the power form needs an exponent k >= 1, got {power}")
+        if not gs.unital:
+            raise ValueError("the power form computes the unital algebra; the generator set is non-unital")
 
-    s = sum_kron(gs, conjugate=variant.conjugated)
+    s = sum_kron(gs)
     if scale == "auto":
         divisor = scale_bound(gs)
     elif scale is None:
@@ -186,17 +144,21 @@ def span_matrix(
     elif divisor != 1:
         s = s / divisor
 
-    if variant.tag != "power" and scale != "auto" and not gfp and not _norm_ok(s):
+    if power is None and scale != "auto" and not gfp and not _norm_ok(s):
         raise NormBoundError(
             "summed Kronecker square has norm >= 1 in all of Frobenius/l1/linf; "
             "rescale (scale='auto') or pass an explicit divisor"
         )
 
-    if variant.tag == "power":
-        core = _matrix_power(eye + s, variant.k)
+    if power is not None:
+        core = _matrix_power(eye + s, power)
+        variant = f"power:{power}"
+    elif gs.unital:
+        core = inverse(eye - s)
+        variant = "resolvent_conjugate" if gs.kind.tag == "c64" else "resolvent"
     else:
-        resolvent = inverse(eye - s)
-        core = s @ resolvent if variant.tag == "resolvent_nonunital" else resolvent
+        core = s @ inverse(eye - s)
+        variant = "resolvent_nonunital"
 
     p = realign(core)
     info: RankInfo = rank_info(p, tol)

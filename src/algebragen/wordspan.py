@@ -8,8 +8,11 @@ elimination (``matrix._rref``): its new words are the pivot columns of
 each candidate is projected against an orthonormal accumulator.  Only kept
 words are extended; the span of kept words still contains every word,
 because a dependent word's extensions are spanned by extensions of earlier
-kept words.  This is the simple baseline the span-matrix construction is
-validated against, and the source of explicit word certificates.
+kept words.  The search stops at the first layer that adds no word, or once
+the words fill all n^2 dimensions; every layer before the last adds a word,
+so it ends by degree n^2 with the whole algebra spanned.  This is the simple
+baseline the span-matrix construction is validated against, and the source
+of explicit word certificates.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat, _rref, _solve_exact, vec
+from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _rref, _solve_exact, vec
 from .scalars import ScalarKind
 
 # relative residual under which a candidate counts as dependent (approximate
@@ -56,36 +59,22 @@ class _Accumulator:
 
 @dataclass(frozen=True)
 class WordBasis:
-    """Linearly independent words, each paired with its product matrix.
-
-    ``saturated`` is True when the search stopped because a whole degree
-    layer added nothing new (or the span filled up), False when the degree
-    cap cut it short.
-    """
+    """Linearly independent words, each paired with its product matrix,
+    spanning the whole algebra."""
 
     n: int
     kind: ScalarKind
     unital: bool
     words: tuple[tuple[int, ...], ...]
     mats: tuple[Mat, ...]
-    degree_reached: int
-    saturated: bool
 
     @property
     def dim(self) -> int:
         return len(self.words)
 
 
-def word_span(gs: GeneratorSet, degree_cap: int | None = None, tol: float | None = None) -> WordBasis:
-    """Breadth-first word basis of the algebra generated by ``gs``.
-
-    The default cap n^2 always saturates: words of degree up to n^2 span
-    the whole algebra.
-    """
-    if degree_cap is None:
-        degree_cap = gs.n * gs.n
-    if degree_cap < 1:
-        raise ValueError("degree cap must be >= 1")
+def word_span(gs: GeneratorSet, tol: float | None = None) -> WordBasis:
+    """Breadth-first word basis of the algebra generated by ``gs``."""
     full = gs.n * gs.n
     acc = None if gs.kind.exact else _Accumulator(gs.kind, tol)
     kept: list[np.ndarray] = []  # vectorized kept words, exact kinds only
@@ -111,39 +100,17 @@ def word_span(gs: GeneratorSet, degree_cap: int | None = None, tol: float | None
 
     if gs.unital:
         frontier = keep([((), Mat.identity(gs.n, gs.kind))])
-        degree = 0
     else:
         frontier = keep([((i,), g) for i, g in enumerate(gs.gens)])
-        degree = 1
+    while frontier and len(words) < full:
+        frontier = keep([(word + (i,), m @ g) for word, m in frontier for i, g in enumerate(gs.gens)])
 
-    saturated = not frontier or len(words) == full
-    degree_reached = degree
-    while frontier and len(words) < full and degree < degree_cap:
-        layer = keep([(word + (i,), m @ g) for word, m in frontier for i, g in enumerate(gs.gens)])
-        degree += 1
-        if layer:
-            degree_reached = degree
-        if not layer or len(words) == full:
-            saturated = True
-            break
-        frontier = layer
-    else:
-        saturated = saturated or not frontier or len(words) == full
-
-    return WordBasis(
-        n=gs.n,
-        kind=gs.kind,
-        unital=gs.unital,
-        words=tuple(words),
-        mats=tuple(mats),
-        degree_reached=degree_reached,
-        saturated=saturated,
-    )
+    return WordBasis(n=gs.n, kind=gs.kind, unital=gs.unital, words=tuple(words), mats=tuple(mats))
 
 
-def dimension(gs: GeneratorSet, degree_cap: int | None = None, tol: float | None = None) -> int:
+def dimension(gs: GeneratorSet, tol: float | None = None) -> int:
     """Algebra dimension by the product-and-eliminate baseline."""
-    return word_span(gs, degree_cap, tol).dim
+    return word_span(gs, tol).dim
 
 
 def express(wb: WordBasis, z: Mat, tol: float | None = None):
@@ -157,7 +124,6 @@ def express(wb: WordBasis, z: Mat, tol: float | None = None):
         raise ValueError(f"candidate must be {wb.n}x{wb.n}")
     if z.kind != wb.kind:
         raise ValueError("candidate kind differs from basis kind")
-    full = wb.n * wb.n
     if not wb.mats:
         return None
     cols = np.concatenate([vec(m).data for m in wb.mats], axis=1)
@@ -176,7 +142,7 @@ def express(wb: WordBasis, z: Mat, tol: float | None = None):
     else:
         sol, *_ = np.linalg.lstsq(w.data, target.data, rcond=None)
         residual = float(np.linalg.norm(w.data.dot(sol) - target.data))
-        bound = (tol if tol is not None else 1e-8) * max(1.0, float(np.linalg.norm(target.data)))
+        bound = (tol if tol is not None else DEFAULT_RESIDUAL_RTOL) * max(1.0, float(np.linalg.norm(target.data)))
         if residual > bound:
             return None
         coeffs = list(sol[:, 0])

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,34 @@ def test_bench_csv_carries_the_label(capsys, tmp_path):
     expected = json.loads(out)["rows"]
     assert [r["label"] for r in rows] == [r["label"] for r in expected]
     assert [(r["method"], int(r["dim"])) for r in rows] == [(r["method"], r["dim"]) for r in expected]
+
+
+@pytest.mark.parametrize("numbers", [["0", "2", "1"], ["3", "-1", "1"], ["3", "2", "0"]])
+def test_bench_random_needs_valid_numbers(capsys, numbers):
+    code, _, err = run(capsys, "bench", "--random", *numbers, "--seed", "0")
+    assert code == cli.EXIT_PARSE
+    assert "--random" in err
+
+
+def test_dim_power_exponent(capsys):
+    code, out, _ = run(capsys, "dim", TRIANGULAR, "--power")
+    assert code == cli.EXIT_OK and json.loads(out)["variant"] == "power:9"  # default_power_exponent(3)
+    code, out, _ = run(capsys, "dim", TRIANGULAR, "--power", "4")
+    assert code == cli.EXIT_OK and json.loads(out)["variant"] == "power:4"
+    for k in ("0", "-3"):
+        code, _, err = run(capsys, "dim", TRIANGULAR, "--power", k)
+        assert code == cli.EXIT_PARSE and "--power" in err
+    assert run(capsys, "dim", TRIANGULAR, "--power", "--nonunital")[0] == cli.EXIT_PARSE
+
+
+def test_module_entry_point():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "algebragen", *argv], capture_output=True, text=True, env=env)
+
+    done = module("dim", TRIANGULAR)
+    assert done.returncode == cli.EXIT_OK
+    assert json.loads(done.stdout)["dimension"] == 5
+    assert module("member", TRIANGULAR, NONMEMBER).returncode == cli.EXIT_NONMEMBER

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.instances import grid_of, instance_from_dict, kind_from_field
+from algebragen.instances import ParseError, grid_of, instance_from_dict, kind_from_field
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # negative imaginary parts, exponents on either side and signed zeros
@@ -59,3 +59,12 @@ def test_entry_format_round_trips(field, data):
 def test_c64_edge_entries_round_trip():
     m = ag.Mat.wrap(np.array(C64_EDGES[:4]).reshape(2, 2), ag.C64)
     assert_same(m, round_trip([m], "c64", True).gs.gens[0])
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True, "2", None])
+def test_n_must_be_a_json_integer(n):
+    doc = {"n": n, "field": "rational", "generators": [[["1", "0"], ["0", "1"]]]}
+    with pytest.raises(ParseError, match='"n"'):
+        instance_from_dict(json.loads(json.dumps(doc)))
+    doc["n"] = 2
+    assert instance_from_dict(doc).n == 2

@@ -32,8 +32,8 @@ def test_sum_kron_edges():
 def test_sum_kron_conjugate():
     x = ag.Mat.wrap(np.array([[0, 1j], [0, 0]]), ag.C64)
     gs = ag.GeneratorSet.of(x)
-    plain = ag.sum_kron(gs, conjugate=False)
-    conj = ag.sum_kron(gs, conjugate=True)
+    plain = ag.kron(x, x)
+    conj = ag.sum_kron(gs)
     # realigning turns the sums into vec outer products
     assert np.allclose(
         ag.realign(conj).data, (ag.vec(x) @ ag.vec(x.conj()).T).data
@@ -95,20 +95,24 @@ def test_nilpotent_nonunital_rank(tri_gens):
     x2 = tri_gens.gens[1]
     gs = ag.GeneratorSet.of(x2, unital=False)
     rep = ag.span_matrix(gs)
-    assert rep.variant.tag == "resolvent_nonunital"
+    assert rep.variant == "resolvent_nonunital"
     assert rep.rank == 2  # x2 and x2^2 span; x2^3 = 0
 
 
 def test_variant_validation():
     with pytest.raises(ValueError):
-        ag.Variant("power")  # needs k
-    with pytest.raises(ValueError):
-        ag.Variant("resolvent", k=3)
-    with pytest.raises(ValueError):
-        ag.Variant("nope")
+        ag.span_matrix(ag.GeneratorSet.of(ag.Mat.identity(2, ag.RATIONAL)), power=0)  # needs k >= 1
     gs = ag.GeneratorSet.of(ag.Mat.identity(2, ag.RATIONAL), unital=False)
     with pytest.raises(ValueError):
-        ag.span_matrix(gs, variant=ag.power(4))  # power is unital-only
+        ag.span_matrix(gs, power=4)  # power is unital-only
+
+
+def test_variant_names(tri_gens):
+    assert ag.span_matrix(tri_gens).variant == "resolvent"
+    assert ag.span_matrix(tri_gens, power=5).variant == "power:5"
+    gs = tri_gens.convert(ag.C64)
+    assert ag.span_matrix(gs).variant == "resolvent_conjugate"
+    assert ag.span_matrix(gs.with_unital(False)).variant == "resolvent_nonunital"
 
 
 def test_gfp_rejected():
@@ -188,14 +192,14 @@ def test_power_agrees_with_resolvent():
         n = rng.randint(2, 4)
         gs = rand_int_generator_set(rng, n, rng.randint(1, 3), True)
         r1 = ag.span_matrix(gs).rank
-        r2 = ag.span_matrix(gs, variant=ag.power(n * n), scale=None).rank
+        r2 = ag.span_matrix(gs, power=n * n, scale=None).rank
         assert r1 == r2
 
 
 def test_power_rank_monotone_saturating():
     rng = random.Random(37)
     gs = rand_int_generator_set(rng, 3, 2, True)
-    ranks = [ag.span_matrix(gs, variant=ag.power(k), scale=None).rank for k in range(1, 12)]
+    ranks = [ag.span_matrix(gs, power=k, scale=None).rank for k in range(1, 12)]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
     assert len(set(ranks[8:])) == 1  # constant at and beyond k = n^2
 

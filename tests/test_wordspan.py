@@ -14,9 +14,7 @@ from conftest import rand_int_generator_set, rand_mat, word_value
 def test_golden_word_basis(tri_gens):
     wb = wordspan.word_span(tri_gens)
     assert wb.dim == 5
-    assert wb.saturated
     assert wb.words == ((), (0,), (1,), (0, 1), (1, 1))
-    assert wb.degree_reached <= 3
 
 
 def test_identity_generator():
@@ -33,25 +31,16 @@ def test_nilpotent_powers():
     )
     wb = wordspan.word_span(ag.GeneratorSet.of(shift, unital=False))
     assert wb.dim == 3  # N, N^2, N^3 nonzero; N^4 = 0
-    assert wb.saturated
     assert wb.words == ((0,), (0, 0), (0, 0, 0))
 
 
 def test_empty_generator_set():
     unital = ag.GeneratorSet(n=3, gens=(), kind=ag.RATIONAL)
     wb = wordspan.word_span(unital)
-    assert wb.dim == 1 and wb.saturated and wb.words == ((),)
+    assert wb.dim == 1 and wb.words == ((),)
     nonunital = ag.GeneratorSet(n=3, gens=(), kind=ag.RATIONAL, unital=False)
     wb2 = wordspan.word_span(nonunital)
-    assert wb2.dim == 0 and wb2.saturated
-
-
-def test_degree_cap_cuts_search(tri_gens):
-    wb = wordspan.word_span(tri_gens, degree_cap=1)
-    assert not wb.saturated
-    assert wb.dim == 3  # identity and both generators
-    with pytest.raises(ValueError):
-        wordspan.word_span(tri_gens, degree_cap=0)
+    assert wb2.dim == 0
 
 
 def test_determinism(tri_gens):
@@ -83,7 +72,6 @@ def test_span_stability_after_saturation():
     for _ in range(10):
         gs = rand_int_generator_set(rng, rng.randint(2, 3), rng.randint(1, 3), rng.random() < 0.5)
         wb = wordspan.word_span(gs)
-        assert wb.saturated
         for m in wb.mats:
             for g in gs.gens:
                 assert wordspan.express(wb, m @ g) is not None
@@ -93,7 +81,7 @@ def test_span_stability_after_saturation():
 def test_float_backend(tri_gens):
     gs = tri_gens.convert(ag.F64)
     wb = wordspan.word_span(gs)
-    assert wb.dim == 5 and wb.saturated
+    assert wb.dim == 5
     y = ag.Mat.from_rows([[1, 0, 1], [0, 1, -1], [0, 0, 1]], ag.RATIONAL).convert(ag.F64)
     cert = wordspan.express(wb, y)
     assert cert is not None
@@ -156,5 +144,4 @@ def test_word_span_keeps_the_greedy_words(kind, n, d, unital, seed):
     gens = tuple(rand_mat(rng, n, kind, -2, 2, max_den=3) for _ in range(d))
     gs = ag.GeneratorSet(n=n, gens=gens, kind=kind, unital=unital)
     wb = wordspan.word_span(gs)
-    assert wb.saturated
     assert wb.words == greedy_words(gs)
