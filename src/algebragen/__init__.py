@@ -19,7 +19,6 @@ from .matrix import (
     kron,
     norm,
     null_space,
-    range_basis,
     rank,
     rank_info,
     realign,

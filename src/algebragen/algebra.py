@@ -1,8 +1,14 @@
 """Membership, dimension, basis and intersection of generated matrix algebras.
 
-Verdicts come from the span matrix (rank and range); human-readable word
-certificates come from the word-span baseline, which can exhibit an explicit
-combination where the span matrix only proves existence.
+Everything here reads one object, the span matrix report of
+``resolvent.span_matrix``: the dimension is its rank, and its ``colspace``
+is a basis of the vectorized algebra.  Basis matrices are those columns
+unvectorized, a candidate is a member when its vectorization lies in that
+column space, and an intersection is that of two such column spaces.  On
+float kinds ``colspace`` is orthonormal, so a membership residual is a
+projection defect.  Human-readable word certificates come from the word-span
+baseline, which can exhibit an explicit combination where the span matrix
+only proves existence.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 
 from . import wordspan
 from .generators import GeneratorSet
-from .matrix import Mat, in_range, range_basis, subspace_intersect, unvec, vec
+from .matrix import Mat, in_range, subspace_intersect, unvec, vec
 from .resolvent import SpanMatrixReport, span_matrix
 
 
@@ -54,35 +60,27 @@ def membership(
 ) -> MembershipResult:
     """Does ``z`` lie in the algebra generated by ``gs``?
 
-    Pass a precomputed ``report`` to amortize the span matrix across many
-    candidates.
+    ``tol`` is the relative residual tolerance of a float verdict (see
+    in_range).  Pass a precomputed ``report`` to amortize the span matrix
+    and its column space across many candidates.
     """
     if z.rows != gs.n or z.cols != gs.n:
         raise ValueError(f"candidate must be {gs.n}x{gs.n}")
     if z.kind != gs.kind:
         raise ValueError("candidate kind differs from generator kind")
     if report is None:
-        report = span_matrix(gs, tol=None)
-    span = report.matrix if report.pivots is None else _range(report, tol)
-    member, residual = in_range(span, vec(z), tol)
+        report = span_matrix(gs)
+    member, residual = in_range(report.colspace, vec(z), tol)
     certificate = None
     if member and want_certificate:
         certificate = wordspan.express(wordspan.word_span(gs), z, tol)
     return MembershipResult(member=member, residual=residual, certificate=certificate)
 
 
-def _range(report: SpanMatrixReport, tol: float | None) -> Mat:
-    """Columns spanning the span matrix's column space: on exact kinds its
-    pivot columns, found by the elimination that gave the rank."""
-    if report.pivots is not None:
-        return Mat(report.matrix.data[:, list(report.pivots)], report.matrix.kind)
-    return range_basis(report.matrix, tol)
-
-
 def basis(gs: GeneratorSet, tol: float | None = None) -> AlgebraBasis:
-    """Basis matrices devectorized from a range basis of the span matrix."""
-    rb = _range(span_matrix(gs, tol=tol), tol)
-    mats = tuple(unvec(rb.col(j), gs.n, gs.n) for j in range(rb.cols))
+    """Basis matrices: the span matrix's column space, unvectorized."""
+    cs = span_matrix(gs, tol=tol).colspace
+    mats = tuple(unvec(cs.col(j), gs.n, gs.n) for j in range(cs.cols))
     return AlgebraBasis(dim=len(mats), mats=mats, source="resolvent")
 
 
@@ -94,8 +92,8 @@ def intersect(gs_a: GeneratorSet, gs_b: GeneratorSet, tol: float | None = None) 
         raise ValueError("intersection needs the same scalar kind")
     if gs_a.unital != gs_b.unital:
         raise ValueError("intersection needs matching unital flags")
-    u = _range(span_matrix(gs_a, tol=tol), tol)
-    v = _range(span_matrix(gs_b, tol=tol), tol)
+    u = span_matrix(gs_a, tol=tol).colspace
+    v = span_matrix(gs_b, tol=tol).colspace
     w = subspace_intersect(u, v, tol)
     mats = tuple(unvec(w.col(j), gs_a.n, gs_a.n) for j in range(w.cols))
     return AlgebraBasis(dim=len(mats), mats=mats, source="resolvent")

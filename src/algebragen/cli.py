@@ -119,8 +119,7 @@ def cmd_member(args) -> int:
     if cand.n != inst.n:
         raise ParseError(f"candidate is {cand.n}x{cand.n}, generators are {inst.n}x{inst.n}")
     z = cand.gs.gens[0]
-    rep = span_matrix(inst.gs, tol=None)
-    result = membership(inst.gs, z, want_certificate=args.certificate, tol=args.tol, report=rep)
+    result = membership(inst.gs, z, want_certificate=args.certificate, tol=args.tol)
     report = _report_base(args, inst, started)
     report.update(
         {
@@ -218,6 +217,8 @@ def cmd_bench(args) -> int:
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else _entropy_seed()
     instances = []
+    if args.random is not None and args.instance is not None:
+        raise ParseError("bench takes an instance path or --random N D COUNT, not both")
     if args.random is not None:
         n, d, count = args.random
         if n < 1 or d < 0 or count < 1:

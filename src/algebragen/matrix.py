@@ -2,7 +2,7 @@
 
 Provides the three structural maps (column-stacking vectorization, the block
 realignment involution on n^2 x n^2 matrices, and the Kronecker product in
-its block form) together with exact and numerical rank / range /
+its block form) together with exact and numerical rank / column space /
 least-squares machinery.
 
 Every exact rank, range, kernel, solve and inverse, and the word-span
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -348,58 +349,59 @@ def inverse(a: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class RankInfo:
-    """Rank together with the diagnostics that produced it.
+    """Rank of ``matrix`` with the diagnostics that produced it, and a basis
+    of its column space.
 
-    ``pivots`` are the pivot columns on exact kinds (they span the column
-    space) and None on approximate kinds.
+    ``pivots`` are the pivot columns on exact kinds and None on approximate
+    kinds.  ``colspace`` holds ``rank`` columns spanning the column space:
+    the pivot columns on exact kinds, the first ``rank`` left singular
+    vectors on approximate kinds.  The rank SVD computes values only, so the
+    float column space costs a second, thin SVD on first use.
     """
 
+    matrix: Mat
     rank: int
     tol: float | None
     ill_conditioned: bool
     singular_values: tuple[float, ...] | None
     pivots: tuple[int, ...] | None = None
 
+    @cached_property
+    def colspace(self) -> Mat:
+        a = self.matrix
+        if self.pivots is not None:
+            return Mat(a.data[:, list(self.pivots)], a.kind)
+        return Mat(np.linalg.svd(a.data, full_matrices=False)[0][:, : self.rank], a.kind)
+
+
+def _svd_cut(a: Mat, sv: np.ndarray, tol: float | None) -> tuple[float, int]:
+    """The cut (default max(rows, cols) * eps * sigma_max) and the count of ``sv`` above it."""
+    if tol is None:
+        tol = max(a.rows, a.cols) * _EPS * (float(sv[0]) if len(sv) else 0.0)
+    return float(tol), int((sv > tol).sum())
+
 
 def rank_info(a: Mat, tol: float | None = None) -> RankInfo:
     """Rank of ``a``: pivot count on exact kinds, singular values above
-    ``tol`` on approximate kinds.
+    ``tol`` (see _svd_cut) on approximate kinds.
 
-    Default tolerance is max(rows, cols) * eps * sigma_max.  The result is
-    flagged ill-conditioned when the singular values on either side of the
-    retained/discarded cut differ by less than ILL_CONDITIONED_RATIO.
+    The result is flagged ill-conditioned when the singular values on either
+    side of the retained/discarded cut differ by less than
+    ILL_CONDITIONED_RATIO.
     """
     if a.kind.exact:
         _, pivots = _rref(a.data, a.kind, reduced=False)
-        return RankInfo(len(pivots), None, False, None, tuple(pivots))
+        return RankInfo(a, len(pivots), None, False, None, tuple(pivots))
     if min(a.data.shape) == 0:
-        return RankInfo(0, 0.0, False, ())
+        return RankInfo(a, 0, 0.0, False, ())
     sv = np.linalg.svd(a.data, compute_uv=False)
-    smax = float(sv[0])
-    if tol is None:
-        tol = max(a.rows, a.cols) * _EPS * smax
-    r = int((sv > tol).sum())
-    flagged = False
-    if 0 < r < len(sv) and sv[r] > 0 and sv[r - 1] / sv[r] < ILL_CONDITIONED_RATIO:
-        flagged = True
-    return RankInfo(r, float(tol), flagged, tuple(float(s) for s in sv))
+    tol, r = _svd_cut(a, sv, tol)
+    flagged = 0 < r < len(sv) and sv[r] > 0 and sv[r - 1] / sv[r] < ILL_CONDITIONED_RATIO
+    return RankInfo(a, r, tol, bool(flagged), tuple(float(s) for s in sv))
 
 
 def rank(a: Mat, tol: float | None = None) -> int:
     return rank_info(a, tol).rank
-
-
-def range_basis(a: Mat, tol: float | None = None) -> Mat:
-    """Columns spanning the column space: pivot columns of ``a`` on exact
-    kinds, an orthonormal basis on approximate kinds."""
-    if a.kind.exact:
-        _, pivots = _rref(a.data, a.kind, reduced=False)
-        return Mat(a.data[:, pivots], a.kind)
-    u, sv, _ = np.linalg.svd(a.data, full_matrices=False)
-    if tol is None:
-        tol = max(a.rows, a.cols) * _EPS * (float(sv[0]) if len(sv) else 0.0)
-    r = int((sv > tol).sum())
-    return Mat(u[:, :r], a.kind)
 
 
 def null_space(a: Mat, tol: float | None = None) -> Mat:
@@ -413,10 +415,8 @@ def null_space(a: Mat, tol: float | None = None) -> Mat:
         return Mat.wrap(out, a.kind)
     if min(a.data.shape) == 0:
         return Mat.identity(a.cols, a.kind)
-    u, sv, vh = np.linalg.svd(a.data)
-    if tol is None:
-        tol = max(a.rows, a.cols) * _EPS * (float(sv[0]) if len(sv) else 0.0)
-    r = int((sv > tol).sum())
+    _, sv, vh = np.linalg.svd(a.data)
+    _, r = _svd_cut(a, sv, tol)
     return Mat(vh[r:].conj().T.copy(), a.kind)
 
 

@@ -66,9 +66,7 @@ def clear_denominators(gens: Sequence[Mat]) -> list[Mat]:
     for g in gens:
         if g.kind.tag != "rational":
             raise ValueError("clear_denominators expects rational-kind matrices")
-        l = 1
-        for x in g.data.ravel():
-            l = l * x.denominator // math.gcd(l, x.denominator)
+        l = math.lcm(*(x.denominator for x in g.data.ravel()))
         cleared.append(g * l if l != 1 else g)
     return cleared
 
@@ -115,24 +113,17 @@ def per_prime_failure_bound(bound: float, ceiling: int) -> float:
     return min(1.0, bound * math.log(ceiling) / ceiling)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_prime(bound: float, rng=None) -> tuple[int, int, float]:
+def sample_prime(bound: float, rng: np.random.Generator) -> int:
     """Draw a uniform-ish prime in [N/2, N] for N = prime_ceiling(bound).
 
-    Returns (prime, ceiling, per-prime failure bound).  Candidates are odd
-    numbers tested with the deterministic Miller-Rabin witnesses.
+    Candidates are odd numbers tested with the deterministic Miller-Rabin
+    witnesses.
     """
     n = prime_ceiling(bound)
-    rng = _as_rng(rng)
     while True:
         c = int(rng.integers(n // 2, n + 1)) | 1
         if is_prime(c):
-            return c, n, per_prime_failure_bound(bound, n)
+            return c
 
 
 def dimension_mod_p(
@@ -197,7 +188,7 @@ def certified_dimension(
     for trial in range(trials - successes):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
         while True:
-            p, _, _ = sample_prime(bound, rng)
+            p = sample_prime(bound, rng)
             outcome = dimension_mod_p(gens, p, n=n, b=b)
             outcomes.append(outcome)
             if not outcome.singular:

@@ -30,24 +30,20 @@ class NormBoundError(ValueError):
     """The resolvent contraction hypothesis failed and rescaling was off."""
 
 
-@dataclass(frozen=True)
-class SpanMatrixReport:
-    """A computed span matrix with its provenance and rank diagnostics.
+@dataclass(frozen=True, kw_only=True)
+class SpanMatrixReport(RankInfo):
+    """The rank of a span matrix (``matrix``) with its provenance.
 
+    As a RankInfo it carries the rank diagnostics and ``colspace``, a basis
+    of the vectorized algebra that membership, basis and intersection read.
     ``variant`` names what was realigned: "resolvent", "resolvent_conjugate"
-    (complex input), "resolvent_nonunital" or "power:<k>".  On exact kinds
-    ``pivots`` are the pivot columns of ``matrix``, which form a basis of
-    its column space; None on approximate kinds.
+    (complex input), "resolvent_nonunital" or "power:<k>" with the exponent
+    actually used.  ``scale`` is the divisor applied to the summed Kronecker
+    square (the B of B*I - S over GF(p)).
     """
 
-    matrix: Mat
     variant: str
-    scale: object  # divisor applied to the summed Kronecker square
-    rank: int
-    tol: float | None
-    ill_conditioned: bool
-    singular_values: tuple[float, ...] | None
-    pivots: tuple[int, ...] | None = None
+    scale: object
 
 
 def sum_kron(gs: GeneratorSet) -> Mat:
@@ -111,7 +107,9 @@ def span_matrix(
     """Build the span matrix of ``gs`` and compute its rank.
 
     ``power`` is None for the resolvent form, or an exponent k >= 1 for the
-    powering form (I + S)^k of a unital set.  ``scale`` is "auto" (divide by
+    powering form (I + S)^k of a unital set; k is capped at
+    default_power_exponent(n), where the words saturate, which keeps large
+    k from swamping the float rank.  ``scale`` is "auto" (divide by
     the scale_bound integer), None (no rescaling; the contraction hypothesis
     is checked and NormBoundError is raised when every cheap norm is >= 1),
     or an explicit positive divisor (also checked).  The power form needs no
@@ -151,6 +149,8 @@ def span_matrix(
         )
 
     if power is not None:
+        # every exponent from the saturation length on spans the same algebra
+        power = min(power, default_power_exponent(gs.n))
         core = _matrix_power(eye + s, power)
         variant = f"power:{power}"
     elif gs.unital:
@@ -160,15 +160,5 @@ def span_matrix(
         core = s @ inverse(eye - s)
         variant = "resolvent_nonunital"
 
-    p = realign(core)
-    info: RankInfo = rank_info(p, tol)
-    return SpanMatrixReport(
-        matrix=p,
-        variant=variant,
-        scale=divisor,
-        rank=info.rank,
-        tol=info.tol,
-        ill_conditioned=info.ill_conditioned,
-        singular_values=info.singular_values,
-        pivots=info.pivots,
-    )
+    info = rank_info(realign(core), tol)
+    return SpanMatrixReport(**vars(info), variant=variant, scale=divisor)

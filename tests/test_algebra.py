@@ -6,6 +6,7 @@ import pytest
 
 import algebragen as ag
 from algebragen import wordspan
+from algebragen.instances import random_generator_set
 
 from conftest import rand_int_generator_set, rand_mat, word_value
 
@@ -197,3 +198,56 @@ def test_intersect_validation(tri_gens):
     floaty = tri_gens.convert(ag.F64)
     with pytest.raises(ValueError):
         ag.intersect(tri_gens, floaty)
+
+
+# -- one column space: membership, basis and intersect read report.colspace --
+
+
+def _block_triangular_f64(rng, a, b):
+    """Gaussian matrix with a zero lower-left b x a block."""
+    m = rng.standard_normal((a + b, a + b))
+    m[a:, :a] = 0
+    return ag.Mat.wrap(m, ag.F64)
+
+
+def test_f64_generic_members_at_n10():
+    # a generic pair generates all of M_10, so every matrix is a member
+    rng = np.random.default_rng(7)
+    gs = random_generator_set(10, 2, rng)
+    rep = ag.span_matrix(gs)
+    assert rep.rank == 100
+    for _ in range(4):
+        z = ag.Mat.wrap(rng.standard_normal((10, 10)), ag.F64)
+        assert ag.membership(gs, z, report=rep).member
+
+
+def test_f64_block_triangular_nonmember_at_n8():
+    rng = np.random.default_rng(8)
+    gs = ag.GeneratorSet(n=8, gens=tuple(_block_triangular_f64(rng, 4, 4) for _ in range(2)), kind=ag.F64)
+    rep = ag.span_matrix(gs)
+    assert rep.rank == 48  # all block upper triangular matrices
+    for _ in range(4):
+        z = ag.Mat.wrap(rng.standard_normal((8, 8)), ag.F64)
+        assert not ag.membership(gs, z, report=rep).member
+
+
+@pytest.mark.parametrize("kind", [ag.F64, ag.C64, ag.RATIONAL])
+def test_basis_is_the_unvectorized_colspace(kind):
+    rng = random.Random(31)
+    for unital in (True, False):
+        gs = ag.GeneratorSet(n=3, gens=tuple(rand_mat(rng, 3, kind, max_den=2) for _ in range(2)),
+                             kind=kind, unital=unital)
+        rep, ab = ag.span_matrix(gs), ag.basis(gs)
+        assert ab.dim == rep.rank == rep.colspace.cols
+        for j, m in enumerate(ab.mats):
+            assert m == ag.unvec(rep.colspace.col(j), 3, 3)
+
+
+def test_membership_same_verdict_with_and_without_report():
+    rng = np.random.default_rng(9)
+    sets = [random_generator_set(10, 2, rng),
+            ag.GeneratorSet(n=8, gens=tuple(_block_triangular_f64(rng, 3, 5) for _ in range(2)), kind=ag.F64)]
+    for gs in sets:
+        rep = ag.span_matrix(gs)
+        for z in (gs.gens[0] @ gs.gens[1], ag.Mat.wrap(rng.standard_normal((gs.n, gs.n)), ag.F64)):
+            assert ag.membership(gs, z, report=rep).member == ag.membership(gs, z).member

@@ -124,6 +124,12 @@ def test_bench_random_needs_valid_numbers(capsys, numbers):
     assert "--random" in err
 
 
+def test_bench_refuses_an_instance_with_random(capsys):
+    code, out, err = run(capsys, "bench", TRIANGULAR, "--random", "2", "1", "1", "--seed", "0")
+    assert code == cli.EXIT_PARSE and out == ""
+    assert "--random" in err
+
+
 def test_dim_power_exponent(capsys):
     code, out, _ = run(capsys, "dim", TRIANGULAR, "--power")
     assert code == cli.EXIT_OK and json.loads(out)["variant"] == "power:9"  # default_power_exponent(3)

@@ -161,7 +161,7 @@ def test_scale_invariance_rank_and_range():
         explicit = ag.span_matrix(gs, scale=4 * auto.scale)
         assert auto.rank == explicit.rank
         # identical column spaces: each basis column of one lies in the other
-        ua, ue = ag.range_basis(auto.matrix), ag.range_basis(explicit.matrix)
+        ua, ue = auto.colspace, explicit.colspace
         for j in range(ua.cols):
             assert ag.in_range(ue, ua.col(j))[0]
         for j in range(ue.cols):
@@ -202,6 +202,16 @@ def test_power_rank_monotone_saturating():
     ranks = [ag.span_matrix(gs, power=k, scale=None).rank for k in range(1, 12)]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
     assert len(set(ranks[8:])) == 1  # constant at and beyond k = n^2
+
+
+def test_power_capped_at_the_saturation_exponent():
+    # one f64 generator whose (I + S/B)^k loses rank to the top eigenvalue
+    # for k in the hundreds; every k >= default_power_exponent(3) = 9 spans
+    # the same algebra, so the exponent is capped there
+    x = ag.Mat.wrap(np.array([[0.5, 1.25, 0], [0, -2, 1e-3], [3, 0, 0.1]]), ag.F64)
+    for k in (200, 2000):
+        rep = ag.span_matrix(ag.GeneratorSet.of(x), power=k)
+        assert rep.rank == 3 and rep.variant == "power:9"
 
 
 def test_resolvent_matches_geometric_series_exactly():
