@@ -1,8 +1,9 @@
 """Matrix algebras from generators: membership, dimension, bases.
 
-The central object is the span matrix: the block realignment of the
-resolvent of the summed Kronecker square of the generators.  Its column
-space is the vectorized algebra and its rank is the algebra's dimension.
+The central object is the span matrix: the block realignment of a series
+in the summed Kronecker square of the generators, a power of it on float
+kinds and its resolvent on exact kinds.  Its column space is the vectorized
+algebra and its rank is the algebra's dimension.
 An independent word-span baseline (products plus elimination) provides
 cross-validation and explicit certificates, and a mod-p path certifies
 dimensions of integer instances via random primes.
@@ -38,7 +39,6 @@ from .modp import (
     sample_prime,
 )
 from .resolvent import (
-    NormBoundError,
     SpanMatrixReport,
     default_power_exponent,
     scale_bound,

@@ -1,14 +1,16 @@
 """Membership, dimension, basis and intersection of generated matrix algebras.
 
 Everything here reads one object, the span matrix report of
-``resolvent.span_matrix``: the dimension is its rank, and its ``colspace``
-is a basis of the vectorized algebra.  Basis matrices are those columns
-unvectorized, a candidate is a member when its vectorization lies in that
-column space, and an intersection is that of two such column spaces.  On
-float kinds ``colspace`` is orthonormal, so a membership residual is a
-projection defect.  Human-readable word certificates come from the word-span
-baseline, which can exhibit an explicit combination where the span matrix
-only proves existence.
+``resolvent.span_matrix`` (a realigned power of the summed Kronecker square
+on float kinds, its realigned resolvent on exact kinds): the dimension is
+its rank, and its ``colspace`` is a basis of the vectorized algebra.  Basis
+matrices are those columns unvectorized, a candidate is a member when its
+vectorization lies in that column space, and an intersection is that of two
+such column spaces.  On float kinds ``colspace`` is orthonormal, so a
+membership residual is a projection defect and an intersection is cut on
+the sines of the principal angles.  Human-readable word certificates come
+from the word-span baseline, which can exhibit an explicit combination
+where the span matrix only proves existence.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class AlgebraBasis:
 
     dim: int
     mats: tuple[Mat, ...]
-    source: str  # "resolvent" or "wordspan"
+    source: str  # the variant of the span matrix it was read from
 
 
 def dimension(gs: GeneratorSet, tol: float | None = None) -> int:
@@ -79,21 +81,22 @@ def membership(
 
 def basis(gs: GeneratorSet, tol: float | None = None) -> AlgebraBasis:
     """Basis matrices: the span matrix's column space, unvectorized."""
-    cs = span_matrix(gs, tol=tol).colspace
+    report = span_matrix(gs, tol=tol)
+    cs = report.colspace
     mats = tuple(unvec(cs.col(j), gs.n, gs.n) for j in range(cs.cols))
-    return AlgebraBasis(dim=len(mats), mats=mats, source="resolvent")
+    return AlgebraBasis(dim=len(mats), mats=mats, source=report.variant)
 
 
 def intersect(gs_a: GeneratorSet, gs_b: GeneratorSet, tol: float | None = None) -> AlgebraBasis:
-    """Basis of the intersection of two generated algebras."""
+    """Basis of the intersection of two generated algebras; ``tol`` is the
+    rank cut of both span matrices, not the cut of the intersection."""
     if gs_a.n != gs_b.n:
         raise ValueError("intersection needs matrices of the same side")
     if gs_a.kind != gs_b.kind:
         raise ValueError("intersection needs the same scalar kind")
     if gs_a.unital != gs_b.unital:
         raise ValueError("intersection needs matching unital flags")
-    u = span_matrix(gs_a, tol=tol).colspace
-    v = span_matrix(gs_b, tol=tol).colspace
-    w = subspace_intersect(u, v, tol)
+    report = span_matrix(gs_a, tol=tol)
+    w = subspace_intersect(report.colspace, span_matrix(gs_b, tol=tol).colspace)
     mats = tuple(unvec(w.col(j), gs_a.n, gs_a.n) for j in range(w.cols))
-    return AlgebraBasis(dim=len(mats), mats=mats, source="resolvent")
+    return AlgebraBasis(dim=len(mats), mats=mats, source=report.variant)

@@ -6,7 +6,7 @@ to stderr.  Exit codes are a stable contract:
     0  success (member, for the member command)
     1  non-member
     2  parse or validation failure
-    3  norm bound failed with rescaling disabled
+    3  (retired)
     4  numeric failure
     5  instance too large for the deterministic primality range
     6  the two methods disagreed on an exact backend (a bug, not data)
@@ -27,29 +27,23 @@ from .algebra import basis, dimension, intersect, membership
 from .instances import ParseError, grid_of, load_instance, random_generator_set
 from .modp import PrimeRangeError, certified_dimension, clear_denominators
 from .primes import DETERMINISTIC_LIMIT, is_prime
-from .resolvent import NormBoundError, default_power_exponent, span_matrix
+from .resolvent import span_matrix
 
 EXIT_OK = 0
 EXIT_NONMEMBER = 1
 EXIT_PARSE = 2
-EXIT_NORM_BOUND = 3
 EXIT_NUMERIC = 4
 EXIT_RANGE = 5
 EXIT_DISAGREE = 6
 
 # Exit code of an error a command raises: the first class that matches.
-# ParseError, NormBoundError and PrimeRangeError are ValueErrors, and
-# SingularMatrixError is an ArithmeticError.
+# ParseError and PrimeRangeError are ValueErrors, and SingularMatrixError is
+# an ArithmeticError.
 _ERROR_EXITS = (
     (ParseError, EXIT_PARSE),
-    (NormBoundError, EXIT_NORM_BOUND),
     (PrimeRangeError, EXIT_RANGE),
     ((ArithmeticError, ValueError), EXIT_NUMERIC),
 )
-
-# const of a bare --power, which no --power K can give (argparse would pass
-# a string const through int)
-_SATURATION = object()
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -85,17 +79,9 @@ def _report_base(args, inst, started) -> dict:
 
 
 def cmd_dim(args) -> int:
-    power = args.power
-    if isinstance(power, int) and power < 1:
-        raise ParseError(f"--power K needs K >= 1, got {power}")
     started = time.perf_counter()
     inst = _load(args.instance, field=args.field, unital=False if args.nonunital else None)
-    if power is not None and not inst.gs.unital:
-        raise ParseError("--power computes the unital algebra; drop --nonunital")
-    if power is _SATURATION:
-        power = default_power_exponent(inst.n)
-    scale = None if args.no_rescale else "auto"
-    rep = span_matrix(inst.gs, power=power, scale=scale, tol=args.tol)
+    rep = span_matrix(inst.gs, tol=args.tol)
     report = _report_base(args, inst, started)
     report.update(
         {
@@ -288,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="dimension of the generated algebra")
     p.add_argument("instance")
     common(p, unital=True)
-    p.add_argument("--no-rescale", action="store_true", help="fail instead of rescaling when norms are >= 1")
-    p.add_argument("--power", nargs="?", type=int, const=_SATURATION, default=None, metavar="K",
-                   help="use the powering form, exponent K (default: saturation exponent)")
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("member", help="is a candidate matrix in the algebra?")

@@ -39,8 +39,9 @@ from .scalars import ScalarKind
 # and largest discarded singular values are closer than this factor.
 ILL_CONDITIONED_RATIO = 1e3
 
-# Default relative tolerance for least-squares membership verdicts on the
-# approximate backends; exact backends decide solvability exactly.
+# Default relative tolerance for least-squares membership verdicts and the
+# default cut on principal-angle sines of intersections on the approximate
+# backends; exact backends decide solvability exactly.
 DEFAULT_RESIDUAL_RTOL = 1e-8
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -457,20 +458,23 @@ def in_range(a: Mat, v: Mat, tol: float | None = None):
     return residual <= tol * max(1.0, vnorm), residual
 
 
-def subspace_intersect(u: Mat, v: Mat, tol: float | None = None) -> Mat:
-    """Basis of col(u) & col(v), from the kernel of the block [u | -v]."""
+def subspace_intersect(u: Mat, v: Mat) -> Mat:
+    """Basis of col(u) & col(v), from the kernel of [u | -v] on exact kinds.
+
+    Float kinds need orthonormal columns in u and v, as a colspace has.  The
+    singular values of (I - v v^H) u are the sines of the principal angles,
+    and the right singular vectors with sine <= DEFAULT_RESIDUAL_RTOL, mapped
+    through u, are an orthonormal basis of the intersection."""
     u._check_kind(v)
     if u.rows != v.rows:
         raise ValueError("subspaces live in different ambient dimensions")
     if u.cols == 0 or v.cols == 0:
         return Mat.zeros(u.rows, 0, u.kind)
-    block = Mat.wrap(np.concatenate([u.data, -v.data], axis=1), u.kind)
-    ker = null_space(block, tol)
-    if ker.cols == 0:
-        return Mat.zeros(u.rows, 0, u.kind)
-    combo = Mat(ker.data[: u.cols, :], u.kind)
-    out = u @ combo
     if not u.kind.exact:
-        q, _ = np.linalg.qr(out.data)
-        out = Mat(q[:, : out.cols], u.kind)
-    return out
+        defect = u.data - v.data.dot(v.data.conj().T.dot(u.data))
+        _, sines, vh = np.linalg.svd(defect, full_matrices=False)
+        keep = vh[sines <= DEFAULT_RESIDUAL_RTOL]
+        return Mat(u.data.dot(keep.conj().T), u.kind)
+    block = Mat.wrap(np.concatenate([u.data, -v.data], axis=1), u.kind)
+    ker = null_space(block)
+    return u @ Mat(ker.data[: u.cols, :], u.kind)

@@ -1,19 +1,21 @@
 """Construction of the span matrix of a generator set.
 
-The span matrix is the realignment of a resolvent (or matrix power) in the
-summed Kronecker square of the generators.  It is symmetric positive
-semi-definite, its column space is the vectorized algebra generated by the
-input matrices, and its rank is the dimension of that algebra.  The right
-Kronecker factor is conjugated (a no-op on real and exact kinds), and the
-generator set's unital flag selects the resolvent R = (I - S)^-1 (unital
-algebra) or S R (non-unital).  ``power=k`` builds (I + S)^k in place of the
-resolvent: it spans the unital algebra once k reaches the word length at
-which products saturate, and needs no norm hypothesis.
+The span matrix realigns a series in S, the summed Kronecker square of the
+generators (right factor conjugated).  Realigned, S^j is the sum of
+vec(w) vec(w)^H over the words w of length j, so the result is symmetric
+positive semi-definite, its column space is the vectorized algebra once the
+words saturate, and its rank is the algebra's dimension.  The scalar kind
+picks the series; no caller can choose another:
 
-Over GF(p) the same object is built from an explicit integer B in the form
-B*I - S: its inverse is the reduction mod p of the rational
-(I - S/B)^-1 / B, and it stays defined when p divides B, where S/B does not.
-This is the mod-p certificate of the ``modp`` module.
+* floats realign (I + S/B)^k at k = default_power_exponent(n), or
+  S/B (I + S/B)^(k-1) for a non-unital set.  Its binomial weights keep every
+  word length up to k in view, where the resolvent's weights |S/B|^j lose
+  the long words to rounding and leave the rank short from n = 16 on.
+* Q realigns the resolvent (I - S/B)^-1, or S/B (I - S/B)^-1 for a
+  non-unital set; B = scale_bound(gs) makes S/B a contraction.
+* GF(p) builds the resolvent from an explicit integer B as B*I - S: its
+  inverse is the reduction mod p of the rational (I - S/B)^-1 / B, defined
+  also when p divides B.  This is the certificate of the ``modp`` module.
 """
 
 from __future__ import annotations
@@ -26,24 +28,21 @@ from .generators import GeneratorSet
 from .matrix import Mat, RankInfo, inverse, kron, norm, rank_info, realign
 
 
-class NormBoundError(ValueError):
-    """The resolvent contraction hypothesis failed and rescaling was off."""
-
-
 @dataclass(frozen=True, kw_only=True)
 class SpanMatrixReport(RankInfo):
     """The rank of a span matrix (``matrix``) with its provenance.
 
     As a RankInfo it carries the rank diagnostics and ``colspace``, a basis
     of the vectorized algebra that membership, basis and intersection read.
-    ``variant`` names what was realigned: "resolvent", "resolvent_conjugate"
-    (complex input), "resolvent_nonunital" or "power:<k>" with the exponent
-    actually used.  ``scale`` is the divisor applied to the summed Kronecker
-    square (the B of B*I - S over GF(p)).
+    ``variant`` names what was realigned: "power:<k>" or
+    "power_nonunital:<k>" with the exponent k on float kinds, "resolvent"
+    or "resolvent_nonunital" on exact kinds.  ``scale`` is the integer B:
+    the divisor of the summed Kronecker square, or the B of B*I - S over
+    GF(p).
     """
 
     variant: str
-    scale: object
+    scale: int
 
 
 def sum_kron(gs: GeneratorSet) -> Mat:
@@ -80,85 +79,54 @@ def default_power_exponent(n: int) -> int:
 
 
 def _matrix_power(m: Mat, k: int) -> Mat:
-    acc = Mat.identity(m.rows, m.kind)
+    """m^k by repeated squaring; k = 0 gives the identity."""
+    acc = None
     base = m
     while k:
         if k & 1:
-            acc = acc @ base
+            acc = base if acc is None else acc @ base
         k >>= 1
         if k:
             base = base @ base
-    return acc
+    return Mat.identity(m.rows, m.kind) if acc is None else acc
 
 
-def _norm_ok(s: Mat) -> bool:
-    # any of the three cheap consistent norms under 1 suffices
-    fro = norm(s, "fro")
-    fro_ok = fro < 1  # rational "fro" is squared, same verdict
-    return fro_ok or norm(s, "l1") < 1 or norm(s, "linf") < 1
+def span_matrix(gs: GeneratorSet, scale: int | None = None, tol: float | None = None) -> SpanMatrixReport:
+    """Build the span matrix of ``gs`` (see the module docstring) and its rank.
 
-
-def span_matrix(
-    gs: GeneratorSet,
-    power: int | None = None,
-    scale="auto",
-    tol: float | None = None,
-) -> SpanMatrixReport:
-    """Build the span matrix of ``gs`` and compute its rank.
-
-    ``power`` is None for the resolvent form, or an exponent k >= 1 for the
-    powering form (I + S)^k of a unital set; k is capped at
-    default_power_exponent(n), where the words saturate, which keeps large
-    k from swamping the float rank.  ``scale`` is "auto" (divide by
-    the scale_bound integer), None (no rescaling; the contraction hypothesis
-    is checked and NormBoundError is raised when every cheap norm is >= 1),
-    or an explicit positive divisor (also checked).  The power form needs no
-    norm hypothesis and skips the check.  Over GF(p) ``scale`` must be an
-    explicit integer B, the identity is scaled by B in place of dividing S
-    by it, and there is no norm check; SingularMatrixError means p divides
-    det(B*I - S).
+    B is scale_bound(gs), except over GF(p), where ``scale`` must be that
+    integer B computed over Q and SingularMatrixError means p divides
+    det(B*I - S); no other kind takes a ``scale``.  ``tol`` overrides the
+    float rank cut.
     """
     gfp = gs.kind.tag == "gfp"
     if gfp and not isinstance(scale, int):
         raise ValueError("span matrices over GF(p) need an explicit integer scale B")
-    if power is not None:
-        if power < 1:
-            raise ValueError(f"the power form needs an exponent k >= 1, got {power}")
-        if not gs.unital:
-            raise ValueError("the power form computes the unital algebra; the generator set is non-unital")
+    if not gfp and scale is not None:
+        raise ValueError("only span matrices over GF(p) take an explicit scale")
 
     s = sum_kron(gs)
-    if scale == "auto":
-        divisor = scale_bound(gs)
-    elif scale is None:
-        divisor = 1
-    else:
-        divisor = scale
-        if not (divisor > 0):
-            raise ValueError("explicit scale must be positive")
     eye = Mat.identity(gs.n * gs.n, gs.kind)
     if gfp:
-        eye = eye * divisor
-    elif divisor != 1:
-        s = s / divisor
-
-    if power is None and scale != "auto" and not gfp and not _norm_ok(s):
-        raise NormBoundError(
-            "summed Kronecker square has norm >= 1 in all of Frobenius/l1/linf; "
-            "rescale (scale='auto') or pass an explicit divisor"
-        )
-
-    if power is not None:
-        # every exponent from the saturation length on spans the same algebra
-        power = min(power, default_power_exponent(gs.n))
-        core = _matrix_power(eye + s, power)
-        variant = f"power:{power}"
-    elif gs.unital:
-        core = inverse(eye - s)
-        variant = "resolvent_conjugate" if gs.kind.tag == "c64" else "resolvent"
+        b, eye = scale, eye * scale
     else:
-        core = s @ inverse(eye - s)
-        variant = "resolvent_nonunital"
+        b = scale_bound(gs)
+        s = s / b
+
+    if not gs.kind.exact:
+        k = default_power_exponent(gs.n)
+        step = eye + s
+        # free what the products do not read: each copy is 2.6 MB at n = 24
+        del eye
+        if gs.unital:
+            del s
+            core, variant = _matrix_power(step, k), f"power:{k}"
+        else:
+            core, variant = s @ _matrix_power(step, k - 1), f"power_nonunital:{k}"
+    elif gs.unital:
+        core, variant = inverse(eye - s), "resolvent"
+    else:
+        core, variant = s @ inverse(eye - s), "resolvent_nonunital"
 
     info = rank_info(realign(core), tol)
-    return SpanMatrixReport(**vars(info), variant=variant, scale=divisor)
+    return SpanMatrixReport(**vars(info), variant=variant, scale=b)

@@ -15,7 +15,7 @@ TRI_X2_ROWS = [["0", "1/3", "0"], ["0", "0", "1/3"], ["0", "0", "0"]]
 MEMBER_ROWS = [["1", "0", "1"], ["0", "1", "-1"], ["0", "0", "1"]]
 NONMEMBER_ROWS = [["1", "0", "1"], ["0", "1", "-1"], ["1", "0", "1"]]
 
-# span matrix of the pair at scale None, exact
+# realigned (I - S)^-1 of the pair, S its summed Kronecker square unscaled
 GOLDEN_SPAN_ROWS = [
     ["9/8", "0", "0", "0", "1", "0", "0", "0", "1"],
     ["0", "0", "0", "0", "0", "0", "0", "0", "0"],
@@ -85,3 +85,15 @@ def word_value(gs: ag.GeneratorSet, word: tuple) -> ag.Mat:
     for i in word:
         m = m @ gs.gens[i]
     return m
+
+
+def hidden_block_upper(rng: np.random.Generator, q: np.ndarray, split: int) -> ag.Mat:
+    """q T q^T for a Gaussian T, block upper triangular for the partition
+    (split, n - split) of n, and an orthogonal n x n matrix q."""
+    t = rng.standard_normal(q.shape)
+    t[split:, :split] = 0
+    return ag.Mat.wrap(q @ t @ q.T, ag.F64)
+
+
+def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]

@@ -8,7 +8,7 @@ import algebragen as ag
 from algebragen import wordspan
 from algebragen.instances import random_generator_set
 
-from conftest import rand_int_generator_set, rand_mat, word_value
+from conftest import hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal, word_value
 
 
 def test_dimension_golden(tri_gens):
@@ -251,3 +251,32 @@ def test_membership_same_verdict_with_and_without_report():
         rep = ag.span_matrix(gs)
         for z in (gs.gens[0] @ gs.gens[1], ag.Mat.wrap(rng.standard_normal((gs.n, gs.n)), ag.F64)):
             assert ag.membership(gs, z, report=rep).member == ag.membership(gs, z).member
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize("split", [2, 3, "half"])
+def test_f64_block_triangular_members_accepted(n, split):
+    a = n // 2 if split == "half" else split
+    rng = np.random.default_rng([n, a])
+    q = random_orthogonal(rng, n)
+    gs = ag.GeneratorSet.of(*(hidden_block_upper(rng, q, a) for _ in range(2)))
+    report = ag.span_matrix(gs)
+    assert report.rank == (n * n + a * a + (n - a) ** 2) // 2
+    below = ag.Mat.wrap(np.outer(q[:, -1], q[:, 0]), ag.F64)  # q e_n e_1^T q^T
+    for _ in range(4):
+        z = hidden_block_upper(rng, q, a)
+        assert ag.membership(gs, z, report=report).member
+        assert not ag.membership(gs, z + below, report=report).member
+
+
+def test_f64_intersection_dimension_at_n8():
+    # partitions (3, 5) and (5, 3) under one similarity meet in the block
+    # upper triangular algebra of (3, 2, 3): (64 + 9 + 4 + 9) / 2 = 43
+    rng = np.random.default_rng(8)
+    q = random_orthogonal(rng, 8)
+    gs_a = ag.GeneratorSet.of(*(hidden_block_upper(rng, q, 3) for _ in range(2)))
+    gs_b = ag.GeneratorSet.of(*(hidden_block_upper(rng, q, 5) for _ in range(2)))
+    ab = ag.intersect(gs_a, gs_b)
+    assert ab.dim == 43 and ab.source == "power:64"
+    for m in ab.mats:
+        assert ag.membership(gs_a, m).member and ag.membership(gs_b, m).member

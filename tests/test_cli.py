@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,12 +58,6 @@ def test_member_and_nonmember_exit_codes(capsys):
     assert code == cli.EXIT_OK and json.loads(out)["member"]
     code, out, _ = run(capsys, "member", TRIANGULAR, NONMEMBER)
     assert code == cli.EXIT_NONMEMBER and not json.loads(out)["member"]
-
-
-def test_norm_bound_without_rescaling_exits_3(capsys, tmp_path):
-    path = write_instance(tmp_path, {"n": 2, "generators": [[["1", "2"], ["3", "4"]]]})
-    assert run(capsys, "dim", path, "--no-rescale")[0] == cli.EXIT_NORM_BOUND
-    assert run(capsys, "dim", path)[0] == cli.EXIT_OK
 
 
 def test_prime_ceiling_beyond_primality_range_exits_5(capsys, monkeypatch):
@@ -130,15 +125,33 @@ def test_bench_refuses_an_instance_with_random(capsys):
     assert "--random" in err
 
 
-def test_dim_power_exponent(capsys):
-    code, out, _ = run(capsys, "dim", TRIANGULAR, "--power")
-    assert code == cli.EXIT_OK and json.loads(out)["variant"] == "power:9"  # default_power_exponent(3)
-    code, out, _ = run(capsys, "dim", TRIANGULAR, "--power", "4")
-    assert code == cli.EXIT_OK and json.loads(out)["variant"] == "power:4"
-    for k in ("0", "-3"):
-        code, _, err = run(capsys, "dim", TRIANGULAR, "--power", k)
-        assert code == cli.EXIT_PARSE and "--power" in err
-    assert run(capsys, "dim", TRIANGULAR, "--power", "--nonunital")[0] == cli.EXIT_PARSE
+def test_dim_power_exponent(capsys, tmp_path):
+    # the scalar kind picks the form and dim reports the exponent it used;
+    # no option chooses another
+    tri = [[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]]
+    path = write_instance(tmp_path, {"n": 3, "field": "f64", "generators": tri})
+    code, out, _ = run(capsys, "dim", path)
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert doc["variant"] == "power:9" and doc["dimension"] == 5  # default_power_exponent(3)
+    code, out, _ = run(capsys, "dim", TRIANGULAR)
+    assert code == cli.EXIT_OK and json.loads(out)["variant"] == "resolvent"
+    for option in ("--power", "--no-rescale"):
+        assert run(capsys, "dim", TRIANGULAR, option)[0] == cli.EXIT_PARSE
+
+
+def test_exit_table_matches_the_constants():
+    # the docstring's exit table is the contract; a retired code keeps its
+    # line and is never given a new meaning
+    table = dict(
+        (int(m[1]), m[2]) for m in re.finditer(r"^ {4}(\d)  (.+)$", cli.__doc__, re.MULTILINE)
+    )
+    assert sorted(table) == list(range(7))
+    retired = {code for code, text in table.items() if text == "(retired)"}
+    assert retired == {3}  # the norm-bound exit of the removed --no-rescale
+    constants = {name: code for name, code in vars(cli).items() if name.startswith("EXIT_")}
+    assert sorted(constants.values()) == sorted(set(table) - retired)
+    assert {code for _, code in cli._ERROR_EXITS} <= set(constants.values())
 
 
 def test_module_entry_point():

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import algebragen as ag
+from algebragen import wordspan
 from algebragen.resolvent import _matrix_power
 
-from conftest import rand_int_generator_set, rand_mat
+from conftest import hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal
 from linalg_helpers import is_psd
+
+GF_PRIME = 2_147_483_647  # 2^31 - 1
 
 
 def test_sum_kron_golden(tri_gens):
@@ -69,11 +72,18 @@ def test_default_power_exponent():
         ag.default_power_exponent(0)
 
 
+def _realigned_resolvent(gs, b):
+    s = ag.sum_kron(gs) / b
+    return ag.realign(ag.inverse(ag.Mat.identity(gs.n * gs.n, gs.kind) - s))
+
+
 def test_golden_span_matrix(tri_gens, golden_span):
-    rep = ag.span_matrix(tri_gens, scale=None)
-    assert rep.matrix == golden_span
+    assert _realigned_resolvent(tri_gens, 1) == golden_span
+    assert is_psd(golden_span)
+    rep = ag.span_matrix(tri_gens)
+    assert rep.matrix == _realigned_resolvent(tri_gens, 2)
     assert rep.rank == 5
-    assert rep.scale == 1
+    assert rep.scale == 2
     assert rep.singular_values is None
     assert is_psd(rep.matrix)
 
@@ -99,20 +109,20 @@ def test_nilpotent_nonunital_rank(tri_gens):
     assert rep.rank == 2  # x2 and x2^2 span; x2^3 = 0
 
 
-def test_variant_validation():
-    with pytest.raises(ValueError):
-        ag.span_matrix(ag.GeneratorSet.of(ag.Mat.identity(2, ag.RATIONAL)), power=0)  # needs k >= 1
-    gs = ag.GeneratorSet.of(ag.Mat.identity(2, ag.RATIONAL), unital=False)
-    with pytest.raises(ValueError):
-        ag.span_matrix(gs, power=4)  # power is unital-only
+def test_variant_validation(tri_gens):
+    # B = scale_bound(gs) outside GF(p); only GF(p) takes an explicit scale
+    for kind in (ag.RATIONAL, ag.F64, ag.C64):
+        with pytest.raises(ValueError):
+            ag.span_matrix(tri_gens.convert(kind), scale=2)
 
 
 def test_variant_names(tri_gens):
     assert ag.span_matrix(tri_gens).variant == "resolvent"
-    assert ag.span_matrix(tri_gens, power=5).variant == "power:5"
-    gs = tri_gens.convert(ag.C64)
-    assert ag.span_matrix(gs).variant == "resolvent_conjugate"
-    assert ag.span_matrix(gs.with_unital(False)).variant == "resolvent_nonunital"
+    assert ag.span_matrix(tri_gens.with_unital(False)).variant == "resolvent_nonunital"
+    for kind in (ag.F64, ag.C64):
+        gs = tri_gens.convert(kind)
+        assert ag.span_matrix(gs).variant == "power:9"  # default_power_exponent(3)
+        assert ag.span_matrix(gs.with_unital(False)).variant == "power_nonunital:9"
 
 
 def test_gfp_rejected():
@@ -123,43 +133,28 @@ def test_gfp_rejected():
         ag.scale_bound(gs)
 
 
-def test_norm_bound_failure_and_rescale():
-    gs = ag.GeneratorSet.of(ag.Mat.identity(3, ag.RATIONAL))
-    with pytest.raises(ag.NormBoundError):
-        ag.span_matrix(gs, scale=None)
-    rep = ag.span_matrix(gs)  # auto rescue
-    assert rep.rank == 1
-
-
-def test_norm_check_passes_on_any_norm():
-    # row-spread generator: Frobenius and linf fail, l1 passes
-    x = ag.Mat.from_rows([["7/10", "7/10", "7/10"], [0, 0, 0], [0, 0, 0]], ag.RATIONAL)
-    gs = ag.GeneratorSet.of(x)
-    s = ag.sum_kron(gs)
-    assert ag.norm(s, "fro") >= 1  # squared norm 1.47^2... still >= 1
-    assert ag.norm(s, "linf") >= 1
-    assert ag.norm(s, "l1") < 1
-    rep = ag.span_matrix(gs, scale=None)
-    assert rep.rank == ag.span_matrix(gs).rank
-
-
 def test_explicit_scale_checked():
+    # only GF(p) takes an explicit scale (test_variant_validation), and
+    # there it must be the integer B
     gs = ag.GeneratorSet.of(ag.Mat.identity(3, ag.RATIONAL) * 4)
-    with pytest.raises(ag.NormBoundError):
-        ag.span_matrix(gs, scale=2)  # 16/2 = 8 per entry block, all norms >= 1
-    rep = ag.span_matrix(gs, scale=Fraction(100))
-    assert rep.rank == 1
-    with pytest.raises(ValueError):
-        ag.span_matrix(gs, scale=-1)
+    assert ag.span_matrix(gs).scale == 49  # scale_bound: 3 * 4^2 + 1
+    gsp = gs.convert(ag.gf(GF_PRIME))
+    for scale in (None, Fraction(100), 49.0):
+        with pytest.raises(ValueError):
+            ag.span_matrix(gsp, scale=scale)
+    assert ag.span_matrix(gsp, scale=49).rank == 1
 
 
 def test_scale_invariance_rank_and_range():
+    # over GF(p) the integer B is explicit: B and 4B span the same algebra
     rng = random.Random(23)
     for _ in range(10):
         gs = rand_int_generator_set(rng, rng.randint(2, 3), rng.randint(1, 2), rng.random() < 0.5)
-        auto = ag.span_matrix(gs)
-        explicit = ag.span_matrix(gs, scale=4 * auto.scale)
-        assert auto.rank == explicit.rank
+        b = ag.scale_bound(gs)
+        gsp = gs.convert(ag.gf(GF_PRIME))
+        auto = ag.span_matrix(gsp, scale=b)
+        explicit = ag.span_matrix(gsp, scale=4 * b)
+        assert auto.rank == explicit.rank == ag.span_matrix(gs).rank
         # identical column spaces: each basis column of one lies in the other
         ua, ue = auto.colspace, explicit.colspace
         for j in range(ua.cols):
@@ -187,31 +182,32 @@ def test_psd_across_variants():
 
 
 def test_power_agrees_with_resolvent():
+    # the float power form against the exact resolvent of the same set
     rng = random.Random(31)
     for _ in range(15):
         n = rng.randint(2, 4)
         gs = rand_int_generator_set(rng, n, rng.randint(1, 3), True)
-        r1 = ag.span_matrix(gs).rank
-        r2 = ag.span_matrix(gs, power=n * n, scale=None).rank
-        assert r1 == r2
+        power = ag.span_matrix(gs.convert(ag.F64))
+        assert power.variant.startswith("power:")
+        assert power.rank == ag.span_matrix(gs).rank
 
 
 def test_power_rank_monotone_saturating():
     rng = random.Random(37)
     gs = rand_int_generator_set(rng, 3, 2, True)
-    ranks = [ag.span_matrix(gs, power=k, scale=None).rank for k in range(1, 12)]
+    step = ag.Mat.identity(9, ag.RATIONAL) + ag.sum_kron(gs)
+    ranks = [ag.rank(ag.realign(_matrix_power(step, k))) for k in range(1, 12)]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
     assert len(set(ranks[8:])) == 1  # constant at and beyond k = n^2
 
 
 def test_power_capped_at_the_saturation_exponent():
     # one f64 generator whose (I + S/B)^k loses rank to the top eigenvalue
-    # for k in the hundreds; every k >= default_power_exponent(3) = 9 spans
-    # the same algebra, so the exponent is capped there
+    # for k in the hundreds; the span matrix stops at
+    # default_power_exponent(3) = 9, where the words already saturate
     x = ag.Mat.wrap(np.array([[0.5, 1.25, 0], [0, -2, 1e-3], [3, 0, 0.1]]), ag.F64)
-    for k in (200, 2000):
-        rep = ag.span_matrix(ag.GeneratorSet.of(x), power=k)
-        assert rep.rank == 3 and rep.variant == "power:9"
+    rep = ag.span_matrix(ag.GeneratorSet.of(x))
+    assert rep.rank == 3 and rep.variant == "power:9"
 
 
 def test_resolvent_matches_geometric_series_exactly():
@@ -248,3 +244,34 @@ def test_report_fields_float_backend():
     assert rep.tol is not None and rep.tol > 0
     assert len(rep.singular_values) == 9
     assert rep.rank <= 9
+
+
+def _gaussian_set(n, kind, unital, seed=0):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        g = rng.standard_normal((n, n))
+        return g + 1j * rng.standard_normal((n, n)) if kind == ag.C64 else g
+
+    return ag.GeneratorSet(n, tuple(ag.Mat.wrap(draw(), kind) for _ in range(2)), kind, unital)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("kind, unital", [(ag.F64, True), (ag.F64, False), (ag.C64, True)],
+                         ids=["f64", "f64-nonunital", "c64"])
+def test_generic_float_sets_reach_full_rank(n, kind, unital):
+    rep = ag.span_matrix(_gaussian_set(n, kind, unital))
+    assert rep.rank == n * n and not rep.ill_conditioned
+
+
+def test_hidden_block_triangular_rank_at_n20():
+    # block upper triangular for (10, 10): 100 + 100 + 100 dimensions
+    rng = np.random.default_rng(0)
+    q = random_orthogonal(rng, 20)
+    rep = ag.span_matrix(ag.GeneratorSet.of(*(hidden_block_upper(rng, q, 10) for _ in range(2))))
+    assert rep.rank == 300 and not rep.ill_conditioned
+
+
+def test_power_form_matches_wordspan_at_n16():
+    gs = _gaussian_set(16, ag.F64, True, seed=1)
+    assert ag.span_matrix(gs).rank == wordspan.dimension(gs) == 256
