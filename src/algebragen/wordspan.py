@@ -2,17 +2,21 @@
 
 Words over the generators are enumerated by degree (empty word first when
 unital), and a word is kept exactly when it enlarges the span of the words
-kept before it.  On exact kinds each degree layer is selected in one
-elimination (``matrix._rref``): its new words are the pivot columns of
-[kept words | layer candidates] past the kept ones.  On approximate kinds
-each candidate is projected against an orthonormal accumulator.  Only kept
-words are extended; the span of kept words still contains every word,
-because a dependent word's extensions are spanned by extensions of earlier
-kept words.  The search stops at the first layer that adds no word, or once
-the words fill all n^2 dimensions; every layer before the last adds a word,
-so it ends by degree n^2 with the whole algebra spanned.  This is the simple
-baseline the span-matrix construction is validated against, and the source
-of explicit word certificates.
+kept before it.  Each degree layer is selected in one step on every kind.
+On exact kinds that step is one elimination (``matrix._rref``): the layer's
+new words are the pivot columns of [kept words | layer candidates] past the
+kept ones.  On approximate kinds the orthonormal basis of the kept words is
+projected out of the whole layer block twice, in one matrix product each
+time, and a short pass over the layer then keeps each candidate whose
+residual against the words kept before it in the layer stays above
+``DEFAULT_INDEPENDENCE_RTOL`` of its norm.  Only kept words are extended;
+the span of kept words still contains every word, because a dependent
+word's extensions are spanned by extensions of earlier kept words.  The
+search stops at the first layer that adds no word, or once the words fill
+all n^2 dimensions; every layer before the last adds a word, so it ends by
+degree n^2 with the whole algebra spanned.  This is the simple baseline the
+span-matrix construction is validated against, and the source of explicit
+word certificates.
 """
 
 from __future__ import annotations
@@ -28,33 +32,6 @@ from .scalars import ScalarKind
 # relative residual under which a candidate counts as dependent (approximate
 # kinds only; exact kinds reduce exactly)
 DEFAULT_INDEPENDENCE_RTOL = 1e-9
-
-
-class _Accumulator:
-    """Incremental orthonormal rows for the approximate kinds."""
-
-    def __init__(self, kind: ScalarKind, tol: float | None = None):
-        self.kind = kind
-        self.tol = DEFAULT_INDEPENDENCE_RTOL if tol is None else tol
-        self.rows: list[np.ndarray] = []
-
-    def insert(self, column: np.ndarray) -> bool:
-        """Reduce a vector against the accumulator; keep and report True
-        when it is independent of everything inserted so far."""
-        v = np.asarray(column, dtype=self.kind.dtype)
-        scale = np.linalg.norm(v)
-        if scale == 0:
-            return False
-        # project out twice for numerical stability
-        for _ in range(2):
-            for r in self.rows:
-                v = v - np.vdot(r, v) * r
-        resid = np.linalg.norm(v)
-        if resid <= self.tol * scale:
-            return False
-        v = v / resid
-        self.rows.append(v)
-        return True
 
 
 @dataclass(frozen=True)
@@ -73,11 +50,23 @@ class WordBasis:
         return len(self.words)
 
 
-def word_span(gs: GeneratorSet, tol: float | None = None) -> WordBasis:
+def _project_out(q: np.ndarray, c: np.ndarray) -> None:
+    """Subtract from ``c``, in place, its projection on the orthonormal
+    columns of ``q``, twice: one pass leaves O(eps * cond) of the span
+    behind, the second brings it to O(eps) (classical Gram-Schmidt, "twice
+    is enough")."""
+    qh = q.conj().T
+    for _ in range(2):
+        c -= q @ (qh @ c)
+
+
+def word_span(gs: GeneratorSet) -> WordBasis:
     """Breadth-first word basis of the algebra generated by ``gs``."""
     full = gs.n * gs.n
-    acc = None if gs.kind.exact else _Accumulator(gs.kind, tol)
     kept: list[np.ndarray] = []  # vectorized kept words, exact kinds only
+    # approximate kinds only: orthonormal columns spanning the kept words,
+    # the first len(words) of them filled
+    basis = None if gs.kind.exact else np.empty((full, full), dtype=gs.kind.dtype, order="F")
     words: list[tuple[int, ...]] = []
     mats: list[Mat] = []
 
@@ -85,14 +74,24 @@ def word_span(gs: GeneratorSet, tol: float | None = None) -> WordBasis:
         """Keep, in order, the candidates that enlarge the span; return them."""
         if not candidates:
             return []
-        vecs = [vec(m).data for _, m in candidates]
-        if acc is None:
-            k = len(kept)
+        k = len(words)
+        if basis is None:
+            vecs = [vec(m).data for _, m in candidates]
             _, pivots = _rref(np.concatenate(kept + vecs, axis=1), gs.kind, reduced=False)
             new = [c - k for c in pivots[k:]]
             kept.extend(vecs[j] for j in new)
         else:
-            new = [j for j, v in enumerate(vecs) if acc.insert(v.ravel())]
+            block = np.concatenate([vec(m).data for _, m in candidates], axis=1)
+            norms = np.linalg.norm(block, axis=0)
+            _project_out(basis[:, :k], block)
+            new = []
+            for j, norm in enumerate(norms):
+                c = block[:, j]
+                _project_out(basis[:, k : k + len(new)], c)
+                resid = np.linalg.norm(c)
+                if resid > DEFAULT_INDEPENDENCE_RTOL * norm:
+                    basis[:, k + len(new)] = c / resid
+                    new.append(j)
         layer = [candidates[j] for j in new]
         words.extend(word for word, _ in layer)
         mats.extend(m for _, m in layer)
@@ -108,9 +107,9 @@ def word_span(gs: GeneratorSet, tol: float | None = None) -> WordBasis:
     return WordBasis(n=gs.n, kind=gs.kind, unital=gs.unital, words=tuple(words), mats=tuple(mats))
 
 
-def dimension(gs: GeneratorSet, tol: float | None = None) -> int:
+def dimension(gs: GeneratorSet) -> int:
     """Algebra dimension by the product-and-eliminate baseline."""
-    return word_span(gs, tol).dim
+    return word_span(gs).dim
 
 
 def express(wb: WordBasis, z: Mat, tol: float | None = None):

@@ -87,12 +87,21 @@ def word_value(gs: ag.GeneratorSet, word: tuple) -> ag.Mat:
     return m
 
 
-def hidden_block_upper(rng: np.random.Generator, q: np.ndarray, split: int) -> ag.Mat:
+def gaussian(rng: np.random.Generator, n: int, kind: ag.ScalarKind = ag.F64) -> ag.Mat:
+    """An n x n matrix of standard normal entries; on c64 the real and the
+    imaginary parts are drawn independently."""
+    t = rng.standard_normal((n, n))
+    if kind.tag == "c64":
+        t = t + 1j * rng.standard_normal((n, n))
+    return ag.Mat.wrap(t, kind)
+
+
+def hidden_block_upper(rng: np.random.Generator, q: np.ndarray, split: int, kind: ag.ScalarKind = ag.F64) -> ag.Mat:
     """q T q^T for a Gaussian T, block upper triangular for the partition
     (split, n - split) of n, and an orthogonal n x n matrix q."""
-    t = rng.standard_normal(q.shape)
+    t = gaussian(rng, q.shape[0], kind).data
     t[split:, :split] = 0
-    return ag.Mat.wrap(q @ t @ q.T, ag.F64)
+    return ag.Mat.wrap(q @ t @ q.T, kind)
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -78,6 +78,28 @@ def test_bench_disagreement_on_exact_data_exits_6(capsys, monkeypatch):
     assert not any(row["agrees"] for row in json.loads(out)["rows"])
 
 
+def test_bench_disagreement_on_float_data_exits_6(capsys, monkeypatch):
+    from algebragen import wordspan
+
+    real = wordspan.dimension
+    monkeypatch.setattr(wordspan, "dimension", lambda gs: real(gs) + 1)
+    code, out, err = run(capsys, "bench", "--random", "3", "2", "1", "--seed", "1")
+    assert code == cli.EXIT_DISAGREE
+    assert "disagreed" in err
+    assert not any(row["agrees"] for row in json.loads(out)["rows"])
+
+
+def test_bench_names_the_span_matrix_variant(capsys):
+    code, out, _ = run(capsys, "bench", "--random", "3", "2", "1", "--seed", "0")
+    assert code == cli.EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [r["method"] for r in rows] == ["power:9", "wordspan"]  # default_power_exponent(3)
+    assert all(r["agrees"] for r in rows)
+    code, out, _ = run(capsys, "bench", TRIANGULAR, "--seed", "0")
+    assert code == cli.EXIT_OK
+    assert [r["method"] for r in json.loads(out)["rows"]] == ["resolvent", "wordspan"]
+
+
 def test_modp_dim_refuses_nonunital_instances(capsys, tmp_path):
     doc = {"n": 2, "unital": False, "generators": [[["0", "1"], ["0", "0"]]]}
     path = write_instance(tmp_path, doc)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import algebragen as ag
 from algebragen import wordspan
 
-from conftest import rand_int_generator_set, rand_mat, word_value
+from conftest import gaussian, hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal, word_value
 
 
 def test_golden_word_basis(tri_gens):
@@ -145,3 +145,38 @@ def test_word_span_keeps_the_greedy_words(kind, n, d, unital, seed):
     gs = ag.GeneratorSet(n=n, gens=gens, kind=kind, unital=unital)
     wb = wordspan.word_span(gs)
     assert wb.words == greedy_words(gs)
+
+
+@pytest.mark.parametrize("kind", [ag.F64, ag.C64], ids=str)
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "nonunital"])
+@pytest.mark.parametrize("hidden", [False, True], ids=["gaussian", "hidden"])
+def test_float_word_span_keeps_the_greedy_words(kind, unital, hidden):
+    rng = np.random.default_rng([7, kind.tag == "c64", unital, hidden])
+    for n in range(2, 9):
+        q = random_orthogonal(rng, n)
+        for d in (1, 2, 3):
+            if hidden:
+                gens = tuple(hidden_block_upper(rng, q, n // 2, kind) for _ in range(d))
+            else:
+                gens = tuple(gaussian(rng, n, kind) for _ in range(d))
+            gs = ag.GeneratorSet(n=n, gens=gens, kind=kind, unital=unital)
+            assert wordspan.word_span(gs).words == greedy_words(gs), (n, d)
+
+
+def test_generic_f64_word_span_at_n32():
+    rng = np.random.default_rng(32)
+    gs = ag.GeneratorSet.of(gaussian(rng, 32), gaussian(rng, 32))
+    assert wordspan.dimension(gs) == 1024
+
+
+def test_hidden_block_upper_word_span_at_n24():
+    rng = np.random.default_rng(24)
+    q = random_orthogonal(rng, 24)
+    gs = ag.GeneratorSet.of(*(hidden_block_upper(rng, q, 12) for _ in range(2)))
+    assert wordspan.dimension(gs) == 3 * 12 * 12
+
+
+def test_nonunital_c64_word_span_at_n16():
+    rng = np.random.default_rng(16)
+    gens = (gaussian(rng, 16, ag.C64), gaussian(rng, 16, ag.C64))
+    assert wordspan.dimension(ag.GeneratorSet(n=16, gens=gens, kind=ag.C64, unital=False)) == 256
