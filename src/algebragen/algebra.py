@@ -27,11 +27,12 @@ from .resolvent import SpanMatrixReport, span_matrix
 class MembershipResult:
     """Verdict for one candidate matrix.
 
-    ``residual`` is exactly zero for members on exact backends and a
-    least-squares residual on approximate ones.  ``certificate`` (when
-    requested and available) lists (word, coefficient) pairs whose
-    combination reconstructs the candidate; words are tuples of 0-based
-    generator indices, the empty tuple meaning the identity.
+    ``residual`` is exactly zero for members on exact backends and the
+    projection defect |v - Q Q^H v| of v = vec(z) on approximate ones.
+    ``certificate`` (when requested and available) lists (word,
+    coefficient) pairs whose combination reconstructs the candidate; words
+    are tuples of 0-based generator indices, the empty tuple meaning the
+    identity.
     """
 
     member: bool
@@ -48,23 +49,22 @@ class AlgebraBasis:
     source: str  # the variant of the span matrix it was read from
 
 
-def dimension(gs: GeneratorSet, tol: float | None = None) -> int:
+def dimension(gs: GeneratorSet) -> int:
     """Dimension of the algebra generated by ``gs`` (rank of its span matrix)."""
-    return span_matrix(gs, tol=tol).rank
+    return span_matrix(gs).rank
 
 
 def membership(
     gs: GeneratorSet,
     z: Mat,
     want_certificate: bool = False,
-    tol: float | None = None,
     report: SpanMatrixReport | None = None,
 ) -> MembershipResult:
     """Does ``z`` lie in the algebra generated by ``gs``?
 
-    ``tol`` is the relative residual tolerance of a float verdict (see
-    in_range).  Pass a precomputed ``report`` to amortize the span matrix
-    and its column space across many candidates.
+    A float verdict accepts a residual of at most DEFAULT_RESIDUAL_RTOL *
+    max(1, |z|) (see in_range).  Pass a precomputed ``report`` to amortize
+    the span matrix and its column space across many candidates.
     """
     if z.rows != gs.n or z.cols != gs.n:
         raise ValueError(f"candidate must be {gs.n}x{gs.n}")
@@ -72,31 +72,31 @@ def membership(
         raise ValueError("candidate kind differs from generator kind")
     if report is None:
         report = span_matrix(gs)
-    member, residual = in_range(report.colspace, vec(z), tol)
+    member, residual = in_range(report.colspace, vec(z))
     certificate = None
     if member and want_certificate:
-        certificate = wordspan.express(wordspan.word_span(gs), z, tol)
+        certificate = wordspan.express(wordspan.word_span(gs), z)
     return MembershipResult(member=member, residual=residual, certificate=certificate)
 
 
-def basis(gs: GeneratorSet, tol: float | None = None) -> AlgebraBasis:
+def basis(gs: GeneratorSet) -> AlgebraBasis:
     """Basis matrices: the span matrix's column space, unvectorized."""
-    report = span_matrix(gs, tol=tol)
+    report = span_matrix(gs)
     cs = report.colspace
     mats = tuple(unvec(cs.col(j), gs.n, gs.n) for j in range(cs.cols))
     return AlgebraBasis(dim=len(mats), mats=mats, source=report.variant)
 
 
-def intersect(gs_a: GeneratorSet, gs_b: GeneratorSet, tol: float | None = None) -> AlgebraBasis:
-    """Basis of the intersection of two generated algebras; ``tol`` is the
-    rank cut of both span matrices, not the cut of the intersection."""
+def intersect(gs_a: GeneratorSet, gs_b: GeneratorSet) -> AlgebraBasis:
+    """Basis of the intersection of two generated algebras: that of the
+    column spaces of their span matrices (see subspace_intersect)."""
     if gs_a.n != gs_b.n:
         raise ValueError("intersection needs matrices of the same side")
     if gs_a.kind != gs_b.kind:
         raise ValueError("intersection needs the same scalar kind")
     if gs_a.unital != gs_b.unital:
         raise ValueError("intersection needs matching unital flags")
-    report = span_matrix(gs_a, tol=tol)
-    w = subspace_intersect(report.colspace, span_matrix(gs_b, tol=tol).colspace)
+    report = span_matrix(gs_a)
+    w = subspace_intersect(report.colspace, span_matrix(gs_b).colspace)
     mats = tuple(unvec(w.col(j), gs_a.n, gs_a.n) for j in range(w.cols))
     return AlgebraBasis(dim=len(mats), mats=mats, source=report.variant)

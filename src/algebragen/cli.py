@@ -25,6 +25,7 @@ import numpy as np
 from . import wordspan
 from .algebra import basis, intersect, membership
 from .instances import ParseError, grid_of, load_instance, random_generator_set
+from .matrix import DEFAULT_RESIDUAL_RTOL
 from .modp import PrimeRangeError, certified_dimension, clear_denominators
 from .primes import DETERMINISTIC_LIMIT, is_prime
 from .resolvent import span_matrix
@@ -81,7 +82,7 @@ def _report_base(args, inst, started) -> dict:
 def cmd_dim(args) -> int:
     started = time.perf_counter()
     inst = _load(args.instance, field=args.field, unital=False if args.nonunital else None)
-    rep = span_matrix(inst.gs, tol=args.tol)
+    rep = span_matrix(inst.gs)
     report = _report_base(args, inst, started)
     report.update(
         {
@@ -105,14 +106,14 @@ def cmd_member(args) -> int:
     if cand.n != inst.n:
         raise ParseError(f"candidate is {cand.n}x{cand.n}, generators are {inst.n}x{inst.n}")
     z = cand.gs.gens[0]
-    result = membership(inst.gs, z, want_certificate=args.certificate, tol=args.tol)
+    result = membership(inst.gs, z, want_certificate=args.certificate)
     report = _report_base(args, inst, started)
     report.update(
         {
             "candidate": args.candidate,
             "member": result.member,
             "residual": str(result.residual),
-            "tolerance": args.tol,
+            "tolerance": None if z.kind.exact else DEFAULT_RESIDUAL_RTOL,
             "certificate": None
             if result.certificate is None
             else [
@@ -129,7 +130,7 @@ def cmd_member(args) -> int:
 def cmd_basis(args) -> int:
     started = time.perf_counter()
     inst = _load(args.instance, field=args.field, unital=False if args.nonunital else None)
-    ab = basis(inst.gs, tol=args.tol)
+    ab = basis(inst.gs)
     report = _report_base(args, inst, started)
     report.update(
         {
@@ -148,7 +149,7 @@ def cmd_intersect(args) -> int:
     b = _load(args.instance_b, field=args.field)
     if a.n != b.n or a.field != b.field or a.gs.unital != b.gs.unital:
         raise ParseError("intersection needs equal n, field and unital flag")
-    ab = intersect(a.gs, b.gs, tol=args.tol)
+    ab = intersect(a.gs, b.gs)
     report = _report_base(args, a, started)
     report.update(
         {
@@ -263,11 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=True, field=True, unital=False):
-        if tol:
-            p.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
-        if field:
-            p.add_argument("--field", default=None, help="force field: f64|c64|rational")
+    def common(p, unital=False):
+        p.add_argument("--field", default=None, help="force field: f64|c64|rational")
         if unital:
             p.add_argument("--nonunital", action="store_true", help="use the non-unital algebra")
 
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modp-dim", help="certified dimension via random primes (integer data)")
     p.add_argument("instance")
-    common(p, tol=False)
+    common(p)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--prime", type=int, default=None, help="try this prime first")

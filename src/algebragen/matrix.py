@@ -2,8 +2,10 @@
 
 Provides the three structural maps (column-stacking vectorization, the block
 realignment involution on n^2 x n^2 matrices, and the Kronecker product in
-its block form) together with exact and numerical rank / column space /
-least-squares machinery.
+its block form) together with exact and numerical rank and column space.
+Float distances from a span have one rule, ``_project_out``: a vector lies
+in the span of orthonormal columns Q when what is left of it after
+projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.
 
 Every exact rank, range, kernel, solve and inverse, and the word-span
 insertion of ``wordspan``, goes through one elimination, ``_rref``, which
@@ -39,9 +41,9 @@ from .scalars import ScalarKind
 # and largest discarded singular values are closer than this factor.
 ILL_CONDITIONED_RATIO = 1e3
 
-# Default relative tolerance for least-squares membership verdicts and the
-# default cut on principal-angle sines of intersections on the approximate
-# backends; exact backends decide solvability exactly.
+# Relative residual above which a float vector lies outside a span: the cut
+# of membership verdicts, of principal-angle sines of intersections and of
+# word-span independence.  Exact backends decide these exactly.
 DEFAULT_RESIDUAL_RTOL = 1e-8
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -213,26 +215,14 @@ def realign(a: Mat) -> Mat:
 # -- norms ---------------------------------------------------------------
 
 
-def norm(a: Mat, which: str = "fro"):
-    """Matrix norm: "fro", "l1" (max column sum) or "linf" (max row sum).
-
-    On the rational backend "fro" returns the *squared* Frobenius norm so the
-    result stays in the field; compare squared quantities there.
-    """
+def norm(a: Mat):
+    """Frobenius norm; *squared* on the rational backend, so the result
+    stays in the field: compare squared quantities there."""
     if a.kind.tag == "gfp":
         raise ValueError("norms are not defined over GF(p)")
-    if which == "fro":
-        if a.kind.tag == "rational":
-            return sum((x * x for x in a.data.ravel()), Fraction(0))
-        return float(np.linalg.norm(a.data, "fro"))
-    if which == "l1":
-        sums = [sum(abs(x) for x in col) for col in a.data.T]
-    elif which == "linf":
-        sums = [sum(abs(x) for x in row) for row in a.data]
-    else:
-        raise ValueError(f"unknown norm {which!r}")
-    zero = Fraction(0) if a.kind.tag == "rational" else 0.0
-    return max(sums, default=zero)
+    if a.kind.tag == "rational":
+        return sum((x * x for x in a.data.ravel()), Fraction(0))
+    return float(np.linalg.norm(a.data, "fro"))
 
 
 # -- exact elimination ----------------------------------------------------
@@ -330,14 +320,11 @@ def _solve_exact(a: Mat, b: Mat):
 
 
 def inverse(a: Mat) -> Mat:
-    """Matrix inverse; raises SingularMatrixError when none exists."""
+    """Exact matrix inverse; raises SingularMatrixError when none exists."""
+    if not a.kind.exact:
+        raise ValueError(f"inverse serves exact kinds only, not {a.kind}")
     if a.rows != a.cols:
         raise ValueError("inverse needs a square matrix")
-    if not a.kind.exact:
-        try:
-            return Mat.wrap(np.linalg.inv(a.data), a.kind)
-        except np.linalg.LinAlgError as e:
-            raise SingularMatrixError(str(e)) from None
     eye = Mat.identity(a.rows, a.kind)
     x = _solve_exact(a, eye)
     if x is None:
@@ -375,16 +362,10 @@ class RankInfo:
         return Mat(np.linalg.svd(a.data, full_matrices=False)[0][:, : self.rank], a.kind)
 
 
-def _svd_cut(a: Mat, sv: np.ndarray, tol: float | None) -> tuple[float, int]:
-    """The cut (default max(rows, cols) * eps * sigma_max) and the count of ``sv`` above it."""
-    if tol is None:
-        tol = max(a.rows, a.cols) * _EPS * (float(sv[0]) if len(sv) else 0.0)
-    return float(tol), int((sv > tol).sum())
-
-
-def rank_info(a: Mat, tol: float | None = None) -> RankInfo:
-    """Rank of ``a``: pivot count on exact kinds, singular values above
-    ``tol`` (see _svd_cut) on approximate kinds.
+def rank_info(a: Mat) -> RankInfo:
+    """Rank of ``a``: pivot count on exact kinds, count of singular values
+    above the cut ``tol`` = max(rows, cols) * eps * sigma_max on approximate
+    kinds.
 
     The result is flagged ill-conditioned when the singular values on either
     side of the retained/discarded cut differ by less than
@@ -396,38 +377,47 @@ def rank_info(a: Mat, tol: float | None = None) -> RankInfo:
     if min(a.data.shape) == 0:
         return RankInfo(a, 0, 0.0, False, ())
     sv = np.linalg.svd(a.data, compute_uv=False)
-    tol, r = _svd_cut(a, sv, tol)
+    tol = max(a.rows, a.cols) * _EPS * float(sv[0])
+    r = int((sv > tol).sum())
     flagged = 0 < r < len(sv) and sv[r] > 0 and sv[r - 1] / sv[r] < ILL_CONDITIONED_RATIO
     return RankInfo(a, r, tol, bool(flagged), tuple(float(s) for s in sv))
 
 
-def rank(a: Mat, tol: float | None = None) -> int:
-    return rank_info(a, tol).rank
+def rank(a: Mat) -> int:
+    return rank_info(a).rank
 
 
-def null_space(a: Mat, tol: float | None = None) -> Mat:
-    """Columns spanning the right kernel of ``a``."""
-    if a.kind.exact:
-        r, pivots = _rref(a.data, a.kind)
-        free = sorted(set(range(a.cols)) - set(pivots))
-        out = Mat.zeros(a.cols, len(free), a.kind).data
-        out[free, np.arange(len(free))] = a.kind.one()
-        out[pivots] = -r[: len(pivots)][:, free]
-        return Mat.wrap(out, a.kind)
-    if min(a.data.shape) == 0:
-        return Mat.identity(a.cols, a.kind)
-    _, sv, vh = np.linalg.svd(a.data)
-    _, r = _svd_cut(a, sv, tol)
-    return Mat(vh[r:].conj().T.copy(), a.kind)
+def null_space(a: Mat) -> Mat:
+    """Columns spanning the right kernel of ``a`` (exact kinds only)."""
+    if not a.kind.exact:
+        raise ValueError(f"null_space serves exact kinds only, not {a.kind}")
+    r, pivots = _rref(a.data, a.kind)
+    free = sorted(set(range(a.cols)) - set(pivots))
+    out = Mat.zeros(a.cols, len(free), a.kind).data
+    out[free, np.arange(len(free))] = a.kind.one()
+    out[pivots] = -r[: len(pivots)][:, free]
+    return Mat.wrap(out, a.kind)
 
 
-def in_range(a: Mat, v: Mat, tol: float | None = None):
+def _project_out(q: np.ndarray, c: np.ndarray) -> None:
+    """Subtract from ``c``, in place, its projection on the orthonormal
+    columns of ``q``, twice: one pass leaves O(eps * cond) of the span
+    behind, the second brings it to O(eps) (classical Gram-Schmidt, "twice
+    is enough")."""
+    qh = q.conj().T
+    for _ in range(2):
+        c -= q @ (qh @ c)
+
+
+def in_range(a: Mat, v: Mat):
     """Decide whether column ``v`` lies in the column space of ``a``.
 
     Returns (verdict, residual).  Exact kinds decide solvability by
     elimination; the residual is 0 for members and the exact least-squares
-    defect (squared norm; 1 over GF(p)) otherwise.  Approximate kinds accept
-    when the least-squares residual is at most tol * max(1, |v|).
+    defect (squared norm; 1 over GF(p)) otherwise.  On float kinds ``a``
+    must have orthonormal columns, as a colspace has: the residual is the
+    norm of v - a a^H v (see _project_out), and v is accepted when it is at
+    most DEFAULT_RESIDUAL_RTOL * max(1, |v|).
     """
     a._check_kind(v)
     if v.cols != 1 or v.rows != a.rows:
@@ -450,28 +440,28 @@ def in_range(a: Mat, v: Mat, tol: float | None = None):
         y = _solve_exact(Mat(c.T.dot(c), a.kind), Mat(h[:, None], a.kind))
         defect = w.dot(w) - sum((hi * yi for hi, yi in zip(h, y.data[:, 0])), Fraction(0))
         return False, defect / (l * l)
-    if tol is None:
-        tol = DEFAULT_RESIDUAL_RTOL
-    x, *_ = np.linalg.lstsq(a.data, v.data, rcond=None)
-    residual = float(np.linalg.norm(a.data.dot(x) - v.data))
-    vnorm = float(np.linalg.norm(v.data))
-    return residual <= tol * max(1.0, vnorm), residual
+    c = v.data.copy()
+    _project_out(a.data, c)
+    residual = float(np.linalg.norm(c))
+    return residual <= DEFAULT_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(v.data))), residual
 
 
 def subspace_intersect(u: Mat, v: Mat) -> Mat:
     """Basis of col(u) & col(v), from the kernel of [u | -v] on exact kinds.
 
-    Float kinds need orthonormal columns in u and v, as a colspace has.  The
-    singular values of (I - v v^H) u are the sines of the principal angles,
-    and the right singular vectors with sine <= DEFAULT_RESIDUAL_RTOL, mapped
-    through u, are an orthonormal basis of the intersection."""
+    Float kinds need orthonormal columns in u and v, as a colspace has, and
+    apply the rule of in_range: (I - v v^H) u is formed by _project_out, its
+    singular values are the sines of the principal angles, and the right
+    singular vectors with sine <= DEFAULT_RESIDUAL_RTOL, mapped through u,
+    are an orthonormal basis of the intersection."""
     u._check_kind(v)
     if u.rows != v.rows:
         raise ValueError("subspaces live in different ambient dimensions")
     if u.cols == 0 or v.cols == 0:
         return Mat.zeros(u.rows, 0, u.kind)
     if not u.kind.exact:
-        defect = u.data - v.data.dot(v.data.conj().T.dot(u.data))
+        defect = u.data.copy()
+        _project_out(v.data, defect)
         _, sines, vh = np.linalg.svd(defect, full_matrices=False)
         keep = vh[sines <= DEFAULT_RESIDUAL_RTOL]
         return Mat(u.data.dot(keep.conj().T), u.kind)

@@ -65,7 +65,7 @@ def scale_bound(gs: GeneratorSet) -> int:
         raise ValueError("no norm bound over GF(p)")
     total = Fraction(0) if gs.kind.tag == "rational" else 0.0
     for g in gs.gens:
-        f = norm(g, "fro")
+        f = norm(g)
         total += f if gs.kind.tag == "rational" else f * f
     return math.ceil(total) + 1
 
@@ -91,13 +91,12 @@ def _matrix_power(m: Mat, k: int) -> Mat:
     return Mat.identity(m.rows, m.kind) if acc is None else acc
 
 
-def span_matrix(gs: GeneratorSet, scale: int | None = None, tol: float | None = None) -> SpanMatrixReport:
+def span_matrix(gs: GeneratorSet, scale: int | None = None) -> SpanMatrixReport:
     """Build the span matrix of ``gs`` (see the module docstring) and its rank.
 
     B is scale_bound(gs), except over GF(p), where ``scale`` must be that
     integer B computed over Q and SingularMatrixError means p divides
-    det(B*I - S); no other kind takes a ``scale``.  ``tol`` overrides the
-    float rank cut.
+    det(B*I - S); no other kind takes a ``scale``.
     """
     gfp = gs.kind.tag == "gfp"
     if gfp and not isinstance(scale, int):
@@ -128,5 +127,5 @@ def span_matrix(gs: GeneratorSet, scale: int | None = None, tol: float | None = 
     else:
         core, variant = s @ inverse(eye - s), "resolvent_nonunital"
 
-    info = rank_info(realign(core), tol)
+    info = rank_info(realign(core))
     return SpanMatrixReport(**vars(info), variant=variant, scale=b)

@@ -9,7 +9,7 @@ kept ones.  On approximate kinds the orthonormal basis of the kept words is
 projected out of the whole layer block twice, in one matrix product each
 time, and a short pass over the layer then keeps each candidate whose
 residual against the words kept before it in the layer stays above
-``DEFAULT_INDEPENDENCE_RTOL`` of its norm.  Only kept words are extended;
+``DEFAULT_RESIDUAL_RTOL`` of its norm.  Only kept words are extended;
 the span of kept words still contains every word, because a dependent
 word's extensions are spanned by extensions of earlier kept words.  The
 search stops at the first layer that adds no word, or once the words fill
@@ -26,12 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _rref, _solve_exact, vec
+from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _project_out, _rref, _solve_exact, vec
 from .scalars import ScalarKind
-
-# relative residual under which a candidate counts as dependent (approximate
-# kinds only; exact kinds reduce exactly)
-DEFAULT_INDEPENDENCE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,16 +44,6 @@ class WordBasis:
     @property
     def dim(self) -> int:
         return len(self.words)
-
-
-def _project_out(q: np.ndarray, c: np.ndarray) -> None:
-    """Subtract from ``c``, in place, its projection on the orthonormal
-    columns of ``q``, twice: one pass leaves O(eps * cond) of the span
-    behind, the second brings it to O(eps) (classical Gram-Schmidt, "twice
-    is enough")."""
-    qh = q.conj().T
-    for _ in range(2):
-        c -= q @ (qh @ c)
 
 
 def word_span(gs: GeneratorSet) -> WordBasis:
@@ -89,7 +75,7 @@ def word_span(gs: GeneratorSet) -> WordBasis:
                 c = block[:, j]
                 _project_out(basis[:, k : k + len(new)], c)
                 resid = np.linalg.norm(c)
-                if resid > DEFAULT_INDEPENDENCE_RTOL * norm:
+                if resid > DEFAULT_RESIDUAL_RTOL * norm:
                     basis[:, k + len(new)] = c / resid
                     new.append(j)
         layer = [candidates[j] for j in new]
@@ -112,21 +98,22 @@ def dimension(gs: GeneratorSet) -> int:
     return word_span(gs).dim
 
 
-def express(wb: WordBasis, z: Mat, tol: float | None = None):
+def express(wb: WordBasis, z: Mat):
     """Coefficients writing ``z`` as a combination of the basis words.
 
-    Returns a list of (word, coefficient) pairs with nonzero coefficients,
-    or None when ``z`` is outside the span.  On exact kinds the combination
-    is re-multiplied out and checked before being returned.
+    Returns a list of (word, coefficient) pairs with nonzero coefficients
+    (empty for the zero matrix), or None when ``z`` is outside the span.  On
+    exact kinds the combination is re-multiplied out and checked before
+    being returned; on float kinds the least-squares residual is cut at
+    DEFAULT_RESIDUAL_RTOL * max(1, |z|), as in ``matrix.in_range``.
     """
     if z.rows != wb.n or z.cols != wb.n:
         raise ValueError(f"candidate must be {wb.n}x{wb.n}")
     if z.kind != wb.kind:
         raise ValueError("candidate kind differs from basis kind")
-    if not wb.mats:
-        return None
-    cols = np.concatenate([vec(m).data for m in wb.mats], axis=1)
-    w = Mat.wrap(cols, wb.kind)
+    w = Mat.zeros(wb.n * wb.n, wb.dim, wb.kind)
+    for j, m in enumerate(wb.mats):
+        w.data[:, j] = vec(m).data[:, 0]
     target = vec(z)
     if wb.kind.exact:
         x = _solve_exact(w, target)
@@ -141,7 +128,7 @@ def express(wb: WordBasis, z: Mat, tol: float | None = None):
     else:
         sol, *_ = np.linalg.lstsq(w.data, target.data, rcond=None)
         residual = float(np.linalg.norm(w.data.dot(sol) - target.data))
-        bound = (tol if tol is not None else DEFAULT_RESIDUAL_RTOL) * max(1.0, float(np.linalg.norm(target.data)))
+        bound = DEFAULT_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(target.data)))
         if residual > bound:
             return None
         coeffs = list(sol[:, 0])

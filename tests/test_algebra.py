@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -9,6 +10,14 @@ from algebragen import wordspan
 from algebragen.instances import random_generator_set
 
 from conftest import hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal, word_value
+
+
+def test_no_public_function_takes_tol():
+    # float cuts are fixed in the program, not settable by callers
+    for name in ag.__all__:
+        obj = getattr(ag, name)
+        if inspect.isfunction(obj):
+            assert "tol" not in inspect.signature(obj).parameters, name
 
 
 def test_dimension_golden(tri_gens):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from algebragen import cli
+from algebragen.matrix import DEFAULT_RESIDUAL_RTOL
 
 TRIANGULAR = str(Path(__file__).resolve().parent.parent / "instances" / "triangular_pair.json")
 
@@ -120,6 +121,25 @@ def test_gfp_instances_are_usage_errors(capsys, tmp_path, command):
     code, _, err = run(capsys, *[arg.format(a=path) for arg in command])
     assert code == cli.EXIT_PARSE
     assert "modp-dim" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["dim", TRIANGULAR], ["member", TRIANGULAR, MEMBER], ["basis", TRIANGULAR], ["intersect", TRIANGULAR, TRIANGULAR]],
+)
+def test_tol_is_a_usage_error(capsys, command):
+    code, _, err = run(capsys, *command, "--tol", "1e-6")
+    assert code == cli.EXIT_PARSE
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("field, want", [("rational", None), ("f64", DEFAULT_RESIDUAL_RTOL), ("c64", DEFAULT_RESIDUAL_RTOL)])
+def test_member_reports_the_applied_tolerance(capsys, tmp_path, field, want):
+    gens = write_instance(tmp_path, {"n": 2, "generators": [[["1", "1"], ["0", "1"]]]}, "gens.json")
+    cand = write_instance(tmp_path, {"n": 2, "generators": [[["2", "3"], ["0", "2"]]]}, "cand.json")
+    code, out, _ = run(capsys, "member", gens, cand, "--field", field)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["tolerance"] == want
 
 
 def test_bench_csv_carries_the_label(capsys, tmp_path):

@@ -131,28 +131,18 @@ def test_frobenius_multiplicative_over_kron(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 4)
     a, b = rand_mat(rng, n, ag.RATIONAL, max_den=3), rand_mat(rng, n, ag.RATIONAL, max_den=3)
-    assert ag.norm(ag.kron(a, b), "fro") == ag.norm(a, "fro") * ag.norm(b, "fro")
+    assert ag.norm(ag.kron(a, b)) == ag.norm(a) * ag.norm(b)
 
 
 # -- norms -----------------------------------------------------------------
 
 
 def test_norms_basics():
-    i3 = ag.Mat.identity(3, ag.RATIONAL)
-    assert ag.norm(i3, "l1") == 1
-    assert ag.norm(i3, "linf") == 1
-    assert ag.norm(ag.Mat.zeros(3, 3, ag.RATIONAL), "fro") == 0
-    assert ag.norm(ag.Mat.zeros(2, 2, ag.F64), "fro") == 0.0
+    assert ag.norm(ag.Mat.identity(3, ag.RATIONAL)) == 3  # squared on Q
+    assert ag.norm(ag.Mat.zeros(3, 3, ag.RATIONAL)) == 0
+    assert ag.norm(ag.Mat.zeros(2, 2, ag.F64)) == 0.0
     with pytest.raises(ValueError):
-        ag.norm(ag.Mat.identity(2, ag.gf(5)), "fro")
-    with pytest.raises(ValueError):
-        ag.norm(i3, "l2")
-
-
-def test_norm_l1_linf_are_column_row_sums():
-    m = ag.Mat.from_rows([[1, -2], [3, 4]], ag.RATIONAL)
-    assert ag.norm(m, "l1") == 6   # max column |1|+|3| vs |2|+|4|
-    assert ag.norm(m, "linf") == 7  # max row |3|+|4|
+        ag.norm(ag.Mat.identity(2, ag.gf(5)))
 
 
 # -- inverse / det ---------------------------------------------------------
@@ -182,8 +172,8 @@ def test_inverse_random_exact_roundtrip():
 def test_inverse_errors():
     with pytest.raises(ag.SingularMatrixError):
         ag.inverse(ag.Mat.zeros(2, 2, ag.RATIONAL))
-    with pytest.raises(ag.SingularMatrixError):
-        ag.inverse(ag.Mat.zeros(2, 2, ag.F64))
+    with pytest.raises(ValueError):
+        ag.inverse(ag.Mat.identity(2, ag.F64))
     with pytest.raises(ValueError):
         ag.inverse(ag.Mat.zeros(2, 3, ag.RATIONAL))
 
@@ -237,8 +227,8 @@ def test_rank_info_ill_conditioned_flag():
     # clean cut: retained 1e-2 vs discarded 1e-16 is a huge gap
     clean = ag.rank_info(ag.Mat.wrap(np.diag([1.0, 1e-2, 1e-16]), ag.F64))
     assert clean.rank == 2 and not clean.ill_conditioned
-    # murky cut: 2e-4 kept, 9e-5 dropped, ratio ~2
-    murky = ag.rank_info(ag.Mat.wrap(np.diag([1.0, 2e-4, 9e-5]), ag.F64), tol=1e-4)
+    # murky cut: 1e-15 kept, 1e-16 dropped at the cut 3 * eps, ratio 10
+    murky = ag.rank_info(ag.Mat.wrap(np.diag([1.0, 1e-15, 1e-16]), ag.F64))
     assert murky.rank == 2 and murky.ill_conditioned
     # full rank leaves nothing discarded, so no flag
     full = ag.rank_info(ag.Mat.wrap(np.diag([1.0, 0.5]), ag.F64))
@@ -271,7 +261,9 @@ def test_in_range_consistent_systems():
             n = rng.randint(2, 4)
             a = rand_mat(rng, n, kind, max_den=2)
             x = rand_mat(rng, n, kind, max_den=2).col(0)
-            ok, residual = ag.in_range(a, a @ x)
+            # float in_range reads orthonormal columns spanning col(a)
+            q = a if kind.exact else ag.rank_info(a).colspace
+            ok, residual = ag.in_range(q, a @ x)
             assert ok
             if kind.exact:
                 assert residual == 0
@@ -294,7 +286,7 @@ def test_in_range_exact_defect():
 def test_in_range_float_tolerance():
     a = ag.Mat.wrap(np.array([[1.0], [0.0]]), ag.F64)
     v = ag.Mat.wrap(np.array([[1.0], [1e-12]]), ag.F64)
-    ok, residual = ag.in_range(a, v, tol=1e-8)
+    ok, residual = ag.in_range(a, v)
     assert ok and residual <= 1e-8
     ok2, _ = ag.in_range(a, ag.Mat.wrap(np.array([[0.0], [1.0]]), ag.F64))
     assert not ok2
@@ -305,14 +297,15 @@ def test_in_range_float_tolerance():
 
 def test_null_space_annihilates():
     rng = random.Random(4)
-    for kind in ALL_KINDS:
+    for kind in (k for k in ALL_KINDS if k.exact):
         for _ in range(8):
             m = rand_mat(rng, 3, kind, max_den=2)
             wide = ag.Mat.wrap(np.concatenate([m.data, m.data], axis=1), kind)
             ns = ag.null_space(wide)
             assert ns.cols >= 3
-            prod = wide @ ns
-            assert close(prod, ag.Mat.zeros(3, ns.cols, kind), tol=1e-9)
+            assert wide @ ns == ag.Mat.zeros(3, ns.cols, kind)
+    with pytest.raises(ValueError):
+        ag.null_space(ag.Mat.identity(2, ag.F64))
 
 
 def test_subspace_intersect_same_space():

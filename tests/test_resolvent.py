@@ -22,7 +22,7 @@ def test_sum_kron_golden(tri_gens):
         for j in range(9):
             expect = Fraction(1, 9) if (i, j) in hot else 0
             assert s.data[i, j] == expect
-    assert ag.norm(s, "fro") == Fraction(5, 81)
+    assert ag.norm(s) == Fraction(5, 81)
 
 
 def test_sum_kron_edges():
@@ -61,7 +61,7 @@ def test_scale_bound_guarantees_contraction():
         gs = rand_int_generator_set(rng, rng.randint(2, 4), rng.randint(1, 3), True)
         b = ag.scale_bound(gs)
         s = ag.sum_kron(gs) / b
-        assert ag.norm(s, "fro") < 1  # squared norm under 1 iff norm under 1
+        assert ag.norm(s) < 1  # squared norm under 1 iff norm under 1
 
 
 def test_default_power_exponent():
@@ -218,7 +218,7 @@ def test_resolvent_matches_geometric_series_exactly():
         gs = rand_int_generator_set(rng, 2, 2, True)
         divisor = 4 * ag.scale_bound(gs)
         s = ag.sum_kron(gs) / divisor
-        assert ag.norm(s, "fro") <= Fraction(1, 4)  # squared <= 1/4 => norm <= 1/2
+        assert ag.norm(s) <= Fraction(1, 4)  # squared <= 1/4 => norm <= 1/2
         inv = ag.inverse(ag.Mat.identity(4, ag.RATIONAL) - s)
         partial = ag.Mat.zeros(4, 4, ag.RATIONAL)
         term = ag.Mat.identity(4, ag.RATIONAL)

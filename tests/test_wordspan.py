@@ -106,6 +106,20 @@ def test_express_validation(tri_gens):
         wordspan.express(wb, ag.Mat.identity(3, ag.F64))
 
 
+@pytest.mark.parametrize("kind", [ag.F64, ag.RATIONAL])
+@pytest.mark.parametrize("gens", [0, 1])
+def test_express_on_the_zero_algebra(kind, gens):
+    # a non-unital set with no generators, or only a zero one, spans {0}
+    zero = ag.Mat.zeros(2, 2, kind)
+    gs = ag.GeneratorSet(n=2, gens=(zero,) * gens, kind=kind, unital=False)
+    wb = wordspan.word_span(gs)
+    assert wb.dim == 0
+    assert wordspan.express(wb, zero) == []
+    assert wordspan.express(wb, ag.Mat.identity(2, kind)) is None
+    result = ag.membership(gs, zero, want_certificate=True)
+    assert result.member and result.certificate == []
+
+
 def greedy_words(gs: ag.GeneratorSet):
     """Breadth-first words kept one at a time by a rank test, the order and
     the rule word_span must reproduce."""
