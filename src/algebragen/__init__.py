@@ -34,7 +34,6 @@ from .modp import (
     bad_prime_bound,
     certified_dimension,
     clear_denominators,
-    compute_B,
     dimension_mod_p,
     sample_prime,
 )

@@ -26,7 +26,7 @@ from . import wordspan
 from .algebra import basis, intersect, membership
 from .instances import ParseError, grid_of, load_instance, random_generator_set
 from .matrix import DEFAULT_RESIDUAL_RTOL
-from .modp import PrimeRangeError, certified_dimension, clear_denominators
+from .modp import PrimeRangeError, certified_dimension
 from .primes import DETERMINISTIC_LIMIT, is_prime
 from .resolvent import span_matrix
 
@@ -52,18 +52,10 @@ def _emit(report: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _entropy_seed() -> int:
-    return int(np.random.SeedSequence().entropy) % (1 << 63)
-
-
-def _load(path, field=None, unital=None):
-    inst = load_instance(path, field=field, unital=unital)
-    if inst.gs.kind.tag == "gfp":
-        raise ParseError(
-            f"no command serves {inst.field} instances; "
-            "certify integer data over random primes with modp-dim"
-        )
-    return inst
+def _seed(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed if args.seed is not None else int(np.random.SeedSequence().entropy) % (1 << 63)
 
 
 def _report_base(args, inst, started) -> dict:
@@ -81,7 +73,7 @@ def _report_base(args, inst, started) -> dict:
 
 def cmd_dim(args) -> int:
     started = time.perf_counter()
-    inst = _load(args.instance, field=args.field, unital=False if args.nonunital else None)
+    inst = load_instance(args.instance, field=args.field, unital=False if args.nonunital else None)
     rep = span_matrix(inst.gs)
     report = _report_base(args, inst, started)
     report.update(
@@ -99,8 +91,8 @@ def cmd_dim(args) -> int:
 
 def cmd_member(args) -> int:
     started = time.perf_counter()
-    inst = _load(args.generators, field=args.field, unital=False if args.nonunital else None)
-    cand = _load(args.candidate, field=inst.field)
+    inst = load_instance(args.generators, field=args.field, unital=False if args.nonunital else None)
+    cand = load_instance(args.candidate, field=inst.field)
     if cand.d != 1:
         raise ParseError("candidate file must hold exactly one matrix")
     if cand.n != inst.n:
@@ -129,7 +121,7 @@ def cmd_member(args) -> int:
 
 def cmd_basis(args) -> int:
     started = time.perf_counter()
-    inst = _load(args.instance, field=args.field, unital=False if args.nonunital else None)
+    inst = load_instance(args.instance, field=args.field, unital=False if args.nonunital else None)
     ab = basis(inst.gs)
     report = _report_base(args, inst, started)
     report.update(
@@ -145,8 +137,8 @@ def cmd_basis(args) -> int:
 
 def cmd_intersect(args) -> int:
     started = time.perf_counter()
-    a = _load(args.instance_a, field=args.field)
-    b = _load(args.instance_b, field=args.field)
+    a = load_instance(args.instance_a, field=args.field)
+    b = load_instance(args.instance_b, field=args.field)
     if a.n != b.n or a.field != b.field or a.gs.unital != b.gs.unital:
         raise ParseError("intersection needs equal n, field and unital flag")
     ab = intersect(a.gs, b.gs)
@@ -167,16 +159,15 @@ def cmd_modp_dim(args) -> int:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     if args.prime is not None and not (args.prime < DETERMINISTIC_LIMIT and is_prime(args.prime)):
         raise ParseError(f"--prime {args.prime} is not a prime below {DETERMINISTIC_LIMIT}")
+    seed = _seed(args)
     started = time.perf_counter()
-    inst = _load(args.instance, field=args.field)
+    inst = load_instance(args.instance, field=args.field)
     if inst.gs.kind.tag != "rational":
         raise ParseError("modp-dim needs exact integer or rational data")
     if not inst.gs.unital:
         raise ParseError("modp-dim certifies the unital algebra; the instance is non-unital")
-    gens = clear_denominators(inst.gs.gens)
-    seed = args.seed if args.seed is not None else _entropy_seed()
     dim, plan = certified_dimension(
-        gens, trials=args.trials, seed=seed, n=inst.n, forced_prime=args.prime
+        inst.gs.gens, trials=args.trials, seed=seed, n=inst.n, forced_prime=args.prime
     )
     report = _report_base(args, inst, started)
     report.update(
@@ -202,7 +193,7 @@ def cmd_modp_dim(args) -> int:
 
 def cmd_bench(args) -> int:
     started = time.perf_counter()
-    seed = args.seed if args.seed is not None else _entropy_seed()
+    seed = _seed(args)
     instances = []
     if args.random is not None and args.instance is not None:
         raise ParseError("bench takes an instance path or --random N D COUNT, not both")
@@ -214,7 +205,7 @@ def cmd_bench(args) -> int:
         for _ in range(count):
             instances.append((f"random-{n}x{n}-d{d}", random_generator_set(n, d, rng)))
     elif args.instance is not None:
-        inst = _load(args.instance)
+        inst = load_instance(args.instance)
         instances.append((inst.path, inst.gs))
     else:
         raise ParseError("bench needs an instance path or --random N D COUNT")

@@ -4,16 +4,16 @@ An instance document looks like::
 
     {
       "n": 3,
-      "field": "rational",          # "f64" | "c64" | "rational" | "gfp:<p>"
+      "field": "rational",          # "f64" | "c64" | "rational"
       "unital": true,               # optional, default true
       "generators": [ [["1/3","0","0"], ...], ... ]
     }
 
 Entries are strings so exact values survive serialization: "a/b" or integer
 literals under "rational", decimal literals under "f64", "re+im i" literals
-under "c64", integer literals under "gfp:<p>".  Decimal entries are only
-legal under the approximate fields.  When "field" is absent it defaults to
-"rational" if every entry parses as a rational, else "f64".
+under "c64".  Decimal entries are only legal under the approximate fields.
+When "field" is absent it defaults to "rational" if every entry parses as a
+rational, else "f64".
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .generators import GeneratorSet
 from .matrix import Mat
-from .scalars import C64, F64, RATIONAL, ScalarKind, gf
+from .scalars import C64, F64, RATIONAL, ScalarKind
 
 
 class ParseError(ValueError):
@@ -36,7 +36,6 @@ class ParseError(ValueError):
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*\d+)?$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def kind_from_field(field: str) -> ScalarKind:
@@ -46,15 +45,6 @@ def kind_from_field(field: str) -> ScalarKind:
         return C64
     if field == "rational":
         return RATIONAL
-    if field.startswith("gfp:"):
-        try:
-            p = int(field[4:])
-        except ValueError:
-            raise ParseError(f"bad gfp modulus in field {field!r}") from None
-        try:
-            return gf(p)
-        except ValueError as e:
-            raise ParseError(str(e)) from None
     raise ParseError(f"unknown field {field!r}")
 
 
@@ -76,10 +66,6 @@ def parse_entry(text, kind: ScalarKind):
             return Fraction(s.replace(" ", ""))
         except ZeroDivisionError:
             raise ParseError(f"entry {text!r} has a zero denominator") from None
-    if kind.tag == "gfp":
-        if not _INT_RE.match(s):
-            raise ParseError(f"entry {text!r} is not an integer (field {kind})")
-        return int(s) % kind.modulus
     if kind.tag == "f64":
         try:
             value = float(s)
@@ -101,8 +87,6 @@ def parse_entry(text, kind: ScalarKind):
 def format_entry(x, kind: ScalarKind) -> str:
     if kind.tag == "rational":
         return str(x)
-    if kind.tag == "gfp":
-        return str(int(x))
     if kind.tag == "f64":
         return repr(float(x))
     z = complex(x)

@@ -1,13 +1,13 @@
-"""Exact randomized dimension computation for integer generators.
+"""Exact randomized dimension computation for rational generators.
 
-For integer generators the unital algebra dimension equals the GF(p) rank
-of the span matrix built from B*I - S (``resolvent.span_matrix`` over GF(p)
-with scale B), where S is the summed Kronecker square and B exceeds the
-total squared Frobenius norm, for all but an explicitly bounded number of
-bad primes.  This module only samples the primes and records the audit
-trail: a random prime below a ceiling far above that bound gives the right
-answer with high probability, and a bad prime can only under-count, so the
-maximum over several independent primes is taken.
+Denominators are cleared here, per generator, which leaves the generated
+algebra unchanged.  The unital algebra dimension of the integer generators
+that result equals the GF(p) rank of the span matrix built from B*I - S
+(``resolvent.span_matrix`` over GF(p) with scale B), S the summed Kronecker
+square and B above its total squared Frobenius norm, for all but a bounded
+number of bad primes.  A random prime below a ceiling far above that bound
+gives the right answer with high probability, and a bad prime can only
+under-count, so the maximum over several independent primes is taken.
 """
 
 from __future__ import annotations
@@ -71,22 +71,6 @@ def clear_denominators(gens: Sequence[Mat]) -> list[Mat]:
     return cleared
 
 
-def _require_integer(gens: Sequence[Mat]):
-    for g in gens:
-        if g.kind.tag != "rational":
-            raise ValueError("mod-p certification expects rational-kind matrices")
-        for x in g.data.ravel():
-            if x.denominator != 1:
-                raise ValueError(f"entry {x} is not an integer; clear denominators first")
-
-
-def compute_B(gens: Sequence[Mat]) -> int:
-    """B = (sum of squared Frobenius norms) + 1 for integer generators."""
-    _require_integer(gens)
-    # scale_bound reads only the generators: any side will do for none
-    return scale_bound(GeneratorSet(gens[0].rows if gens else 1, tuple(gens), RATIONAL))
-
-
 def bad_prime_bound(n: int, b: int) -> float:
     """Upper bound on how many primes can mis-report the rank:
     n^2 (n^2 + 1) ln B + n (n^2 + 1) + n^2 ln n."""
@@ -126,24 +110,13 @@ def sample_prime(bound: float, rng: np.random.Generator) -> int:
             return c
 
 
-def dimension_mod_p(
-    gens: Sequence[Mat], p: int, n: int | None = None, b: int | None = None
-) -> PrimeOutcome:
+def dimension_mod_p(gs: GeneratorSet, p: int, b: int) -> PrimeOutcome:
     """Rank over GF(p) of the span matrix built from B*I - S, or a singular
-    skip when p divides det(B*I - S).
-
-    ``b`` is compute_B(gens), computed here when not given.
+    skip when p divides det(B*I - S).  ``gs`` is the integer set that
+    ``certified_dimension`` builds from rational generators, ``b`` its B.
     """
-    if n is None:
-        if not gens:
-            raise ValueError("pass n explicitly for an empty generator list")
-        n = gens[0].rows
-    if b is None:
-        b = compute_B(gens)
-    kind = gf(p)
-    gs = GeneratorSet(n, tuple(g.convert(kind) for g in gens), kind)
     try:
-        return PrimeOutcome(p=p, rank=span_matrix(gs, scale=b).rank)
+        return PrimeOutcome(p=p, rank=span_matrix(gs.convert(gf(p)), scale=b).rank)
     except SingularMatrixError:
         return PrimeOutcome(p=p, rank=None)
 
@@ -155,8 +128,9 @@ def certified_dimension(
     n: int | None = None,
     forced_prime: int | None = None,
 ) -> tuple[int, PrimePlan]:
-    """Dimension of the unital algebra of integer generators, certified by
-    ``trials`` random primes.
+    """Dimension of the unital algebra of rational generators, certified by
+    ``trials`` random primes.  Denominators are cleared here, per generator,
+    which leaves the algebra unchanged; B is ``scale_bound`` of that set.
 
     Each trial draws primes from its own stream split off ``seed`` (so
     results do not depend on evaluation order) until one is non-singular;
@@ -170,7 +144,8 @@ def certified_dimension(
         if not gens:
             raise ValueError("pass n explicitly for an empty generator list")
         n = gens[0].rows
-    b = compute_B(gens)
+    gs = GeneratorSet(n, tuple(clear_denominators(gens)), RATIONAL)
+    b = scale_bound(gs)
     bound = bad_prime_bound(n, b)
     ceiling = prime_ceiling(bound)
     per_prime = per_prime_failure_bound(bound, ceiling)
@@ -180,7 +155,7 @@ def certified_dimension(
     outcomes: list[PrimeOutcome] = []
     successes = 0
     if forced_prime is not None:
-        outcome = dimension_mod_p(gens, forced_prime, n=n, b=b)
+        outcome = dimension_mod_p(gs, forced_prime, b)
         outcomes.append(outcome)
         if not outcome.singular:
             successes += 1
@@ -189,7 +164,7 @@ def certified_dimension(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
         while True:
             p = sample_prime(bound, rng)
-            outcome = dimension_mod_p(gens, p, n=n, b=b)
+            outcome = dimension_mod_p(gs, p, b)
             outcomes.append(outcome)
             if not outcome.singular:
                 successes += 1

@@ -113,14 +113,46 @@ def test_modp_dim_refuses_nonunital_instances(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "command",
-    [["dim", "{a}"], ["member", "{a}", "{a}"], ["basis", "{a}"], ["intersect", "{a}", "{a}"], ["bench", "{a}"]],
+    [
+        ["dim", "{a}"],
+        ["member", "{a}", "{a}"],
+        ["basis", "{a}"],
+        ["intersect", "{a}", "{a}"],
+        ["bench", "{a}"],
+        ["modp-dim", "{a}", "--seed", "1"],
+    ],
 )
 def test_gfp_instances_are_usage_errors(capsys, tmp_path, command):
     doc = {"n": 2, "field": "gfp:7", "generators": [[["1", "2"], ["3", "4"]]]}
     path = write_instance(tmp_path, doc)
     code, _, err = run(capsys, *[arg.format(a=path) for arg in command])
     assert code == cli.EXIT_PARSE
-    assert "modp-dim" in err
+    assert "unknown field" in err
+
+
+@pytest.mark.parametrize("command", [["modp-dim", TRIANGULAR], ["bench", "--random", "2", "1", "1"]])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--seed", "-1")
+    assert code == cli.EXIT_PARSE
+    assert out == "" and "--seed" in err
+
+
+def test_nonunital_dim_and_basis(capsys):
+    code, out, _ = run(capsys, "dim", TRIANGULAR, "--nonunital")
+    report = json.loads(out)
+    assert code == cli.EXIT_OK
+    assert (report["dimension"], report["variant"], report["unital"]) == (4, "resolvent_nonunital", False)
+    code, out, _ = run(capsys, "basis", TRIANGULAR, "--nonunital")
+    report = json.loads(out)
+    assert code == cli.EXIT_OK
+    assert (report["dimension"], report["source"], len(report["basis"])) == (4, "resolvent_nonunital", 4)
+
+
+def test_nonunital_member_needs_the_identity(capsys):
+    code, out, _ = run(capsys, "member", TRIANGULAR, MEMBER, "--nonunital")
+    report = json.loads(out)
+    assert code == cli.EXIT_NONMEMBER
+    assert (report["member"], report["residual"], report["unital"]) == (False, "2", False)
 
 
 @pytest.mark.parametrize(

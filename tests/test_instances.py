@@ -22,7 +22,6 @@ ENTRIES = {
     "f64": FINITE,
     "c64": st.builds(complex, FINITE, FINITE) | st.sampled_from(C64_EDGES),
     "rational": st.fractions(),
-    "gfp:2147483647": st.integers(0, 2147483646),
 }
 
 

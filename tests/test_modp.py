@@ -11,7 +11,7 @@ from linalg_helpers import det
 
 
 def b_minus_s_det(gs: ag.GeneratorSet) -> Fraction:
-    b = ag.compute_B(list(gs.gens))
+    b = ag.scale_bound(gs)
     return det(ag.Mat.identity(gs.n * gs.n, gs.kind) * b - ag.sum_kron(gs))
 
 
@@ -23,9 +23,8 @@ def test_forced_prime_dividing_det_is_a_singular_skip():
         q = next((q for q in (2, 3, 5, 7, 11, 13) if det.numerator % q == 0), None)
         if q is not None:
             break
-    gens = list(gs.gens)
-    assert ag.dimension_mod_p(gens, q) == ag.PrimeOutcome(p=q, rank=None)
-    dim, plan = ag.certified_dimension(gens, trials=1, seed=0, forced_prime=q)
+    assert ag.dimension_mod_p(gs, q, ag.scale_bound(gs)) == ag.PrimeOutcome(p=q, rank=None)
+    dim, plan = ag.certified_dimension(list(gs.gens), trials=1, seed=0, forced_prime=q)
     assert plan.outcomes[0] == ag.PrimeOutcome(p=q, rank=None)
     assert not plan.outcomes[-1].singular
     assert dim == ag.dimension(gs)
@@ -43,10 +42,10 @@ def test_prime_plan_is_seed_deterministic():
 
 def test_precomputed_b_gives_the_same_outcome():
     rng = random.Random(5)
-    gens = list(rand_int_generator_set(rng, 3, 2, True).gens)
-    b = ag.compute_B(gens)
+    gs = rand_int_generator_set(rng, 3, 2, True)
+    b = ag.scale_bound(gs)
     for p in (1048583, 4294967311):  # int64 rows, then Python-int rows
-        assert ag.dimension_mod_p(gens, p, b=b) == ag.dimension_mod_p(gens, p)
+        assert ag.dimension_mod_p(gs, p, b) == ag.PrimeOutcome(p=p, rank=reference_mod_p(gs, p))
 
 
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 10**6))
@@ -77,10 +76,9 @@ def test_dimension_mod_p_matches_reference():
     divides_b = singular = 0
     for _ in range(60):
         gs = rand_int_generator_set(rng, rng.randint(1, 3), rng.randint(0, 3), True, lo=-2, hi=2)
-        gens = list(gs.gens)
-        b = ag.compute_B(gens)
+        b = ag.scale_bound(gs)
         for p in (2, 3, 5, 7, 1048583):
-            outcome = ag.dimension_mod_p(gens, p, n=gs.n)
+            outcome = ag.dimension_mod_p(gs, p, b)
             assert outcome == ag.PrimeOutcome(p=p, rank=reference_mod_p(gs, p))
             divides_b += b % p == 0
             singular += outcome.singular
@@ -93,5 +91,6 @@ def test_clear_denominators_keeps_the_dimension(n, d, seed):
     rng = random.Random(seed)
     gens = tuple(rand_mat(rng, n, ag.RATIONAL, max_den=6) for _ in range(d))
     gs = ag.GeneratorSet(n=n, gens=gens, kind=ag.RATIONAL)
-    dim, _ = ag.certified_dimension(ag.clear_denominators(list(gens)), trials=2, seed=seed)
+    dim, plan = ag.certified_dimension(list(gens), trials=2, seed=seed)
+    assert (dim, plan) == ag.certified_dimension(ag.clear_denominators(gens), trials=2, seed=seed)
     assert dim == ag.dimension(gs)
