@@ -33,13 +33,14 @@ from .modp import (
     PrimeRangeError,
     bad_prime_bound,
     certified_dimension,
-    clear_denominators,
     dimension_mod_p,
     sample_prime,
 )
 from .resolvent import (
     SpanMatrixReport,
+    clear_denominators,
     default_power_exponent,
+    integer_b_minus_s,
     scale_bound,
     span_matrix,
     sum_kron,

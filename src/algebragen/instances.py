@@ -85,10 +85,13 @@ def parse_entry(text, kind: ScalarKind):
 
 
 def format_entry(x, kind: ScalarKind) -> str:
+    """Write one entry in the format ``parse_entry`` reads for its field."""
     if kind.tag == "rational":
         return str(x)
     if kind.tag == "f64":
         return repr(float(x))
+    if kind.tag != "c64":
+        raise ValueError(f"instance files hold no {kind} entries")
     z = complex(x)
     sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"  # keeps -0.0
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"

@@ -14,7 +14,10 @@ updates all affected rows of a pivot step in one numpy operation:
 * over GF(p) on int64 rows while p < INT64_MODULUS_LIMIT (3 037 000 499,
   where (p - 1)^2 + p reaches 2^63), on Python-int rows above it;
 * over Q on primitive integer rows by fraction-free (Bareiss) elimination,
-  building Fractions only for the reduced rows a caller reads.
+  from Fraction or Python-int entries, building Fractions only for the
+  reduced rows a caller reads.  ``_eliminate`` hands out the integer rows
+  and the last pivot themselves: the span matrix over Q reads the
+  adjugate of an integer matrix from them (``resolvent``).
 
 Exact results hold Python ``int`` / ``Fraction`` entries, never numpy
 integers, so later object-array products cannot wrap.
@@ -233,8 +236,9 @@ INT64_MODULUS_LIMIT = 3_037_000_499
 
 
 def _integer_rows(data: np.ndarray) -> np.ndarray:
-    """Scale each rational row by its denominator lcm and divide out the
-    content: a primitive integer row (Python ints) spanning the same line."""
+    """Scale each row of rationals or Python ints by its denominator lcm and
+    divide out the content: a primitive integer row (Python ints) spanning
+    the same line."""
     out = np.empty(data.shape, dtype=object)
     for i, row in enumerate(data):
         dens = [int(x.denominator) for x in row]
@@ -245,23 +249,30 @@ def _integer_rows(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
-    """Row echelon form over an exact kind; returns (R, pivot_cols).
+def _fractions(ints: np.ndarray, den: int = 1) -> np.ndarray:
+    """The canonical rational entries ``Fraction(v, den)`` of an integer array."""
+    out = np.empty(ints.shape, dtype=object)
+    out.flat = [Fraction(v, den) for v in ints.flat] if den != 1 else [Fraction(v) for v in ints.flat]
+    return out
 
-    With ``reduced`` the rows are eliminated above each pivot as well and R
-    is the reduced row echelon form, with entries of the kind's scalar type
-    (``int`` over GF(p), ``Fraction`` over Q).  Without it only the pivot
-    columns are meaningful and R is None: rank and range need no more.
+
+def _eliminate(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
+    """Row echelon form over an exact kind, before any conversion; returns
+    (A, pivot_cols, d).
+
+    Over GF(p) A holds the normalized rows and d is 1.  Over Q, where
+    ``data`` may hold Fractions or Python ints, A holds integer rows and d
+    is the last pivot: with ``reduced`` every pivot row ends with d on its
+    pivot column, so A / d is the reduced row echelon form.
 
     Each pivot step on row r, column c is one vectorized update of the rows
-    m it touches, with f = A[m, c].  Over GF(p) the rows are int64 when
+    m it touches, with f = A[m, c]: those below r, and with ``reduced``
+    those above it too.  Over GF(p) the rows are int64 when
     p < INT64_MODULUS_LIMIT, else Python ints, the pivot row is normalized
     and ``A[m] = (A[m] - f * A[r] % p) % p``.  Over Q the rows are primitive
     integer rows reduced by fraction-free (Bareiss) elimination,
     ``A[m] = (d * A[m] - f * A[r]) // d_prev`` with d the pivot and d_prev
-    the one before, where the division is exact.  Every pivot row then ends
-    with the last pivot on its pivot column, so R is the integer rows over
-    that one number.
+    the one before, where the division is exact.
     """
     p = kind.modulus
     if p is None:
@@ -283,7 +294,6 @@ def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        # rows to update: those below r, and in reduced form those above it
         rest = np.concatenate((order[0 if reduced else r : r], order[r + 1 :]))
         f = a[rest, c]
         if p is not None:
@@ -297,14 +307,24 @@ def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
             a[rest] = (d * a[rest] - f[:, None] * a[r]) // prev
             prev = d
         pivots.append(c)
+    return a, pivots, prev
+
+
+def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
+    """Row echelon form over an exact kind (see ``_eliminate``); returns
+    (R, pivot_cols).
+
+    With ``reduced`` R is the reduced row echelon form, with entries of the
+    kind's scalar type (``int`` over GF(p), ``Fraction`` over Q).  Without
+    it only the pivot columns are meaningful and R is None: rank and range
+    need no more.
+    """
+    a, pivots, d = _eliminate(data, kind, reduced)
     if not reduced:
         return None, pivots
-    if p is not None:
+    if kind.modulus is not None:
         return a.astype(object), pivots
-    out = np.full(a.shape, Fraction(0), dtype=object)
-    for i in range(len(pivots)):
-        out[i] = [Fraction(v, prev) for v in a[i]]
-    return out, pivots
+    return _fractions(a, d), pivots
 
 
 def _solve_exact(a: Mat, b: Mat):
@@ -342,9 +362,11 @@ class RankInfo:
 
     ``pivots`` are the pivot columns on exact kinds and None on approximate
     kinds.  ``colspace`` holds ``rank`` columns spanning the column space:
-    the pivot columns on exact kinds, the first ``rank`` left singular
-    vectors on approximate kinds.  The rank SVD computes values only, so the
-    float column space costs a second, thin SVD on first use.
+    the pivot columns on exact kinds, each made a primitive integer column
+    over Q (a span matrix's columns carry large common factors), the first
+    ``rank`` left singular vectors on approximate kinds.  The rank SVD
+    computes values only, so the float column space costs a second, thin
+    SVD on first use.
     """
 
     matrix: Mat
@@ -358,7 +380,10 @@ class RankInfo:
     def colspace(self) -> Mat:
         a = self.matrix
         if self.pivots is not None:
-            return Mat(a.data[:, list(self.pivots)], a.kind)
+            cols = a.data[:, list(self.pivots)]
+            if a.kind.tag == "rational":
+                cols = _fractions(_integer_rows(cols.T).T)
+            return Mat(cols, a.kind)
         return Mat(np.linalg.svd(a.data, full_matrices=False)[0][:, : self.rank], a.kind)
 
 

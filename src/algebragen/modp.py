@@ -1,13 +1,14 @@
 """Exact randomized dimension computation for rational generators.
 
-Denominators are cleared here, per generator, which leaves the generated
-algebra unchanged.  The unital algebra dimension of the integer generators
-that result equals the GF(p) rank of the span matrix built from B*I - S
-(``resolvent.span_matrix`` over GF(p) with scale B), S the summed Kronecker
-square and B above its total squared Frobenius norm, for all but a bounded
-number of bad primes.  A random prime below a ceiling far above that bound
-gives the right answer with high probability, and a bad prime can only
-under-count, so the maximum over several independent primes is taken.
+The exact span-matrix builder ``resolvent.integer_b_minus_s`` clears
+denominators per generator, which leaves the generated algebra unchanged,
+and forms the integer matrix X = B*I - S, S the summed Kronecker square of
+the cleared generators and B above its total squared Frobenius norm.  The
+unital algebra dimension equals the GF(p) rank of realign(X^-1), X reduced
+mod p, for all but a bounded number of bad primes.  A random prime below a
+ceiling far above that bound gives the right answer with high probability,
+and a bad prime can only under-count, so the maximum over several
+independent primes is taken.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .generators import GeneratorSet
-from .matrix import Mat, SingularMatrixError
+from .matrix import Mat, SingularMatrixError, inverse, rank, realign
 from .primes import DETERMINISTIC_LIMIT, is_prime
-from .resolvent import scale_bound, span_matrix
-from .scalars import RATIONAL, gf
+from .resolvent import integer_b_minus_s
+from .scalars import gf
 
 MIN_CEILING = 1 << 20
 DEFAULT_TRIALS = 2
@@ -54,21 +54,6 @@ class PrimePlan:
     ceiling: int
     outcomes: tuple[PrimeOutcome, ...]
     failure_probability_bound: float
-
-
-def clear_denominators(gens: Sequence[Mat]) -> list[Mat]:
-    """Scale each rational generator by its own denominator lcm.
-
-    Per-generator scaling leaves the generated algebra (and so its
-    dimension) unchanged, since every word just picks up a nonzero factor.
-    """
-    cleared = []
-    for g in gens:
-        if g.kind.tag != "rational":
-            raise ValueError("clear_denominators expects rational-kind matrices")
-        l = math.lcm(*(x.denominator for x in g.data.ravel()))
-        cleared.append(g * l if l != 1 else g)
-    return cleared
 
 
 def bad_prime_bound(n: int, b: int) -> float:
@@ -110,15 +95,17 @@ def sample_prime(bound: float, rng: np.random.Generator) -> int:
             return c
 
 
-def dimension_mod_p(gs: GeneratorSet, p: int, b: int) -> PrimeOutcome:
-    """Rank over GF(p) of the span matrix built from B*I - S, or a singular
-    skip when p divides det(B*I - S).  ``gs`` is the integer set that
-    ``certified_dimension`` builds from rational generators, ``b`` its B.
+def dimension_mod_p(x: np.ndarray, p: int) -> PrimeOutcome:
+    """Rank over GF(p) of realign(X^-1), or a singular skip when p divides
+    det X.  ``x`` is the integer X = B*I - S of ``integer_b_minus_s``; its
+    inverse mod p is that of the rational (I - S/B)^-1 / B, defined also
+    when p divides B.
     """
     try:
-        return PrimeOutcome(p=p, rank=span_matrix(gs.convert(gf(p)), scale=b).rank)
+        core = inverse(Mat.wrap(x, gf(p)))
     except SingularMatrixError:
         return PrimeOutcome(p=p, rank=None)
+    return PrimeOutcome(p=p, rank=rank(realign(core)))
 
 
 def certified_dimension(
@@ -129,8 +116,8 @@ def certified_dimension(
     forced_prime: int | None = None,
 ) -> tuple[int, PrimePlan]:
     """Dimension of the unital algebra of rational generators, certified by
-    ``trials`` random primes.  Denominators are cleared here, per generator,
-    which leaves the algebra unchanged; B is ``scale_bound`` of that set.
+    ``trials`` random primes.  X = B*I - S and B come from
+    ``integer_b_minus_s``, which clears denominators per generator.
 
     Each trial draws primes from its own stream split off ``seed`` (so
     results do not depend on evaluation order) until one is non-singular;
@@ -140,12 +127,14 @@ def certified_dimension(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for g in gens:
+        if g.kind.tag != "rational":
+            raise ValueError(f"certified_dimension needs rational generators, not {g.kind}")
     if n is None:
         if not gens:
             raise ValueError("pass n explicitly for an empty generator list")
         n = gens[0].rows
-    gs = GeneratorSet(n, tuple(clear_denominators(gens)), RATIONAL)
-    b = scale_bound(gs)
+    x, b = integer_b_minus_s(gens, n)
     bound = bad_prime_bound(n, b)
     ceiling = prime_ceiling(bound)
     per_prime = per_prime_failure_bound(bound, ceiling)
@@ -155,7 +144,7 @@ def certified_dimension(
     outcomes: list[PrimeOutcome] = []
     successes = 0
     if forced_prime is not None:
-        outcome = dimension_mod_p(gs, forced_prime, b)
+        outcome = dimension_mod_p(x, forced_prime)
         outcomes.append(outcome)
         if not outcome.singular:
             successes += 1
@@ -164,7 +153,7 @@ def certified_dimension(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
         while True:
             p = sample_prime(bound, rng)
-            outcome = dimension_mod_p(gs, p, b)
+            outcome = dimension_mod_p(x, p)
             outcomes.append(outcome)
             if not outcome.singular:
                 successes += 1

@@ -12,20 +12,28 @@ picks the series; no caller can choose another:
   word length up to k in view, where the resolvent's weights |S/B|^j lose
   the long words to rounding and leave the rank short from n = 16 on.
 * Q realigns the resolvent (I - S/B)^-1, or S/B (I - S/B)^-1 for a
-  non-unital set; B = scale_bound(gs) makes S/B a contraction.
-* GF(p) builds the resolvent from an explicit integer B as B*I - S: its
-  inverse is the reduction mod p of the rational (I - S/B)^-1 / B, defined
-  also when p divides B.  This is the certificate of the ``modp`` module.
+  non-unital set, up to a positive factor and on Python integers.  The one
+  exact builder, ``integer_b_minus_s``, clears denominators per generator
+  (the algebra does not change) and forms X = B*I - S, with B above the
+  squared Frobenius norms so that S/B is a contraction; Q realigns adj(X)
+  divided by its content, whose column space is that of the resolvent.
+* GF(p) reduces the same X mod p and inverts it there: the reduction of
+  the rational (I - S/B)^-1 / B, defined also when p divides B.  This is
+  the certificate of the ``modp`` module, which holds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat, RankInfo, inverse, kron, norm, rank_info, realign
+from .matrix import Mat, RankInfo, _eliminate, _fractions, kron, norm, rank_info, realign
+from .scalars import RATIONAL
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -36,9 +44,9 @@ class SpanMatrixReport(RankInfo):
     of the vectorized algebra that membership, basis and intersection read.
     ``variant`` names what was realigned: "power:<k>" or
     "power_nonunital:<k>" with the exponent k on float kinds, "resolvent"
-    or "resolvent_nonunital" on exact kinds.  ``scale`` is the integer B:
-    the divisor of the summed Kronecker square, or the B of B*I - S over
-    GF(p).
+    or "resolvent_nonunital" over Q.  ``scale`` is the integer B: the
+    divisor of the summed Kronecker square on floats, the B of B*I - S for
+    the generators with cleared denominators over Q.
     """
 
     variant: str
@@ -91,41 +99,89 @@ def _matrix_power(m: Mat, k: int) -> Mat:
     return Mat.identity(m.rows, m.kind) if acc is None else acc
 
 
-def span_matrix(gs: GeneratorSet, scale: int | None = None) -> SpanMatrixReport:
+def clear_denominators(gens: Sequence[Mat]) -> list[tuple[int, np.ndarray]]:
+    """Each rational generator g as (l, l g): l its denominator lcm, l g an
+    object array of Python ints.
+
+    Per-generator scaling leaves the generated algebra (and so its
+    dimension) unchanged, since every word just picks up a nonzero factor.
+    """
+    cleared = []
+    for g in gens:
+        if g.kind.tag != "rational":
+            raise ValueError("clear_denominators expects rational-kind matrices")
+        l = math.lcm(*(x.denominator for x in g.data.ravel()))
+        ints = [x.numerator * (l // x.denominator) for x in g.data.ravel()]
+        cleared.append((l, np.array(ints, dtype=object).reshape(g.data.shape)))
+    return cleared
+
+
+def integer_b_minus_s(gens: Sequence[Mat], n: int) -> tuple[np.ndarray, int]:
+    """(X, B) with X = B*I - S on Python ints, S the summed Kronecker square
+    of the rational generators with denominators cleared and B = ceil(sum
+    of their squared Frobenius norms) + 1.  This is the one span-matrix
+    builder of the exact kinds: Q realigns adj(X), GF(p) reduces X mod p.
+    Python ints rather than int64, since products of wide entries wrap.
+    """
+    nn = n * n
+    x = np.zeros((nn, nn), dtype=object)
+    b = 1
+    for _, g in clear_denominators(gens):
+        x -= np.kron(g, g)
+        b += int((g * g).sum())
+    x[np.diag_indices(nn)] += b
+    return x, b
+
+
+def _rational_span(gs: GeneratorSet) -> tuple[np.ndarray, int]:
+    """The content-reduced adjugate of X = B*I - S over Q, or of
+    S adj(X) for a non-unital set, and B.
+
+    One fraction-free elimination of [X | I] leaves d X^-1 in the right
+    half, d the last pivot.  Divided by its content it is a positive
+    multiple of X^-1 and so of the resolvent (I - S/B)^-1: the same column
+    space, symmetric PSD.  d is positive: each Bareiss pivot is a leading
+    principal minor B*I - S_k of X, and |S_k| <= |S| < B puts every
+    eigenvalue of S_k inside the disc of radius B, so the minor, a product
+    of B - lambda over real and conjugate pairs, is positive and no rows
+    are swapped.
+    """
+    x, b = integer_b_minus_s(gs.gens, gs.n)
+    nn = x.shape[0]
+    eye = np.identity(nn, dtype=int).astype(object)
+    a, _, d = _eliminate(np.concatenate([x, eye], axis=1), RATIONAL)
+    c = math.gcd(*a[:, nn:].ravel())
+    core = a[:, nn:] // c
+    if not gs.unital:
+        # S core = (B I - X) core, and X core = (d / c) I
+        core = b * core - (d // c) * eye
+    return core, b
+
+
+def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
     """Build the span matrix of ``gs`` (see the module docstring) and its rank.
 
-    B is scale_bound(gs), except over GF(p), where ``scale`` must be that
-    integer B computed over Q and SingularMatrixError means p divides
-    det(B*I - S); no other kind takes a ``scale``.
+    GF(p) sets are refused: their B is that of the rational set they reduce
+    (see ``modp``).
     """
-    gfp = gs.kind.tag == "gfp"
-    if gfp and not isinstance(scale, int):
-        raise ValueError("span matrices over GF(p) need an explicit integer scale B")
-    if not gfp and scale is not None:
-        raise ValueError("only span matrices over GF(p) take an explicit scale")
-
-    s = sum_kron(gs)
-    eye = Mat.identity(gs.n * gs.n, gs.kind)
-    if gfp:
-        b, eye = scale, eye * scale
+    if gs.kind.tag == "gfp":
+        raise ValueError("span matrices over GF(p) are built from a rational set in modp")
+    if gs.kind.exact:
+        core, b = _rational_span(gs)
+        variant = "resolvent" if gs.unital else "resolvent_nonunital"
+        # rank the integer entries, then hand out canonical Fractions
+        info = rank_info(realign(Mat(core, RATIONAL)))
+        info = replace(info, matrix=Mat(_fractions(info.matrix.data), RATIONAL))
     else:
         b = scale_bound(gs)
-        s = s / b
-
-    if not gs.kind.exact:
         k = default_power_exponent(gs.n)
-        step = eye + s
-        # free what the products do not read: each copy is 2.6 MB at n = 24
-        del eye
+        s = sum_kron(gs) / b
+        step = Mat.identity(gs.n * gs.n, gs.kind) + s
         if gs.unital:
+            # free what the products do not read: each copy is 2.6 MB at n = 24
             del s
             core, variant = _matrix_power(step, k), f"power:{k}"
         else:
             core, variant = s @ _matrix_power(step, k - 1), f"power_nonunital:{k}"
-    elif gs.unital:
-        core, variant = inverse(eye - s), "resolvent"
-    else:
-        core, variant = s @ inverse(eye - s), "resolvent_nonunital"
-
-    info = rank_info(realign(core))
+        info = rank_info(realign(core))
     return SpanMatrixReport(**vars(info), variant=variant, scale=b)

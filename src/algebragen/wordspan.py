@@ -21,12 +21,14 @@ word certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _project_out, _rref, _solve_exact, vec
+from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _fractions, _project_out, _rref, _solve_exact, vec
+from .resolvent import clear_denominators
 from .scalars import ScalarKind
 
 
@@ -47,8 +49,21 @@ class WordBasis:
 
 
 def word_span(gs: GeneratorSet) -> WordBasis:
-    """Breadth-first word basis of the algebra generated by ``gs``."""
+    """Breadth-first word basis of the algebra generated by ``gs``.
+
+    Over Q the products are taken of the integer generators l_i g_i of
+    ``clear_denominators``: a word of them is a nonzero multiple of the
+    word of the g_i, so the same words are kept, and only the kept ones
+    are divided back by their product of l_i into Fraction entries.
+    """
     full = gs.n * gs.n
+    gens, eye = gs.gens, Mat.identity(gs.n, gs.kind)
+    if gs.kind.tag == "rational":
+        # Python ints inside these Mats, until the kept words are divided back
+        cleared = clear_denominators(gs.gens)
+        gens = [Mat(ints, gs.kind) for _, ints in cleared]
+        lcms = [l for l, _ in cleared]
+        eye = Mat(np.identity(gs.n, dtype=int).astype(object), gs.kind)
     kept: list[np.ndarray] = []  # vectorized kept words, exact kinds only
     # approximate kinds only: orthonormal columns spanning the kept words,
     # the first len(words) of them filled
@@ -84,11 +99,14 @@ def word_span(gs: GeneratorSet) -> WordBasis:
         return layer
 
     if gs.unital:
-        frontier = keep([((), Mat.identity(gs.n, gs.kind))])
+        frontier = keep([((), eye)])
     else:
-        frontier = keep([((i,), g) for i, g in enumerate(gs.gens)])
+        frontier = keep([((i,), g) for i, g in enumerate(gens)])
     while frontier and len(words) < full:
-        frontier = keep([(word + (i,), m @ g) for word, m in frontier for i, g in enumerate(gs.gens)])
+        frontier = keep([(word + (i,), m @ g) for word, m in frontier for i, g in enumerate(gens)])
+
+    if gs.kind.tag == "rational":
+        mats = [Mat(_fractions(m.data, math.prod(lcms[i] for i in w)), gs.kind) for w, m in zip(words, mats)]
 
     return WordBasis(n=gs.n, kind=gs.kind, unital=gs.unital, words=tuple(words), mats=tuple(mats))
 

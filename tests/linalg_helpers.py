@@ -6,6 +6,8 @@ checks on the span matrix (it is PSD) and on the mod-p certificate (a
 singular skip means p divides det(B*I - S)).
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from algebragen.matrix import Mat
@@ -82,7 +84,7 @@ def is_psd(a: Mat, tol: float | None = None) -> bool:
         d = w[piv, piv]
         for i in active:
             if w[i, piv] != 0:
-                f = w[i, piv] / d
+                f = Fraction(w[i, piv], d)
                 for j in active:
                     w[i, j] = w[i, j] - f * w[piv, j]
     return True

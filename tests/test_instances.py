@@ -67,3 +67,9 @@ def test_n_must_be_a_json_integer(n):
         instance_from_dict(json.loads(json.dumps(doc)))
     doc["n"] = 2
     assert instance_from_dict(doc).n == 2
+
+
+def test_grid_of_refuses_gfp_entries():
+    m = ag.Mat.from_rows([[1, 2], [3, 4]], ag.gf(7))
+    with pytest.raises(ValueError, match="gfp:7"):
+        grid_of(m)

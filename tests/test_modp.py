@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
+from algebragen import wordspan
 
 from conftest import rand_int_generator_set, rand_mat
 from linalg_helpers import det
@@ -23,7 +26,8 @@ def test_forced_prime_dividing_det_is_a_singular_skip():
         q = next((q for q in (2, 3, 5, 7, 11, 13) if det.numerator % q == 0), None)
         if q is not None:
             break
-    assert ag.dimension_mod_p(gs, q, ag.scale_bound(gs)) == ag.PrimeOutcome(p=q, rank=None)
+    x, _ = ag.integer_b_minus_s(gs.gens, gs.n)
+    assert ag.dimension_mod_p(x, q) == ag.PrimeOutcome(p=q, rank=None)
     dim, plan = ag.certified_dimension(list(gs.gens), trials=1, seed=0, forced_prime=q)
     assert plan.outcomes[0] == ag.PrimeOutcome(p=q, rank=None)
     assert not plan.outcomes[-1].singular
@@ -41,11 +45,13 @@ def test_prime_plan_is_seed_deterministic():
 
 
 def test_precomputed_b_gives_the_same_outcome():
+    # one integer B*I - S serves every prime
     rng = random.Random(5)
     gs = rand_int_generator_set(rng, 3, 2, True)
-    b = ag.scale_bound(gs)
+    x, b = ag.integer_b_minus_s(gs.gens, gs.n)
+    assert b == ag.scale_bound(gs)
     for p in (1048583, 4294967311):  # int64 rows, then Python-int rows
-        assert ag.dimension_mod_p(gs, p, b) == ag.PrimeOutcome(p=p, rank=reference_mod_p(gs, p))
+        assert ag.dimension_mod_p(x, p) == ag.PrimeOutcome(p=p, rank=reference_mod_p(gs, p))
 
 
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 10**6))
@@ -76,9 +82,9 @@ def test_dimension_mod_p_matches_reference():
     divides_b = singular = 0
     for _ in range(60):
         gs = rand_int_generator_set(rng, rng.randint(1, 3), rng.randint(0, 3), True, lo=-2, hi=2)
-        b = ag.scale_bound(gs)
+        x, b = ag.integer_b_minus_s(gs.gens, gs.n)
         for p in (2, 3, 5, 7, 1048583):
-            outcome = ag.dimension_mod_p(gs, p, b)
+            outcome = ag.dimension_mod_p(x, p)
             assert outcome == ag.PrimeOutcome(p=p, rank=reference_mod_p(gs, p))
             divides_b += b % p == 0
             singular += outcome.singular
@@ -92,5 +98,48 @@ def test_clear_denominators_keeps_the_dimension(n, d, seed):
     gens = tuple(rand_mat(rng, n, ag.RATIONAL, max_den=6) for _ in range(d))
     gs = ag.GeneratorSet(n=n, gens=gens, kind=ag.RATIONAL)
     dim, plan = ag.certified_dimension(list(gens), trials=2, seed=seed)
-    assert (dim, plan) == ag.certified_dimension(ag.clear_denominators(gens), trials=2, seed=seed)
+    cleared = [ag.Mat.from_rows(ints.tolist(), ag.RATIONAL) for _, ints in ag.clear_denominators(gens)]
+    assert (dim, plan) == ag.certified_dimension(cleared, trials=2, seed=seed)
     assert dim == ag.dimension(gs)
+
+
+def test_clear_denominators_gives_python_ints():
+    g = ag.Mat.from_rows([["1/3", "2/5"], ["-1", "0"]], ag.RATIONAL)
+    ((l, ints),) = ag.clear_denominators([g])
+    assert l == 15 and ints.tolist() == [[5, 6], [-15, 0]]
+    assert all(type(v) is int for v in ints.ravel())
+
+
+def test_integer_b_minus_s_is_the_cleared_resolvent_matrix():
+    # X = B*I - S of the cleared set, on Python ints, for mixed denominators
+    rng = random.Random(11)
+    gens = [ag.Mat.from_rows([[Fraction(rng.randint(-3, 3), rng.choice((1, den))) for _ in range(3)]
+                              for _ in range(3)], ag.RATIONAL) for den in (3, 5, 7)]
+    x, b = ag.integer_b_minus_s(gens, 3)
+    cleared = ag.GeneratorSet.of(*(ag.Mat.from_rows(ints.tolist(), ag.RATIONAL)
+                                   for _, ints in ag.clear_denominators(gens)))
+    assert b == ag.scale_bound(cleared)
+    assert ag.Mat.wrap(x, ag.RATIONAL) == ag.Mat.identity(9, ag.RATIONAL) * b - ag.sum_kron(cleared)
+    assert all(type(v) is int for v in x.ravel())
+    empty, b0 = ag.integer_b_minus_s([], 2)
+    assert b0 == 1 and empty.tolist() == np.identity(4, dtype=int).tolist()
+
+
+def test_certified_dimension_with_wide_entries():
+    # entries >= 2^40: B*I - S holds entries near 2^82, far past int64,
+    # and every prime still sees the rank of the rational span matrix
+    rng = random.Random(19)
+    for k in range(3):
+        base = 1 << 40
+        gens = [ag.Mat.from_rows([[Fraction(base + rng.randint(0, 9), den) if j >= i else 0 for j in range(3)]
+                                  for i in range(3)], ag.RATIONAL) for den in (3, 5, 7)[: k + 1]]
+        x, _ = ag.integer_b_minus_s(gens, 3)
+        assert max(abs(v) for v in x.ravel()) > 1 << 80
+        dim, plan = ag.certified_dimension(gens, trials=2, seed=k)
+        assert dim == ag.dimension(ag.GeneratorSet.of(*gens)) == wordspan.dimension(ag.GeneratorSet.of(*gens))
+
+
+def test_certified_dimension_refuses_float_generators():
+    for kind in (ag.F64, ag.C64):
+        with pytest.raises(ValueError, match=f"certified_dimension.*{kind}"):
+            ag.certified_dimension([ag.Mat.identity(2, kind)], trials=1, seed=0)

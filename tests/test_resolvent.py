@@ -74,18 +74,48 @@ def test_default_power_exponent():
 
 def _realigned_resolvent(gs, b):
     s = ag.sum_kron(gs) / b
-    return ag.realign(ag.inverse(ag.Mat.identity(gs.n * gs.n, gs.kind) - s))
+    core = ag.inverse(ag.Mat.identity(gs.n * gs.n, gs.kind) - s)
+    return ag.realign(core if gs.unital else s @ core)
+
+
+def _assert_same_colspace(u, v):
+    assert ag.rank(u) == ag.rank(v)
+    for a, b in ((u, v), (v, u)):
+        for j in range(a.cols):
+            assert ag.in_range(b, a.col(j))[0]
+
+
+# realign(adj(X)) / content for the triangular pair cleared to x1 = E11 and
+# x2 = E12 + E23, X = 4 I - S with B = 1 + 2 + 1
+GOLDEN_INTEGER_SPAN_ROWS = [
+    [16, 0, 0, 0, 12, 0, 0, 0, 12],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 4, 0, 0, 0, 3, 0],
+    [12, 0, 0, 0, 12, 0, 0, 0, 12],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 3, 0, 0, 0, 3, 0],
+    [12, 0, 0, 0, 12, 0, 0, 0, 12],
+]
 
 
 def test_golden_span_matrix(tri_gens, golden_span):
     assert _realigned_resolvent(tri_gens, 1) == golden_span
     assert is_psd(golden_span)
     rep = ag.span_matrix(tri_gens)
-    assert rep.matrix == _realigned_resolvent(tri_gens, 2)
+    assert rep.matrix == ag.Mat.from_rows(GOLDEN_INTEGER_SPAN_ROWS, ag.RATIONAL)
     assert rep.rank == 5
-    assert rep.scale == 2
+    assert rep.scale == 4
     assert rep.singular_values is None
     assert is_psd(rep.matrix)
+    # a positive multiple of the cleared pair's realigned resolvent, with
+    # the column space of the golden resolvent of the pair itself
+    cleared = ag.GeneratorSet.of(*(g * 3 for g in tri_gens.gens))
+    ref = _realigned_resolvent(cleared, 4)
+    ratio = rep.matrix.data[0, 0] / ref.data[0, 0]
+    assert ratio > 0 and rep.matrix == ref * ratio
+    _assert_same_colspace(rep.colspace, golden_span)
 
 
 def test_empty_generators_unital():
@@ -110,10 +140,12 @@ def test_nilpotent_nonunital_rank(tri_gens):
 
 
 def test_variant_validation(tri_gens):
-    # B = scale_bound(gs) outside GF(p); only GF(p) takes an explicit scale
-    for kind in (ag.RATIONAL, ag.F64, ag.C64):
-        with pytest.raises(ValueError):
-            ag.span_matrix(tri_gens.convert(kind), scale=2)
+    # B is that of the cleared set over Q and scale_bound(gs) on floats;
+    # GF(p) sets are refused (test_gfp_rejected)
+    assert ag.span_matrix(tri_gens).scale == ag.integer_b_minus_s(tri_gens.gens, 3)[1] == 4
+    for kind in (ag.F64, ag.C64):
+        gs = tri_gens.convert(kind)
+        assert ag.span_matrix(gs).scale == ag.scale_bound(gs) == 2
 
 
 def test_variant_names(tri_gens):
@@ -134,33 +166,75 @@ def test_gfp_rejected():
 
 
 def test_explicit_scale_checked():
-    # only GF(p) takes an explicit scale (test_variant_validation), and
-    # there it must be the integer B
+    # the B of the one integer builder, over Q and over GF(p)
     gs = ag.GeneratorSet.of(ag.Mat.identity(3, ag.RATIONAL) * 4)
-    assert ag.span_matrix(gs).scale == 49  # scale_bound: 3 * 4^2 + 1
-    gsp = gs.convert(ag.gf(GF_PRIME))
-    for scale in (None, Fraction(100), 49.0):
-        with pytest.raises(ValueError):
-            ag.span_matrix(gsp, scale=scale)
-    assert ag.span_matrix(gsp, scale=49).rank == 1
+    assert ag.span_matrix(gs).scale == 49  # 3 * 4^2 + 1
+    x, b = ag.integer_b_minus_s(gs.gens, 3)
+    assert b == 49
+    assert ag.dimension_mod_p(x, GF_PRIME).rank == 1
+    with pytest.raises(ValueError):
+        ag.span_matrix(gs.convert(ag.gf(GF_PRIME)))
 
 
 def test_scale_invariance_rank_and_range():
-    # over GF(p) the integer B is explicit: B and 4B span the same algebra
+    # B and 4B span the same algebra: over Q the realigned resolvent at 4B
+    # has the span matrix's column space, over GF(p) X + 3B I its rank
     rng = random.Random(23)
     for _ in range(10):
         gs = rand_int_generator_set(rng, rng.randint(2, 3), rng.randint(1, 2), rng.random() < 0.5)
-        b = ag.scale_bound(gs)
-        gsp = gs.convert(ag.gf(GF_PRIME))
-        auto = ag.span_matrix(gsp, scale=b)
-        explicit = ag.span_matrix(gsp, scale=4 * b)
-        assert auto.rank == explicit.rank == ag.span_matrix(gs).rank
-        # identical column spaces: each basis column of one lies in the other
-        ua, ue = auto.colspace, explicit.colspace
-        for j in range(ua.cols):
-            assert ag.in_range(ue, ua.col(j))[0]
-        for j in range(ue.cols):
-            assert ag.in_range(ua, ue.col(j))[0]
+        rep = ag.span_matrix(gs)
+        wide = ag.rank_info(_realigned_resolvent(gs, 4 * rep.scale))
+        assert wide.rank == rep.rank
+        _assert_same_colspace(rep.colspace, wide.colspace)
+        if gs.unital:
+            x, b = ag.integer_b_minus_s(gs.gens, gs.n)
+            x4 = x + 3 * b * np.identity(gs.n * gs.n, dtype=int).astype(object)
+            assert ag.dimension_mod_p(x, GF_PRIME).rank == ag.dimension_mod_p(x4, GF_PRIME).rank == rep.rank
+
+
+def _mixed_set(rng, n, d, unital):
+    """Generator i has entries over (3, 5, 7)[i % 3]: mixed per-generator
+    denominators."""
+    gens = tuple(
+        ag.Mat.from_rows([[Fraction(rng.randint(-3, 3), rng.choice((1, (3, 5, 7)[i % 3]))) for _ in range(n)]
+                          for _ in range(n)], ag.RATIONAL)
+        for i in range(d)
+    )
+    return ag.GeneratorSet(n, gens, ag.RATIONAL, unital)
+
+
+def _builder_sets():
+    rng = random.Random(43)
+    np_rng = np.random.default_rng(43)
+    sets = []
+    for unital in (True, False):
+        for n, d in ((2, 1), (2, 3), (3, 1), (3, 2), (4, 2)):
+            sets.append(_mixed_set(rng, n, d, unital))
+        # block upper triangular for (1, 2): a proper subalgebra
+        tri = [ag.Mat.from_rows(np.triu(np_rng.integers(-3, 4, (3, 3))).tolist(), ag.RATIONAL) * Fraction(1, den)
+               for den in (3, 5, 7)]
+        sets.append(ag.GeneratorSet(3, tuple(tri), ag.RATIONAL, unital))
+        sets.append(ag.GeneratorSet(3, (), ag.RATIONAL, unital))  # the empty set
+        sets.append(ag.GeneratorSet.of(ag.Mat.zeros(3, 3, ag.RATIONAL), unital=unital))  # the zero algebra
+    return sets
+
+
+@pytest.mark.parametrize("gs", _builder_sets(), ids=lambda gs: f"n{gs.n}-d{gs.d}-{'u' if gs.unital else 'nu'}")
+def test_integer_builder_keeps_the_fraction_resolvent_colspace(gs):
+    rep = ag.span_matrix(gs)
+    ref = _realigned_resolvent(gs, ag.scale_bound(gs))
+    assert rep.rank == ag.rank(ref) == wordspan.dimension(gs)
+    _assert_same_colspace(rep.colspace, ref)
+    assert is_psd(rep.matrix)
+
+
+def test_rational_outputs_hold_fractions():
+    rng = random.Random(47)
+    for unital in (True, False):
+        gs = _mixed_set(rng, 3, 2, unital)
+        rep = ag.span_matrix(gs)
+        outs = [rep.matrix, rep.colspace, *ag.basis(gs).mats, *wordspan.word_span(gs).mats]
+        assert all(type(x) is Fraction for m in outs for x in m.data.ravel())
 
 
 def test_psd_across_variants():

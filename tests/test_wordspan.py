@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,9 +93,9 @@ def test_float_backend(tri_gens):
 
 
 def test_gfp_backend(tri_gens):
-    cleared = ag.clear_denominators(tri_gens.gens)
     kind = ag.gf(101)
-    gs = ag.GeneratorSet(n=3, gens=tuple(g.convert(kind) for g in cleared), kind=kind)
+    cleared = tuple(ag.Mat.wrap(ints, kind) for _, ints in ag.clear_denominators(tri_gens.gens))
+    gs = ag.GeneratorSet(n=3, gens=cleared, kind=kind)
     assert wordspan.dimension(gs) == 5
 
 
@@ -159,6 +160,24 @@ def test_word_span_keeps_the_greedy_words(kind, n, d, unital, seed):
     gs = ag.GeneratorSet(n=n, gens=gens, kind=kind, unital=unital)
     wb = wordspan.word_span(gs)
     assert wb.words == greedy_words(gs)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_rational_word_span_matches_fraction_products(n, d, unital, seed):
+    # integer products of the cleared generators keep the words and the
+    # Fraction matrices of products of the generators themselves
+    rng = random.Random(seed)
+    gens = tuple(
+        ag.Mat.from_rows([[Fraction(rng.randint(-2, 2), rng.choice((1, (3, 5, 7)[i]))) for _ in range(n)]
+                          for _ in range(n)], ag.RATIONAL)
+        for i in range(d)
+    )
+    gs = ag.GeneratorSet(n=n, gens=gens, kind=ag.RATIONAL, unital=unital)
+    wb = wordspan.word_span(gs)
+    assert wb.words == greedy_words(gs)
+    assert wb.mats == tuple(word_value(gs, w) for w in wb.words)
+    assert all(type(x) is Fraction for m in wb.mats for x in m.data.ravel())
 
 
 @pytest.mark.parametrize("kind", [ag.F64, ag.C64], ids=str)
