@@ -17,9 +17,6 @@ from .matrix import (
     SingularMatrixError,
     in_range,
     inverse,
-    kron,
-    norm,
-    null_space,
     rank,
     rank_info,
     realign,
@@ -27,24 +24,8 @@ from .matrix import (
     unvec,
     vec,
 )
-from .modp import (
-    PrimeOutcome,
-    PrimePlan,
-    PrimeRangeError,
-    bad_prime_bound,
-    certified_dimension,
-    dimension_mod_p,
-    sample_prime,
-)
-from .resolvent import (
-    SpanMatrixReport,
-    clear_denominators,
-    default_power_exponent,
-    integer_b_minus_s,
-    scale_bound,
-    span_matrix,
-    sum_kron,
-)
+from .modp import PrimeOutcome, PrimePlan, PrimeRangeError, certified_dimension, dimension_mod_p
+from .resolvent import SpanMatrixReport, span_matrix
 from .scalars import C64, F64, RATIONAL, ScalarKind, gf
 from .wordspan import WordBasis, express, word_span
 

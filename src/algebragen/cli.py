@@ -15,6 +15,7 @@ to stderr.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -210,23 +211,27 @@ def cmd_bench(args) -> int:
     else:
         raise ParseError("bench needs an instance path or --random N D COUNT")
 
+    # open the CSV file before the timing, so that a bad path fails at once
+    try:
+        out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else contextlib.nullcontext()
+    except OSError as e:
+        raise ParseError(f"cannot write {args.csv}: {e}") from None
     rows = []
     disagreement = False
-    for label, gs in instances:
-        t0 = time.perf_counter()
-        rep = span_matrix(gs)
-        dim_fast = rep.rank
-        t_fast = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dim_oracle = wordspan.dimension(gs)
-        t_oracle = time.perf_counter() - t0
-        agrees = dim_fast == dim_oracle
-        disagreement = disagreement or not agrees
-        rows.append({"label": label, "n": gs.n, "d": gs.d, "method": rep.variant, "dim": dim_fast, "seconds": round(t_fast, 6), "agrees": agrees})
-        rows.append({"label": label, "n": gs.n, "d": gs.d, "method": "wordspan", "dim": dim_oracle, "seconds": round(t_oracle, 6), "agrees": agrees})
-
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+    with out as fh:
+        for label, gs in instances:
+            t0 = time.perf_counter()
+            rep = span_matrix(gs)
+            dim_fast = rep.rank
+            t_fast = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            dim_oracle = wordspan.dimension(gs)
+            t_oracle = time.perf_counter() - t0
+            agrees = dim_fast == dim_oracle
+            disagreement = disagreement or not agrees
+            rows.append({"label": label, "n": gs.n, "d": gs.d, "method": rep.variant, "dim": dim_fast, "seconds": round(t_fast, 6), "agrees": agrees})
+            rows.append({"label": label, "n": gs.n, "d": gs.d, "method": "wordspan", "dim": dim_oracle, "seconds": round(t_oracle, 6), "agrees": agrees})
+        if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(["label", "n", "d", "method", "dim", "seconds", "agrees"])
             for row in rows:

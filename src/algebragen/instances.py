@@ -97,14 +97,8 @@ def format_entry(x, kind: ScalarKind) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def _looks_rational(doc: dict) -> bool:
-    for grid in doc.get("generators", []):
-        for row in grid:
-            for entry in row:
-                s = str(entry).strip() if not isinstance(entry, str) else entry.strip()
-                if not _RATIONAL_RE.match(s):
-                    return False
-    return True
+def _looks_rational(grids: list) -> bool:
+    return all(_RATIONAL_RE.match(str(e).strip()) for grid in grids for row in grid for e in row)
 
 
 @dataclass(frozen=True)
@@ -133,10 +127,15 @@ def instance_from_dict(doc: dict, field: str | None = None, unital: bool | None 
     grids = doc.get("generators", [])
     if not isinstance(grids, list):
         raise ParseError('"generators" must be a list of grids')
+    for gi, grid in enumerate(grids):
+        if not isinstance(grid, list) or len(grid) != n or any(
+            not isinstance(row, list) or len(row) != n for row in grid
+        ):
+            raise ParseError(f"generator {gi} is not an {n}x{n} grid")
     if field is None:
         field = doc.get("field")
     if field is None:
-        field = "rational" if _looks_rational(doc) else "f64"
+        field = "rational" if _looks_rational(grids) else "f64"
     kind = kind_from_field(field)
     if unital is None:
         unital = doc.get("unital", True)
@@ -145,10 +144,6 @@ def instance_from_dict(doc: dict, field: str | None = None, unital: bool | None 
 
     gens = []
     for gi, grid in enumerate(grids):
-        if not isinstance(grid, list) or len(grid) != n or any(
-            not isinstance(row, list) or len(row) != n for row in grid
-        ):
-            raise ParseError(f"generator {gi} is not an {n}x{n} grid")
         try:
             mat = Mat.wrap(
                 np.array(

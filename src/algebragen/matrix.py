@@ -1,8 +1,8 @@
 """Dense matrices over the four scalar backends.
 
-Provides the three structural maps (column-stacking vectorization, the block
-realignment involution on n^2 x n^2 matrices, and the Kronecker product in
-its block form) together with exact and numerical rank and column space.
+Provides the two structural maps (column-stacking vectorization and the
+block realignment involution on n^2 x n^2 matrices) together with exact and
+numerical rank and column space.
 Float distances from a span have one rule, ``_project_out``: a vector lies
 in the span of orthonormal columns Q when what is left of it after
 projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.
@@ -25,8 +25,8 @@ integers, so later object-array products cannot wrap.
 Conventions fixed here and relied on everywhere else:
 
 * storage is row-major, ``vec`` stacks columns;
-* ``kron(A, B)`` is the block matrix whose (k, l) block is ``B[k, l] * A``,
-  so that ``realign(kron(A, B)) == vec(A) @ vec(B).T``.
+* ``np.kron(B, A)`` is the block matrix whose (k, l) block is
+  ``B[k, l] * A``, so that ``realign(np.kron(B, A)) == vec(A) @ vec(B).T``.
 """
 
 from __future__ import annotations
@@ -115,11 +115,6 @@ class Mat:
     def T(self) -> "Mat":
         return Mat(self.data.T, self.kind)
 
-    def conj(self) -> "Mat":
-        if self.kind.tag == "c64":
-            return Mat(np.conj(self.data), self.kind)
-        return self
-
     def col(self, j: int) -> "Mat":
         return Mat(self.data[:, j : j + 1], self.kind)
 
@@ -165,14 +160,6 @@ class Mat:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, s) -> "Mat":
-        if self.kind.tag == "gfp":
-            inv = pow(self.kind.coerce(s), -1, self.kind.modulus)
-            return self.scale(inv)
-        if self.kind.tag == "rational":
-            return self.scale(Fraction(1, 1) / Fraction(s))
-        return self.scale(1.0 / s)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
@@ -183,12 +170,6 @@ class Mat:
 
 
 # -- structural maps ----------------------------------------------------
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product whose (k, l) block is ``b[k, l] * a``."""
-    a._check_kind(b)
-    return Mat.wrap(np.kron(b.data, a.data), a.kind)
 
 
 def vec(a: Mat) -> Mat:
@@ -213,19 +194,6 @@ def realign(a: Mat) -> Mat:
         raise ValueError(f"realign needs an n^2 x n^2 matrix, got {a.rows}x{a.cols}")
     out = a.data.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
     return Mat.wrap(out, a.kind)
-
-
-# -- norms ---------------------------------------------------------------
-
-
-def norm(a: Mat):
-    """Frobenius norm; *squared* on the rational backend, so the result
-    stays in the field: compare squared quantities there."""
-    if a.kind.tag == "gfp":
-        raise ValueError("norms are not defined over GF(p)")
-    if a.kind.tag == "rational":
-        return sum((x * x for x in a.data.ravel()), Fraction(0))
-    return float(np.linalg.norm(a.data, "fro"))
 
 
 # -- exact elimination ----------------------------------------------------

@@ -1,11 +1,11 @@
 """Exact randomized dimension computation for rational generators.
 
-The exact span-matrix builder ``resolvent.integer_b_minus_s`` clears
-denominators per generator, which leaves the generated algebra unchanged,
-and forms the integer matrix X = B*I - S, S the summed Kronecker square of
-the cleared generators and B above its total squared Frobenius norm.  The
-unital algebra dimension equals the GF(p) rank of realign(X^-1), X reduced
-mod p, for all but a bounded number of bad primes.  A random prime below a
+The span-matrix builder ``resolvent.kron_square`` clears denominators per
+generator, which leaves the generated algebra unchanged, and forms S, the
+summed Kronecker square of the cleared generators, and B above their total
+squared Frobenius norm, both on Python ints.  With X = B*I - S the unital
+algebra dimension equals the GF(p) rank of realign(X^-1), X reduced mod p,
+for all but a bounded number of bad primes.  A random prime below a
 ceiling far above that bound gives the right answer with high probability,
 and a bad prime can only under-count, so the maximum over several
 independent primes is taken.
@@ -19,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .generators import GeneratorSet
 from .matrix import Mat, SingularMatrixError, inverse, rank, realign
 from .primes import DETERMINISTIC_LIMIT, is_prime
-from .resolvent import integer_b_minus_s
-from .scalars import gf
+from .resolvent import kron_square
+from .scalars import RATIONAL, gf
 
 MIN_CEILING = 1 << 20
 DEFAULT_TRIALS = 2
@@ -97,7 +98,7 @@ def sample_prime(bound: float, rng: np.random.Generator) -> int:
 
 def dimension_mod_p(x: np.ndarray, p: int) -> PrimeOutcome:
     """Rank over GF(p) of realign(X^-1), or a singular skip when p divides
-    det X.  ``x`` is the integer X = B*I - S of ``integer_b_minus_s``; its
+    det X.  ``x`` is the integer X = B*I - S of ``certified_dimension``; its
     inverse mod p is that of the rational (I - S/B)^-1 / B, defined also
     when p divides B.
     """
@@ -116,8 +117,8 @@ def certified_dimension(
     forced_prime: int | None = None,
 ) -> tuple[int, PrimePlan]:
     """Dimension of the unital algebra of rational generators, certified by
-    ``trials`` random primes.  X = B*I - S and B come from
-    ``integer_b_minus_s``, which clears denominators per generator.
+    ``trials`` random primes.  X = B*I - S is formed from the S and B of
+    ``kron_square``, which clears denominators per generator.
 
     Each trial draws primes from its own stream split off ``seed`` (so
     results do not depend on evaluation order) until one is non-singular;
@@ -134,7 +135,8 @@ def certified_dimension(
         if not gens:
             raise ValueError("pass n explicitly for an empty generator list")
         n = gens[0].rows
-    x, b = integer_b_minus_s(gens, n)
+    s, b = kron_square(GeneratorSet(n, tuple(gens), RATIONAL))
+    x = b * np.identity(n * n, dtype=object) - s
     bound = bad_prime_bound(n, b)
     ceiling = prime_ceiling(bound)
     per_prime = per_prime_failure_bound(bound, ceiling)

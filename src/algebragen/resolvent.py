@@ -4,19 +4,23 @@ The span matrix realigns a series in S, the summed Kronecker square of the
 generators (right factor conjugated).  Realigned, S^j is the sum of
 vec(w) vec(w)^H over the words w of length j, so the result is symmetric
 positive semi-definite, its column space is the vectorized algebra once the
-words saturate, and its rank is the algebra's dimension.  The scalar kind
-picks the series; no caller can choose another:
+words saturate, and its rank is the algebra's dimension.
+
+One builder, ``kron_square``, forms S and the integer B = ceil(sum of the
+squared Frobenius norms of the generators) + 1, which makes S/B a
+contraction, for every kind: on the kind's float dtype, and over Q on
+Python integers from the generators with denominators cleared per
+generator (the algebra does not change).  The scalar kind picks the series;
+no caller can choose another:
 
 * floats realign (I + S/B)^k at k = default_power_exponent(n), or
   S/B (I + S/B)^(k-1) for a non-unital set.  Its binomial weights keep every
   word length up to k in view, where the resolvent's weights |S/B|^j lose
   the long words to rounding and leave the rank short from n = 16 on.
 * Q realigns the resolvent (I - S/B)^-1, or S/B (I - S/B)^-1 for a
-  non-unital set, up to a positive factor and on Python integers.  The one
-  exact builder, ``integer_b_minus_s``, clears denominators per generator
-  (the algebra does not change) and forms X = B*I - S, with B above the
-  squared Frobenius norms so that S/B is a contraction; Q realigns adj(X)
-  divided by its content, whose column space is that of the resolvent.
+  non-unital set, up to a positive factor and on Python integers: adj(X)
+  for X = B*I - S, divided by its content, whose column space is that of
+  the resolvent.
 * GF(p) reduces the same X mod p and inverts it there: the reduction of
   the rational (I - S/B)^-1 / B, defined also when p divides B.  This is
   the certificate of the ``modp`` module, which holds it.
@@ -26,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat, RankInfo, _eliminate, _fractions, kron, norm, rank_info, realign
+from .matrix import Mat, RankInfo, _eliminate, _fractions, rank_info, realign
 from .scalars import RATIONAL
 
 
@@ -51,31 +54,6 @@ class SpanMatrixReport(RankInfo):
 
     variant: str
     scale: int
-
-
-def sum_kron(gs: GeneratorSet) -> Mat:
-    """Sum of kron(X, conj X) over the generators."""
-    nn = gs.n * gs.n
-    total = Mat.zeros(nn, nn, gs.kind)
-    for g in gs.gens:
-        total = total + kron(g, g.conj())
-    return total
-
-
-def scale_bound(gs: GeneratorSet) -> int:
-    """Integer B = ceil(sum of squared Frobenius norms) + 1.
-
-    Dividing the summed Kronecker square by B (equivalently, each generator
-    by sqrt B) makes its Frobenius norm strictly less than 1, since the
-    Frobenius norm of kron(X, X) is the squared norm of X.
-    """
-    if gs.kind.tag == "gfp":
-        raise ValueError("no norm bound over GF(p)")
-    total = Fraction(0) if gs.kind.tag == "rational" else 0.0
-    for g in gs.gens:
-        f = norm(g)
-        total += f if gs.kind.tag == "rational" else f * f
-    return math.ceil(total) + 1
 
 
 def default_power_exponent(n: int) -> int:
@@ -116,21 +94,26 @@ def clear_denominators(gens: Sequence[Mat]) -> list[tuple[int, np.ndarray]]:
     return cleared
 
 
-def integer_b_minus_s(gens: Sequence[Mat], n: int) -> tuple[np.ndarray, int]:
-    """(X, B) with X = B*I - S on Python ints, S the summed Kronecker square
-    of the rational generators with denominators cleared and B = ceil(sum
-    of their squared Frobenius norms) + 1.  This is the one span-matrix
-    builder of the exact kinds: Q realigns adj(X), GF(p) reduces X mod p.
-    Python ints rather than int64, since products of wide entries wrap.
+def kron_square(gs: GeneratorSet) -> tuple[np.ndarray, int]:
+    """(S, B): S the sum of np.kron(conj g, g) over the generators g, B =
+    ceil(sum of their squared Frobenius norms) + 1.
+
+    The Frobenius norm of S is at most the sum of the squared norms, so S/B
+    is a contraction.  Over Q the generators are those of
+    ``clear_denominators`` and S and B hold Python ints, never int64, since
+    products of wide entries wrap; floats keep the kind's dtype.
     """
-    nn = n * n
-    x = np.zeros((nn, nn), dtype=object)
-    b = 1
-    for _, g in clear_denominators(gens):
-        x -= np.kron(g, g)
-        b += int((g * g).sum())
-    x[np.diag_indices(nn)] += b
-    return x, b
+    if gs.kind.tag == "rational":
+        gens = [g for _, g in clear_denominators(gs.gens)]
+    else:
+        gens = [g.data for g in gs.gens]
+    nn = gs.n * gs.n
+    s = np.zeros((nn, nn), dtype=gs.kind.dtype)
+    total = 0
+    for g in gens:
+        s += np.kron(g.conj(), g)
+        total += np.vdot(g, g).real
+    return s, math.ceil(total) + 1
 
 
 def _rational_span(gs: GeneratorSet) -> tuple[np.ndarray, int]:
@@ -146,9 +129,10 @@ def _rational_span(gs: GeneratorSet) -> tuple[np.ndarray, int]:
     of B - lambda over real and conjugate pairs, is positive and no rows
     are swapped.
     """
-    x, b = integer_b_minus_s(gs.gens, gs.n)
-    nn = x.shape[0]
-    eye = np.identity(nn, dtype=int).astype(object)
+    s, b = kron_square(gs)
+    nn = s.shape[0]
+    eye = np.identity(nn, dtype=object)
+    x = b * eye - s
     a, _, d = _eliminate(np.concatenate([x, eye], axis=1), RATIONAL)
     c = math.gcd(*a[:, nn:].ravel())
     core = a[:, nn:] // c
@@ -173,9 +157,9 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
         info = rank_info(realign(Mat(core, RATIONAL)))
         info = replace(info, matrix=Mat(_fractions(info.matrix.data), RATIONAL))
     else:
-        b = scale_bound(gs)
+        s, b = kron_square(gs)
         k = default_power_exponent(gs.n)
-        s = sum_kron(gs) / b
+        s = Mat(s, gs.kind) * (1.0 / b)
         step = Mat.identity(gs.n * gs.n, gs.kind) + s
         if gs.unital:
             # free what the products do not read: each copy is 2.6 MB at n = 24

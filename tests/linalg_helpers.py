@@ -1,18 +1,53 @@
-"""Determinant and positive semi-definiteness checks used by the tests.
+"""Reference linear algebra used by the tests.
 
-The library itself never needs them: it decides rank, range and
-invertibility through ``matrix._rref``.  They stay here as independent
-checks on the span matrix (it is PSD) and on the mod-p certificate (a
-singular skip means p divides det(B*I - S)).
+The library itself never needs these: it decides rank, range and
+invertibility through ``matrix._rref`` and forms S and B once, in
+``resolvent.kron_square``.  They stay here as independent checks on the
+span matrix (it is PSD), on the mod-p certificate (a singular skip means p
+divides det(B*I - S)) and on the builder (entry by entry, on the Fraction
+or complex entries of the generators as given).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from algebragen.generators import GeneratorSet
 from algebragen.matrix import Mat
+from algebragen.resolvent import kron_square
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def frobenius_sq(a: Mat):
+    """Squared Frobenius norm: exact on Q, a float on float kinds."""
+    return sum((x * x.conjugate()).real for x in a.data.ravel())
+
+
+def summed_kron_square(gs: GeneratorSet) -> Mat:
+    """S = sum of kron(conj g, g) over the generators as given, block by
+    block in their own kind: block (k, l) of kron(conj g, g) is
+    conj g[k, l] * g."""
+    n = gs.n
+    s = np.zeros((n * n, n * n), dtype=object)
+    for g in gs.gens:
+        for k in range(n):
+            for l in range(n):
+                s[k * n : (k + 1) * n, l * n : (l + 1) * n] += g.data[k, l].conjugate() * g.data
+    return Mat.wrap(s, gs.kind)
+
+
+def square_bound(gens) -> int:
+    """B = ceil(sum of the squared Frobenius norms of ``gens``) + 1."""
+    return math.ceil(sum(frobenius_sq(g) for g in gens)) + 1
+
+
+def b_minus_s(gs: GeneratorSet):
+    """(X, B) with X = B*I - S on Python ints, from the builder, as the Q
+    and GF(p) paths form it."""
+    s, b = kron_square(gs)
+    return b * np.identity(s.shape[0], dtype=object) - s, b
 
 
 def det(a: Mat):

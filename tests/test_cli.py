@@ -130,6 +130,33 @@ def test_gfp_instances_are_usage_errors(capsys, tmp_path, command):
     assert "unknown field" in err
 
 
+@pytest.mark.parametrize("generators", [[5], [[1, 2]]], ids=["scalar", "flat-row"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dim", "{a}"],
+        ["member", "{a}", TRIANGULAR],
+        ["member", TRIANGULAR, "{a}"],
+        ["intersect", "{a}", TRIANGULAR],
+        ["modp-dim", "{a}", "--seed", "1"],
+        ["bench", "{a}", "--seed", "1"],
+    ],
+)
+def test_malformed_grid_without_field_is_a_usage_error(capsys, tmp_path, generators, command):
+    # the grid shapes are checked before the field is guessed from the entries
+    path = write_instance(tmp_path, {"n": 2, "generators": generators})
+    code, out, err = run(capsys, *[arg.format(a=path) for arg in command])
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and "not an 2x2 grid" in err
+
+
+@pytest.mark.parametrize("target", ["missing/bench.csv", "."], ids=["missing-directory", "directory"])
+def test_bench_csv_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, target):
+    code, out, err = run(capsys, "bench", TRIANGULAR, "--seed", "1", "--csv", str(tmp_path / target))
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", [["modp-dim", TRIANGULAR], ["bench", "--random", "2", "1", "1"]])
 def test_negative_seed_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, *command, "--seed", "-1")

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 import algebragen as ag
 from algebragen import wordspan
+from algebragen.resolvent import clear_denominators, kron_square
 
 from conftest import rand_int_generator_set, rand_mat
-from linalg_helpers import det
+from linalg_helpers import b_minus_s, det, square_bound, summed_kron_square
 
 
 def b_minus_s_det(gs: ag.GeneratorSet) -> Fraction:
-    b = ag.scale_bound(gs)
-    return det(ag.Mat.identity(gs.n * gs.n, gs.kind) * b - ag.sum_kron(gs))
+    b = square_bound(gs.gens)
+    return det(ag.Mat.identity(gs.n * gs.n, gs.kind) * b - summed_kron_square(gs))
 
 
 def test_forced_prime_dividing_det_is_a_singular_skip():
@@ -26,7 +27,7 @@ def test_forced_prime_dividing_det_is_a_singular_skip():
         q = next((q for q in (2, 3, 5, 7, 11, 13) if det.numerator % q == 0), None)
         if q is not None:
             break
-    x, _ = ag.integer_b_minus_s(gs.gens, gs.n)
+    x, _ = b_minus_s(gs)
     assert ag.dimension_mod_p(x, q) == ag.PrimeOutcome(p=q, rank=None)
     dim, plan = ag.certified_dimension(list(gs.gens), trials=1, seed=0, forced_prime=q)
     assert plan.outcomes[0] == ag.PrimeOutcome(p=q, rank=None)
@@ -48,8 +49,8 @@ def test_precomputed_b_gives_the_same_outcome():
     # one integer B*I - S serves every prime
     rng = random.Random(5)
     gs = rand_int_generator_set(rng, 3, 2, True)
-    x, b = ag.integer_b_minus_s(gs.gens, gs.n)
-    assert b == ag.scale_bound(gs)
+    x, b = b_minus_s(gs)
+    assert b == square_bound(gs.gens)
     for p in (1048583, 4294967311):  # int64 rows, then Python-int rows
         assert ag.dimension_mod_p(x, p) == ag.PrimeOutcome(p=p, rank=reference_mod_p(gs, p))
 
@@ -69,7 +70,7 @@ def reference_mod_p(gs: ag.GeneratorSet, p: int):
     public pieces; None when B I - S is singular mod p."""
     b = sum(x * x for g in gs.gens for x in g.data.ravel()) + 1
     kind = ag.gf(p)
-    s = ag.sum_kron(gs.convert(kind))
+    s = summed_kron_square(gs.convert(kind))
     try:
         core = ag.inverse(ag.Mat.identity(gs.n * gs.n, kind) * b - s)
     except ag.SingularMatrixError:
@@ -82,7 +83,7 @@ def test_dimension_mod_p_matches_reference():
     divides_b = singular = 0
     for _ in range(60):
         gs = rand_int_generator_set(rng, rng.randint(1, 3), rng.randint(0, 3), True, lo=-2, hi=2)
-        x, b = ag.integer_b_minus_s(gs.gens, gs.n)
+        x, b = b_minus_s(gs)
         for p in (2, 3, 5, 7, 1048583):
             outcome = ag.dimension_mod_p(x, p)
             assert outcome == ag.PrimeOutcome(p=p, rank=reference_mod_p(gs, p))
@@ -98,14 +99,14 @@ def test_clear_denominators_keeps_the_dimension(n, d, seed):
     gens = tuple(rand_mat(rng, n, ag.RATIONAL, max_den=6) for _ in range(d))
     gs = ag.GeneratorSet(n=n, gens=gens, kind=ag.RATIONAL)
     dim, plan = ag.certified_dimension(list(gens), trials=2, seed=seed)
-    cleared = [ag.Mat.from_rows(ints.tolist(), ag.RATIONAL) for _, ints in ag.clear_denominators(gens)]
+    cleared = [ag.Mat.from_rows(ints.tolist(), ag.RATIONAL) for _, ints in clear_denominators(gens)]
     assert (dim, plan) == ag.certified_dimension(cleared, trials=2, seed=seed)
     assert dim == ag.dimension(gs)
 
 
 def test_clear_denominators_gives_python_ints():
     g = ag.Mat.from_rows([["1/3", "2/5"], ["-1", "0"]], ag.RATIONAL)
-    ((l, ints),) = ag.clear_denominators([g])
+    ((l, ints),) = clear_denominators([g])
     assert l == 15 and ints.tolist() == [[5, 6], [-15, 0]]
     assert all(type(v) is int for v in ints.ravel())
 
@@ -115,14 +116,14 @@ def test_integer_b_minus_s_is_the_cleared_resolvent_matrix():
     rng = random.Random(11)
     gens = [ag.Mat.from_rows([[Fraction(rng.randint(-3, 3), rng.choice((1, den))) for _ in range(3)]
                               for _ in range(3)], ag.RATIONAL) for den in (3, 5, 7)]
-    x, b = ag.integer_b_minus_s(gens, 3)
+    x, b = b_minus_s(ag.GeneratorSet.of(*gens))
     cleared = ag.GeneratorSet.of(*(ag.Mat.from_rows(ints.tolist(), ag.RATIONAL)
-                                   for _, ints in ag.clear_denominators(gens)))
-    assert b == ag.scale_bound(cleared)
-    assert ag.Mat.wrap(x, ag.RATIONAL) == ag.Mat.identity(9, ag.RATIONAL) * b - ag.sum_kron(cleared)
+                                   for _, ints in clear_denominators(gens)))
+    assert b == square_bound(cleared.gens)
+    assert ag.Mat.wrap(x, ag.RATIONAL) == ag.Mat.identity(9, ag.RATIONAL) * b - summed_kron_square(cleared)
     assert all(type(v) is int for v in x.ravel())
-    empty, b0 = ag.integer_b_minus_s([], 2)
-    assert b0 == 1 and empty.tolist() == np.identity(4, dtype=int).tolist()
+    empty, b0 = kron_square(ag.GeneratorSet(2, (), ag.RATIONAL))
+    assert b0 == 1 and empty.tolist() == np.zeros((4, 4), dtype=int).tolist()
 
 
 def test_certified_dimension_with_wide_entries():
@@ -133,7 +134,7 @@ def test_certified_dimension_with_wide_entries():
         base = 1 << 40
         gens = [ag.Mat.from_rows([[Fraction(base + rng.randint(0, 9), den) if j >= i else 0 for j in range(3)]
                                   for i in range(3)], ag.RATIONAL) for den in (3, 5, 7)[: k + 1]]
-        x, _ = ag.integer_b_minus_s(gens, 3)
+        x, _ = b_minus_s(ag.GeneratorSet.of(*gens))
         assert max(abs(v) for v in x.ravel()) > 1 << 80
         dim, plan = ag.certified_dimension(gens, trials=2, seed=k)
         assert dim == ag.dimension(ag.GeneratorSet.of(*gens)) == wordspan.dimension(ag.GeneratorSet.of(*gens))
@@ -143,3 +144,11 @@ def test_certified_dimension_refuses_float_generators():
     for kind in (ag.F64, ag.C64):
         with pytest.raises(ValueError, match=f"certified_dimension.*{kind}"):
             ag.certified_dimension([ag.Mat.identity(2, kind)], trials=1, seed=0)
+
+
+def test_certified_dimension_checks_sizes():
+    g3, g2 = ag.Mat.identity(3, ag.RATIONAL), ag.Mat.identity(2, ag.RATIONAL)
+    with pytest.raises(ValueError, match="generator is 3x3, expected 2x2"):
+        ag.certified_dimension([g3], trials=1, seed=0, n=2)
+    with pytest.raises(ValueError, match="generator is 2x2, expected 3x3"):
+        ag.certified_dimension([g3, g2], trials=1, seed=0)

@@ -7,73 +7,93 @@ import pytest
 
 import algebragen as ag
 from algebragen import wordspan
-from algebragen.resolvent import _matrix_power
+from algebragen.resolvent import _matrix_power, clear_denominators, default_power_exponent, kron_square
 
 from conftest import hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal
-from linalg_helpers import is_psd
+from linalg_helpers import b_minus_s, frobenius_sq, is_psd, square_bound, summed_kron_square
 
 GF_PRIME = 2_147_483_647  # 2^31 - 1
 
 
 def test_sum_kron_golden(tri_gens):
-    s = ag.sum_kron(tri_gens)
+    # over Q the builder clears the denominators 3 of the pair first
+    s, b = kron_square(tri_gens)
     hot = {(0, 0), (0, 4), (1, 5), (3, 7), (4, 8)}
     for i in range(9):
         for j in range(9):
-            expect = Fraction(1, 9) if (i, j) in hot else 0
-            assert s.data[i, j] == expect
-    assert ag.norm(s) == Fraction(5, 81)
+            assert s[i, j] == (1 if (i, j) in hot else 0) and type(s[i, j]) is int
+    assert b == 4
+    s, b = kron_square(tri_gens.convert(ag.F64))
+    assert s.dtype == np.float64 and b == 2
+    assert np.allclose(s, [[1 / 9 if (i, j) in hot else 0 for j in range(9)] for i in range(9)])
 
 
 def test_sum_kron_edges():
-    gs0 = ag.GeneratorSet(n=3, gens=(), kind=ag.RATIONAL)
-    assert ag.sum_kron(gs0) == ag.Mat.zeros(9, 9, ag.RATIONAL)
-    gsi = ag.GeneratorSet.of(ag.Mat.identity(3, ag.RATIONAL))
-    assert ag.sum_kron(gsi) == ag.Mat.identity(9, ag.RATIONAL)
+    for kind in (ag.RATIONAL, ag.F64, ag.C64):
+        s, b = kron_square(ag.GeneratorSet(n=3, gens=(), kind=kind))
+        assert b == 1 and s.shape == (9, 9) and not s.any()
+        s, b = kron_square(ag.GeneratorSet.of(ag.Mat.identity(3, kind)))
+        assert b == 4 and ag.Mat.wrap(s, kind) == ag.Mat.identity(9, kind)
 
 
 def test_sum_kron_conjugate():
     x = ag.Mat.wrap(np.array([[0, 1j], [0, 0]]), ag.C64)
-    gs = ag.GeneratorSet.of(x)
-    plain = ag.kron(x, x)
-    conj = ag.sum_kron(gs)
+    s, _ = kron_square(ag.GeneratorSet.of(x))
+    plain = np.kron(x.data, x.data)
     # realigning turns the sums into vec outer products
-    assert np.allclose(
-        ag.realign(conj).data, (ag.vec(x) @ ag.vec(x.conj()).T).data
-    )
-    assert np.allclose(
-        ag.realign(plain).data, (ag.vec(x) @ ag.vec(x).T).data
-    )
-    assert not np.allclose(conj.data, plain.data)
+    assert np.allclose(ag.realign(ag.Mat(s, ag.C64)).data, (ag.vec(x) @ ag.vec(ag.Mat(x.data.conj(), ag.C64)).T).data)
+    assert np.allclose(ag.realign(ag.Mat(plain, ag.C64)).data, (ag.vec(x) @ ag.vec(x).T).data)
+    assert not np.allclose(s, plain)
 
 
 def test_scale_bound_examples(tri_gens):
-    assert ag.scale_bound(tri_gens) == 2
-    gs0 = ag.GeneratorSet(n=3, gens=(), kind=ag.RATIONAL)
-    assert ag.scale_bound(gs0) == 1
-    gs3 = ag.GeneratorSet.of(ag.Mat.identity(3, ag.RATIONAL) * 3)
-    assert ag.scale_bound(gs3) == 28
+    assert kron_square(tri_gens)[1] == 4  # 1 + 2 + 1 on the pair cleared to x1 = E11, x2 = E12 + E23
+    assert kron_square(tri_gens.convert(ag.F64))[1] == 2  # ceil(3 / 9) + 1
+    assert kron_square(ag.GeneratorSet(n=3, gens=(), kind=ag.RATIONAL))[1] == 1
+    assert kron_square(ag.GeneratorSet.of(ag.Mat.identity(3, ag.RATIONAL) * 3))[1] == 28
+
+
+def _builder_cases():
+    """Q sets with per-generator denominators 3, 5 and 7, and f64 and c64
+    sets, each with the reference S and B of the generators it is built
+    from (cleared over Q)."""
+    rng = random.Random(17)
+    cases = []
+    for _ in range(10):
+        gs = _mixed_set(rng, rng.randint(2, 4), 3, True)
+        cleared = ag.GeneratorSet.of(*(ag.Mat.from_rows(ints.tolist(), ag.RATIONAL)
+                                       for _, ints in clear_denominators(gs.gens)))
+        cases.append((gs, cleared))
+        for kind in (ag.F64, ag.C64):
+            fgs = ag.GeneratorSet(gs.n, tuple(rand_mat(rng, gs.n, kind) for _ in range(rng.randint(1, 3))), kind)
+            cases.append((fgs, fgs))
+    return cases
 
 
 def test_scale_bound_guarantees_contraction():
-    rng = random.Random(17)
-    for _ in range(20):
-        gs = rand_int_generator_set(rng, rng.randint(2, 4), rng.randint(1, 3), True)
-        b = ag.scale_bound(gs)
-        s = ag.sum_kron(gs) / b
-        assert ag.norm(s) < 1  # squared norm under 1 iff norm under 1
+    for gs, ref in _builder_cases():
+        s, b = kron_square(gs)
+        want = summed_kron_square(ref)
+        if gs.kind.exact:
+            assert ag.Mat.wrap(s, ag.RATIONAL) == want
+            assert all(type(v) is int for v in s.ravel())
+        else:
+            assert s.dtype == gs.kind.dtype and np.allclose(s, want.data, rtol=1e-13, atol=1e-13)
+        assert b == square_bound(ref.gens)
+        assert frobenius_sq(ag.Mat.wrap(s, gs.kind)) < b * b  # |S / B| < 1
 
 
 def test_default_power_exponent():
-    assert ag.default_power_exponent(3) == 9
-    assert ag.default_power_exponent(1) == 1
-    assert ag.default_power_exponent(64) == 1024
+    assert default_power_exponent(3) == 9
+    assert default_power_exponent(1) == 1
+    assert default_power_exponent(64) == 1024
     with pytest.raises(ValueError):
-        ag.default_power_exponent(0)
+        default_power_exponent(0)
 
 
 def _realigned_resolvent(gs, b):
-    s = ag.sum_kron(gs) / b
+    """Realigned Fraction resolvent (I - S/B)^-1 of ``gs`` as given."""
+    s = summed_kron_square(gs) * Fraction(1, b)
     core = ag.inverse(ag.Mat.identity(gs.n * gs.n, gs.kind) - s)
     return ag.realign(core if gs.unital else s @ core)
 
@@ -140,12 +160,12 @@ def test_nilpotent_nonunital_rank(tri_gens):
 
 
 def test_variant_validation(tri_gens):
-    # B is that of the cleared set over Q and scale_bound(gs) on floats;
-    # GF(p) sets are refused (test_gfp_rejected)
-    assert ag.span_matrix(tri_gens).scale == ag.integer_b_minus_s(tri_gens.gens, 3)[1] == 4
+    # B is that of the builder: of the cleared set over Q, of the set
+    # itself on floats; GF(p) sets are refused (test_gfp_rejected)
+    assert ag.span_matrix(tri_gens).scale == kron_square(tri_gens)[1] == 4
     for kind in (ag.F64, ag.C64):
         gs = tri_gens.convert(kind)
-        assert ag.span_matrix(gs).scale == ag.scale_bound(gs) == 2
+        assert ag.span_matrix(gs).scale == kron_square(gs)[1] == 2
 
 
 def test_variant_names(tri_gens):
@@ -161,15 +181,13 @@ def test_gfp_rejected():
     gs = ag.GeneratorSet.of(ag.Mat.identity(2, ag.gf(7)))
     with pytest.raises(ValueError):
         ag.span_matrix(gs)
-    with pytest.raises(ValueError):
-        ag.scale_bound(gs)
 
 
 def test_explicit_scale_checked():
     # the B of the one integer builder, over Q and over GF(p)
     gs = ag.GeneratorSet.of(ag.Mat.identity(3, ag.RATIONAL) * 4)
     assert ag.span_matrix(gs).scale == 49  # 3 * 4^2 + 1
-    x, b = ag.integer_b_minus_s(gs.gens, 3)
+    x, b = b_minus_s(gs)
     assert b == 49
     assert ag.dimension_mod_p(x, GF_PRIME).rank == 1
     with pytest.raises(ValueError):
@@ -187,8 +205,8 @@ def test_scale_invariance_rank_and_range():
         assert wide.rank == rep.rank
         _assert_same_colspace(rep.colspace, wide.colspace)
         if gs.unital:
-            x, b = ag.integer_b_minus_s(gs.gens, gs.n)
-            x4 = x + 3 * b * np.identity(gs.n * gs.n, dtype=int).astype(object)
+            x, b = b_minus_s(gs)
+            x4 = x + 3 * b * np.identity(gs.n * gs.n, dtype=object)
             assert ag.dimension_mod_p(x, GF_PRIME).rank == ag.dimension_mod_p(x4, GF_PRIME).rank == rep.rank
 
 
@@ -222,7 +240,7 @@ def _builder_sets():
 @pytest.mark.parametrize("gs", _builder_sets(), ids=lambda gs: f"n{gs.n}-d{gs.d}-{'u' if gs.unital else 'nu'}")
 def test_integer_builder_keeps_the_fraction_resolvent_colspace(gs):
     rep = ag.span_matrix(gs)
-    ref = _realigned_resolvent(gs, ag.scale_bound(gs))
+    ref = _realigned_resolvent(gs, square_bound(gs.gens))
     assert rep.rank == ag.rank(ref) == wordspan.dimension(gs)
     _assert_same_colspace(rep.colspace, ref)
     assert is_psd(rep.matrix)
@@ -269,7 +287,7 @@ def test_power_agrees_with_resolvent():
 def test_power_rank_monotone_saturating():
     rng = random.Random(37)
     gs = rand_int_generator_set(rng, 3, 2, True)
-    step = ag.Mat.identity(9, ag.RATIONAL) + ag.sum_kron(gs)
+    step = ag.Mat.identity(9, ag.RATIONAL) + summed_kron_square(gs)
     ranks = [ag.rank(ag.realign(_matrix_power(step, k))) for k in range(1, 12)]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
     assert len(set(ranks[8:])) == 1  # constant at and beyond k = n^2
@@ -290,9 +308,8 @@ def test_resolvent_matches_geometric_series_exactly():
     rng = random.Random(41)
     for _ in range(5):
         gs = rand_int_generator_set(rng, 2, 2, True)
-        divisor = 4 * ag.scale_bound(gs)
-        s = ag.sum_kron(gs) / divisor
-        assert ag.norm(s) <= Fraction(1, 4)  # squared <= 1/4 => norm <= 1/2
+        s = summed_kron_square(gs) * Fraction(1, 4 * square_bound(gs.gens))
+        assert frobenius_sq(s) <= Fraction(1, 4)  # squared <= 1/4 => norm <= 1/2
         inv = ag.inverse(ag.Mat.identity(4, ag.RATIONAL) - s)
         partial = ag.Mat.zeros(4, 4, ag.RATIONAL)
         term = ag.Mat.identity(4, ag.RATIONAL)

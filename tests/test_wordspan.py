@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import algebragen as ag
 from algebragen import wordspan
+from algebragen.resolvent import clear_denominators
 
 from conftest import gaussian, hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal, word_value
 
@@ -94,7 +95,7 @@ def test_float_backend(tri_gens):
 
 def test_gfp_backend(tri_gens):
     kind = ag.gf(101)
-    cleared = tuple(ag.Mat.wrap(ints, kind) for _, ints in ag.clear_denominators(tri_gens.gens))
+    cleared = tuple(ag.Mat.wrap(ints, kind) for _, ints in clear_denominators(tri_gens.gens))
     gs = ag.GeneratorSet(n=3, gens=cleared, kind=kind)
     assert wordspan.dimension(gs) == 5
 
