@@ -8,7 +8,11 @@ matrices are those columns unvectorized, a candidate is a member when its
 vectorization lies in that column space, and an intersection is that of two
 such column spaces.  On float kinds ``colspace`` is orthonormal, so a
 membership residual is a projection defect and an intersection is cut on
-the sines of the principal angles.  Human-readable word certificates come
+the sines of the principal angles.  Over Q ``colspace`` is the transposed
+reduced echelon basis of the algebra, lifted from GF(p) images of the span
+matrix and checked exactly to span the algebra, so its entries stay small
+and basis matrices are its rows; membership and intersection decide by
+exact elimination against it.  Human-readable word certificates come
 from the word-span baseline, which can exhibit an explicit combination
 where the span matrix only proves existence.
 """
@@ -80,7 +84,8 @@ def membership(
 
 
 def basis(gs: GeneratorSet) -> AlgebraBasis:
-    """Basis matrices: the span matrix's column space, unvectorized."""
+    """Basis matrices: the span matrix's column space, unvectorized (over Q
+    the rows of the algebra's reduced echelon basis)."""
     report = span_matrix(gs)
     cs = report.colspace
     mats = tuple(unvec(cs.col(j), gs.n, gs.n) for j in range(cs.cols))

@@ -84,6 +84,8 @@ def cmd_dim(args) -> int:
             "scale": str(rep.scale),
             "rank_tolerance": rep.tol,
             "conditioning_flag": rep.ill_conditioned,
+            "primes": None if rep.primes is None else list(rep.primes),
+            "fallback": rep.fallback,
         }
     )
     _emit(report, f"dimension {rep.rank} ({inst.field}, {'unital' if inst.gs.unital else 'non-unital'})")
@@ -293,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--prime", type=int, default=None, help="try this prime first")
+    p.add_argument("--prime", type=int, default=None,
+                   help="also try this prime: its rank joins the maximum, not the failure bound")
     p.set_defaults(func=cmd_modp_dim)
 
     p = sub.add_parser("bench", help="compare the span-matrix dimension against the word-span baseline")

@@ -19,6 +19,10 @@ updates all affected rows of a pivot step in one numpy operation:
   and the last pivot themselves: the span matrix over Q reads the
   adjugate of an integer matrix from them (``resolvent``).
 
+The span matrix over Q takes its rank and column space from GF(p)
+eliminations, lifted to Q and checked there (``resolvent``); it runs the
+Bareiss elimination of its adjugate only when no lift passes.
+
 Exact results hold Python ``int`` / ``Fraction`` entries, never numpy
 integers, so later object-array products cannot wrap.
 
@@ -192,8 +196,13 @@ def realign(a: Mat) -> Mat:
     n = math.isqrt(a.rows)
     if a.rows != a.cols or n * n != a.rows:
         raise ValueError(f"realign needs an n^2 x n^2 matrix, got {a.rows}x{a.cols}")
-    out = a.data.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
-    return Mat.wrap(out, a.kind)
+    return Mat.wrap(_realign(a.data), a.kind)
+
+
+def _realign(data: np.ndarray) -> np.ndarray:
+    """``realign`` on a square array of side n^2, in its own dtype."""
+    n = math.isqrt(data.shape[0])
+    return data.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
 
 
 # -- exact elimination ----------------------------------------------------
@@ -313,11 +322,11 @@ def inverse(a: Mat) -> Mat:
         raise ValueError(f"inverse serves exact kinds only, not {a.kind}")
     if a.rows != a.cols:
         raise ValueError("inverse needs a square matrix")
-    eye = Mat.identity(a.rows, a.kind)
-    x = _solve_exact(a, eye)
-    if x is None:
-        raise SingularMatrixError(f"{a.rows}x{a.cols} matrix is singular")
-    return x
+    n = a.rows
+    r, pivots = _rref(np.concatenate([a.data, Mat.identity(n, a.kind).data], axis=1), a.kind)
+    if pivots != list(range(n)):
+        raise SingularMatrixError(f"{n}x{n} matrix is singular")
+    return Mat(r[:, n:], a.kind)
 
 
 # -- rank and subspaces ---------------------------------------------------
@@ -331,10 +340,12 @@ class RankInfo:
     ``pivots`` are the pivot columns on exact kinds and None on approximate
     kinds.  ``colspace`` holds ``rank`` columns spanning the column space:
     the pivot columns on exact kinds, each made a primitive integer column
-    over Q (a span matrix's columns carry large common factors), the first
-    ``rank`` left singular vectors on approximate kinds.  The rank SVD
-    computes values only, so the float column space costs a second, thin
-    SVD on first use.
+    over Q, the first ``rank`` left singular vectors on approximate kinds.
+    The rank SVD computes values only, so the float column space costs a
+    second, thin SVD on first use.  A span matrix report over Q does not
+    read its colspace from here: it holds the reduced echelon basis of the
+    algebra lifted from GF(p) (see ``resolvent``), and this one only when
+    that lift falls back to the adjugate.
     """
 
     matrix: Mat

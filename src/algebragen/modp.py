@@ -9,6 +9,13 @@ for all but a bounded number of bad primes.  A random prime below a
 ceiling far above that bound gives the right answer with high probability,
 and a bad prime can only under-count, so the maximum over several
 independent primes is taken.
+
+Each rank is that of ``resolvent._echelon_mod_p``, the one GF(p) image of
+the span matrix: the exact span matrix over Q lifts the echelon form of the
+same image from fixed primes and proves the lift by an exact check, where
+this module reads the rank alone and bounds its failure probability.  A
+prime the caller forces is tried besides the random ones: its rank joins
+the maximum, but only the random primes enter the failure bound.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat, SingularMatrixError, inverse, rank, realign
+from .matrix import Mat
 from .primes import DETERMINISTIC_LIMIT, is_prime
-from .resolvent import kron_square
-from .scalars import RATIONAL, gf
+from .resolvent import _echelon_mod_p, kron_square
+from .scalars import RATIONAL
 
 MIN_CEILING = 1 << 20
 DEFAULT_TRIALS = 2
@@ -100,13 +107,11 @@ def dimension_mod_p(x: np.ndarray, p: int) -> PrimeOutcome:
     """Rank over GF(p) of realign(X^-1), or a singular skip when p divides
     det X.  ``x`` is the integer X = B*I - S of ``certified_dimension``; its
     inverse mod p is that of the rational (I - S/B)^-1 / B, defined also
-    when p divides B.
+    when p divides B.  The image is ``resolvent._echelon_mod_p``, the one
+    the exact Q span matrix lifts.
     """
-    try:
-        core = inverse(Mat.wrap(x, gf(p)))
-    except SingularMatrixError:
-        return PrimeOutcome(p=p, rank=None)
-    return PrimeOutcome(p=p, rank=rank(realign(core)))
+    image = _echelon_mod_p(x, p, reduced=False)
+    return PrimeOutcome(p=p, rank=None if image is None else len(image[1]))
 
 
 def certified_dimension(
@@ -123,8 +128,10 @@ def certified_dimension(
     Each trial draws primes from its own stream split off ``seed`` (so
     results do not depend on evaluation order) until one is non-singular;
     the reported dimension is the maximum rank observed, since a bad prime
-    can only lower the rank.  ``forced_prime`` is tried first and counts as
-    a trial when it succeeds.
+    can only lower the rank.  ``forced_prime`` is tried first and its rank
+    joins the maximum, but it is no trial: the ``trials`` random primes are
+    drawn all the same, and the failure bound counts only them, since a
+    chosen prime may be bad on purpose.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -144,21 +151,16 @@ def certified_dimension(
         seed = int(np.random.SeedSequence().entropy) % (1 << 63)
 
     outcomes: list[PrimeOutcome] = []
-    successes = 0
     if forced_prime is not None:
-        outcome = dimension_mod_p(x, forced_prime)
-        outcomes.append(outcome)
-        if not outcome.singular:
-            successes += 1
+        outcomes.append(dimension_mod_p(x, forced_prime))
 
-    for trial in range(trials - successes):
+    for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
         while True:
             p = sample_prime(bound, rng)
             outcome = dimension_mod_p(x, p)
             outcomes.append(outcome)
             if not outcome.singular:
-                successes += 1
                 break
 
     dim = max(o.rank for o in outcomes if not o.singular)
@@ -167,6 +169,6 @@ def certified_dimension(
         bad_prime_bound=bound,
         ceiling=ceiling,
         outcomes=tuple(outcomes),
-        failure_probability_bound=min(1.0, per_prime**successes),
+        failure_probability_bound=min(1.0, per_prime**trials),
     )
     return dim, plan

@@ -18,42 +18,78 @@ no caller can choose another:
   word length up to k in view, where the resolvent's weights |S/B|^j lose
   the long words to rounding and leave the rank short from n = 16 on.
 * Q realigns the resolvent (I - S/B)^-1, or S/B (I - S/B)^-1 for a
-  non-unital set, up to a positive factor and on Python integers: adj(X)
-  for X = B*I - S, divided by its content, whose column space is that of
-  the resolvent.
+  non-unital set.  Its rank and column space are lifted from GF(p)
+  images, never read off the resolvent itself.  For each prime of
+  LIFT_PRIMES, X = B*I - S is inverted mod p, realigned and brought to
+  reduced echelon form (``_echelon_mod_p``), whose rank is a lower bound
+  on the Q rank.  Images of equal rank and pivots are combined by CRT and
+  lifted to Q by rational reconstruction, and a lift R is accepted only
+  when a check on Python ints shows that its span holds the algebra
+  (``_spans_algebra``).  Then span R is the algebra: ``colspace`` is R^T,
+  with small entries, and ``pivots`` are R's pivot columns.  When no prime
+  passes, the Bareiss elimination of the adjugate below gives the rank.
+  ``matrix`` is the resolvent up to a positive factor, on Python
+  integers: adj(X), divided by its content, realigned.  It is built only
+  when read.
 * GF(p) reduces the same X mod p and inverts it there: the reduction of
-  the rational (I - S/B)^-1 / B, defined also when p divides B.  This is
-  the certificate of the ``modp`` module, which holds it.
+  the rational (I - S/B)^-1 / B, defined also when p divides B.  The ranks
+  of these images are the certificate of the ``modp`` module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat, RankInfo, _eliminate, _fractions, rank_info, realign
-from .scalars import RATIONAL
+from .matrix import Mat, SingularMatrixError, _eliminate, _fractions, _realign, inverse, rank_info, realign
+from .scalars import RATIONAL, gf
 
 
 @dataclass(frozen=True, kw_only=True)
-class SpanMatrixReport(RankInfo):
+class SpanMatrixReport:
     """The rank of a span matrix (``matrix``) with its provenance.
 
-    As a RankInfo it carries the rank diagnostics and ``colspace``, a basis
+    It carries the rank diagnostics of a RankInfo and ``colspace``, a basis
     of the vectorized algebra that membership, basis and intersection read.
     ``variant`` names what was realigned: "power:<k>" or
     "power_nonunital:<k>" with the exponent k on float kinds, "resolvent"
     or "resolvent_nonunital" over Q.  ``scale`` is the integer B: the
     divisor of the summed Kronecker square on floats, the B of B*I - S for
     the generators with cleared denominators over Q.
+
+    Over Q, ``primes`` are the primes whose GF(p) images were lifted to the
+    reduced echelon basis of the algebra, whose transpose is ``colspace``,
+    and ``pivots`` are its pivot columns; ``fallback`` is True when no lift
+    passed its exact check and the rank, pivots and ``colspace`` came from
+    the Bareiss adjugate instead (``primes`` is then empty).  ``primes`` is
+    None on float kinds.  ``matrix`` and ``colspace`` are built on first
+    read: over Q the lift does not need the adjugate.
     """
 
+    rank: int
+    tol: float | None
+    ill_conditioned: bool
+    singular_values: tuple[float, ...] | None
+    pivots: tuple[int, ...] | None
     variant: str
     scale: int
+    primes: tuple[int, ...] | None
+    fallback: bool
+    _matrix: Callable[[], Mat] = field(repr=False, compare=False)
+    _colspace: Callable[[], Mat] = field(repr=False, compare=False)
+
+    @cached_property
+    def matrix(self) -> Mat:
+        return self._matrix()
+
+    @cached_property
+    def colspace(self) -> Mat:
+        return self._colspace()
 
 
 def default_power_exponent(n: int) -> int:
@@ -116,9 +152,9 @@ def kron_square(gs: GeneratorSet) -> tuple[np.ndarray, int]:
     return s, math.ceil(total) + 1
 
 
-def _rational_span(gs: GeneratorSet) -> tuple[np.ndarray, int]:
-    """The content-reduced adjugate of X = B*I - S over Q, or of
-    S adj(X) for a non-unital set, and B.
+def _rational_span(x: np.ndarray, b: int, unital: bool) -> np.ndarray:
+    """The content-reduced adjugate of X = B*I - S over Q, or of S adj(X)
+    for a non-unital set.
 
     One fraction-free elimination of [X | I] leaves d X^-1 in the right
     half, d the last pivot.  Divided by its content it is a positive
@@ -129,17 +165,131 @@ def _rational_span(gs: GeneratorSet) -> tuple[np.ndarray, int]:
     of B - lambda over real and conjugate pairs, is positive and no rows
     are swapped.
     """
-    s, b = kron_square(gs)
-    nn = s.shape[0]
+    nn = x.shape[0]
     eye = np.identity(nn, dtype=object)
-    x = b * eye - s
     a, _, d = _eliminate(np.concatenate([x, eye], axis=1), RATIONAL)
     c = math.gcd(*a[:, nn:].ravel())
     core = a[:, nn:] // c
-    if not gs.unital:
+    if not unital:
         # S core = (B I - X) core, and X core = (d / c) I
         core = b * core - (d // c) * eye
-    return core, b
+    return core
+
+
+def _echelon_mod_p(x: np.ndarray, p: int, b: int | None = None, reduced: bool = True):
+    """The GF(p) image of the span matrix of X = B*I - S: the row echelon
+    form of realign(X^-1), or with ``b`` = B of realign(S X^-1) =
+    realign(B X^-1 - I) for a non-unital set, as (rows, pivots) with the
+    rank-many nonzero rows (see ``matrix._eliminate``); None when p divides
+    det X.
+
+    X^-1 mod p is the reduction of the rational (I - S/B)^-1 / B, defined
+    also when p divides B.  Its rank is at most the Q rank of the span
+    matrix, since a minor that is nonzero mod p is nonzero over Q.  The
+    span matrix is symmetric, so its rows span its column space.
+    """
+    kind = gf(p)
+    try:
+        inv = inverse(Mat.wrap(x, kind)).data
+    except SingularMatrixError:
+        return None
+    if b is not None:
+        inv = inv * (b % p) % p
+        inv[np.diag_indices(inv.shape[0])] = (inv.diagonal() - 1) % p
+    rows, pivots, _ = _eliminate(_realign(inv), kind, reduced)
+    return rows[: len(pivots)], pivots
+
+
+def _reconstruct(residues: np.ndarray, m: int):
+    """(N, d) with N / d congruent to ``residues`` mod m entry by entry:
+    each entry the fraction num / den with |num|, den <= sqrt(m / 2)
+    (Wang's rational reconstruction by the extended Euclidean algorithm;
+    von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5), d the lcm
+    of the den.  None when an entry has no such fraction.
+    """
+    t = math.isqrt(m // 2)
+    fracs = []
+    for u in residues.ravel().tolist():
+        if u <= t:
+            fracs.append((u, 1))
+        elif m - u <= t:
+            fracs.append((u - m, 1))
+        else:
+            # r_i = s_i u mod m along the remainder sequence of (m, u)
+            r0, r1, s0, s1 = m, u, 0, 1
+            while r1 > t:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > t or math.gcd(r1, s1) != 1:
+                return None
+            fracs.append((r1 if s1 > 0 else -r1, abs(s1)))
+    d = math.lcm(1, *(den for _, den in fracs))
+    nums = np.array([num * (d // den) for num, den in fracs], dtype=object)
+    return nums.reshape(residues.shape), d
+
+
+def _spans_algebra(rows: np.ndarray, d: int, pivots: list[int], gens: list[np.ndarray], unital: bool) -> bool:
+    """Does the span of the rows of ``rows`` / d, in reduced echelon form
+    with the pivot columns ``pivots``, hold the algebra of the integer
+    generators ``gens``?  Checked on Python ints: it holds when it holds
+    vec(I) (the generators when not ``unital``) and vec(g E) for every
+    generator g and every row E, because it is then closed under left
+    multiplication by the generators and so holds every word.
+
+    A vector v lies in the span exactly when v = v[pivots] (rows / d), i.e.
+    d v = v[pivots] rows: the pivot columns of the rows are d times the
+    identity.
+    """
+    r, nn = rows.shape
+    n = math.isqrt(nn)
+    # row-major, a row is vec(E) reshaped to E^T, and (g E)^T = E^T g^T
+    ets = rows.reshape(r, n, n)
+    seeds = [np.identity(n, dtype=object)] if unital else gens
+    vs = [g.T.reshape(1, nn) for g in seeds] + [(ets @ g.T).reshape(r, nn) for g in gens]
+    if not vs:
+        return True
+    v = np.concatenate(vs)
+    return bool(np.all(d * v == v[:, pivots].dot(rows)))
+
+
+# The primes of the Q lift, largest first below INT64_MODULUS_LIMIT; when
+# all of them fail, the span matrix falls back to the Bareiss adjugate.
+LIFT_PRIMES = (3_037_000_493, 3_037_000_453, 3_037_000_429, 3_037_000_427)
+
+
+def _lift(x: np.ndarray, b: int, gens: list[np.ndarray], unital: bool):
+    """The reduced echelon basis of the algebra over Q, lifted from the
+    GF(p) images of its span matrix: (rows, d, pivots, primes) with rows /
+    d the basis and ``primes`` those whose images it was lifted from, or
+    None when every prime of LIFT_PRIMES failed.
+
+    The rank of each prime's image is a lower bound on the Q rank.  Images
+    of equal rank and pivots are combined by CRT and lifted by rational
+    reconstruction.  A lift is accepted when ``_spans_algebra`` proves that
+    its span holds the algebra: with the lower bound, the span is the
+    algebra, and its reduced echelon basis is the Q one.  A higher rank, or
+    the same rank with earlier pivots, comes from a better prime and starts
+    the combination again; a lower one is skipped.
+    """
+    best, residues, m, used = None, None, 1, []
+    for p in LIFT_PRIMES:
+        image = _echelon_mod_p(x, p, None if unital else b)
+        if image is None:
+            continue
+        rows, pivots = image
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, residues, m, used = key, rows.astype(object), p, [p]
+        elif key == best:
+            t = (rows.astype(object) - residues) * pow(m, -1, p) % p
+            residues, m = residues + m * t, m * p
+            used.append(p)
+        else:
+            continue
+        lifted = _reconstruct(residues, m)
+        if lifted is not None and _spans_algebra(*lifted, pivots, gens, unital):
+            return *lifted, pivots, tuple(used)
+    return None
 
 
 def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
@@ -150,14 +300,27 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
     """
     if gs.kind.tag == "gfp":
         raise ValueError("span matrices over GF(p) are built from a rational set in modp")
+    s, b = kron_square(gs)
     if gs.kind.exact:
-        core, b = _rational_span(gs)
+        x = b * np.identity(s.shape[0], dtype=object) - s
         variant = "resolvent" if gs.unital else "resolvent_nonunital"
-        # rank the integer entries, then hand out canonical Fractions
-        info = rank_info(realign(Mat(core, RATIONAL)))
+
+        def adjugate() -> Mat:
+            return Mat(_fractions(_realign(_rational_span(x, b, gs.unital))), RATIONAL)
+
+        gens = [g for _, g in clear_denominators(gs.gens)]
+        lifted = _lift(x, b, gens, gs.unital)
+        if lifted is not None:
+            rows, d, pivots, primes = lifted
+            return SpanMatrixReport(rank=len(pivots), tol=None, ill_conditioned=False, singular_values=None,
+                                    pivots=tuple(pivots), variant=variant, scale=b, primes=primes,
+                                    fallback=False, _matrix=adjugate,
+                                    _colspace=lambda: Mat(_fractions(rows.T, d), RATIONAL))
+        # no lift passed: rank the integer entries, then hand out Fractions
+        info = rank_info(realign(Mat(_rational_span(x, b, gs.unital), RATIONAL)))
         info = replace(info, matrix=Mat(_fractions(info.matrix.data), RATIONAL))
+        primes, fallback = (), True
     else:
-        s, b = kron_square(gs)
         k = default_power_exponent(gs.n)
         s = Mat(s, gs.kind) * (1.0 / b)
         step = Mat.identity(gs.n * gs.n, gs.kind) + s
@@ -168,4 +331,8 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
         else:
             core, variant = s @ _matrix_power(step, k - 1), f"power_nonunital:{k}"
         info = rank_info(realign(core))
-    return SpanMatrixReport(**vars(info), variant=variant, scale=b)
+        primes, fallback = None, False
+    return SpanMatrixReport(rank=info.rank, tol=info.tol, ill_conditioned=info.ill_conditioned,
+                            singular_values=info.singular_values, pivots=info.pivots, variant=variant,
+                            scale=b, primes=primes, fallback=fallback,
+                            _matrix=lambda: info.matrix, _colspace=lambda: info.colspace)

@@ -266,3 +266,34 @@ def test_module_entry_point():
     assert done.returncode == cli.EXIT_OK
     assert json.loads(done.stdout)["dimension"] == 5
     assert module("member", TRIANGULAR, NONMEMBER).returncode == cli.EXIT_NONMEMBER
+
+
+def test_modp_dim_forced_prime_does_not_replace_a_trial(capsys, tmp_path):
+    doc = {"n": 2, "field": "rational", "generators": [[["1", "0"], ["0", "6"]], [["0", "0"], ["0", "0"]]]}
+    path = write_instance(tmp_path, doc)
+    code, out, _ = run(capsys, "modp-dim", path, "--prime", "5", "--trials", "1", "--seed", "1")
+    doc = json.loads(out)
+    assert code == cli.EXIT_OK and doc["dimension"] == 2
+    assert [p["p"] for p in doc["prime_plan"]["primes"]][0] == 5 and len(doc["prime_plan"]["primes"]) == 2
+
+
+def test_dim_names_the_primes_and_the_fallback(capsys, monkeypatch):
+    from algebragen import resolvent
+
+    code, out, _ = run(capsys, "dim", TRIANGULAR)
+    doc = json.loads(out)
+    assert code == cli.EXIT_OK and doc["dimension"] == 5
+    assert doc["primes"] == list(resolvent.LIFT_PRIMES[:1]) and doc["fallback"] is False
+    monkeypatch.setattr(resolvent, "LIFT_PRIMES", ())
+    code, out, _ = run(capsys, "dim", TRIANGULAR)
+    doc = json.loads(out)
+    assert code == cli.EXIT_OK and doc["dimension"] == 5
+    assert doc["primes"] == [] and doc["fallback"] is True
+
+
+def test_dim_on_floats_has_no_primes(capsys, tmp_path):
+    path = write_instance(tmp_path, {"n": 2, "field": "f64", "generators": [[["1", "2"], ["0", "1"]]]})
+    code, out, _ = run(capsys, "dim", path)
+    doc = json.loads(out)
+    assert code == cli.EXIT_OK and doc["dimension"] == 2
+    assert doc["primes"] is None and doc["fallback"] is False

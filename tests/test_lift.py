@@ -1,0 +1,237 @@
+"""The exact span matrix over Q, lifted from GF(p) images.
+
+Its rank, pivots and column space come from the reduced echelon form of
+the span matrix mod fixed primes, lifted by rational reconstruction (and
+CRT) and accepted only after an exact check.  The reference is the Bareiss
+adjugate path the span matrix falls back to, reached here by emptying the
+prime list.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import algebragen as ag
+from algebragen import resolvent, wordspan
+from algebragen.matrix import INT64_MODULUS_LIMIT
+from algebragen.primes import is_prime
+from algebragen.resolvent import _lift, _reconstruct, _spans_algebra, clear_denominators, kron_square
+
+
+def _fallback_report(gs, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(resolvent, "LIFT_PRIMES", ())
+        rep = ag.span_matrix(gs)
+    assert rep.fallback and rep.primes == ()
+    return rep
+
+
+def _unimodular(rng, n):
+    """An integer matrix of determinant 1: unit lower times unit upper
+    triangular, small entries."""
+    lo = np.identity(n, dtype=object)
+    up = np.identity(n, dtype=object)
+    for i in range(n):
+        for j in range(i):
+            lo[i, j] = rng.randint(-2, 2)
+            up[j, i] = rng.randint(-2, 2)
+    return lo.dot(up)
+
+
+def _fraction_set(rng, n, d, unital, split=None):
+    """d generators with Fraction entries (denominators up to 3).  With a
+    ``split``, each is block upper triangular for (split, n - split),
+    hidden by one unimodular similarity."""
+    p = _unimodular(rng, n)
+    p_inv = ag.inverse(ag.Mat.wrap(p, ag.RATIONAL)).data
+    gens = []
+    for _ in range(d):
+        t = np.array([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)],
+                     dtype=object)
+        if split is not None:
+            t[split:, :split] = Fraction(0)
+            t = p.dot(t).dot(p_inv)
+        gens.append(ag.Mat.wrap(t, ag.RATIONAL))
+    return ag.GeneratorSet(n, tuple(gens), ag.RATIONAL, unital)
+
+
+def _candidates(rng, gs, count):
+    """``count`` members (combinations of the word basis) and ``count``
+    random matrices."""
+    words = wordspan.word_span(gs).mats
+    zs = []
+    for _ in range(count):
+        z = ag.Mat.zeros(gs.n, gs.n, ag.RATIONAL)
+        for w in words:
+            z = z + w * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        zs.append(z)
+    zs += [ag.Mat.wrap(np.array([[Fraction(rng.randint(-3, 3)) for _ in range(gs.n)] for _ in range(gs.n)],
+                                dtype=object), ag.RATIONAL) for _ in range(count)]
+    return zs
+
+
+def _word_columns(gs):
+    mats = wordspan.word_span(gs).mats
+    return ag.Mat(np.concatenate([ag.vec(m).data for m in mats], axis=1) if mats
+                  else np.empty((gs.n * gs.n, 0), dtype=object), ag.RATIONAL)
+
+
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "nonunital"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lift_matches_the_bareiss_path(n, unital, monkeypatch):
+    rng = random.Random(100 * n + unital)
+    sets = []
+    for d in range(4):
+        sets.append(_fraction_set(rng, n, d, unital))
+        if n > 1:
+            sets.append(_fraction_set(rng, n, d, unital, split=rng.randint(1, n - 1)))
+    reports = []
+    for gs in sets:
+        rep, ref = ag.span_matrix(gs), _fallback_report(gs, monkeypatch)
+        assert not rep.fallback and rep.primes
+        assert rep.rank == ref.rank == wordspan.dimension(gs)
+        assert rep.pivots == ref.pivots
+        # equal ranks, and each Bareiss column c lies in the span of the
+        # lifted echelon basis R: c = R^T c[pivots]
+        cs = ref.colspace.data
+        assert np.array_equal(cs, rep.colspace.data.dot(cs[list(rep.pivots)]))
+        # a non-member against the wide Bareiss columns takes seconds at
+        # n = 5: there the word basis, another basis of the space, stands in
+        other = ref.colspace if n < 5 else _word_columns(gs)
+        for z in _candidates(rng, gs, 2):
+            assert ag.in_range(rep.colspace, ag.vec(z)) == ag.in_range(other, ag.vec(z))
+        reports.append((gs, rep, other))
+    # intersections of consecutive sets: the lifted dimension against
+    # dim U + dim V - dim(U + V) on the reference columns
+    for (gs_a, rep_a, ref_a), (gs_b, rep_b, ref_b) in zip(reports, reports[1:]):
+        both = ag.Mat(np.concatenate([ref_a.data, ref_b.data], axis=1), ag.RATIONAL)
+        want = ref_a.cols + ref_b.cols - ag.rank(both)
+        assert ag.intersect(gs_a, gs_b).dim == ag.subspace_intersect(rep_a.colspace, rep_b.colspace).cols == want
+
+
+def test_basis_rows_lie_in_the_algebra():
+    rng = random.Random(5)
+    gs = _fraction_set(rng, 4, 2, True, split=2)
+    words = _word_columns(gs)
+    ab = ag.basis(gs)
+    assert ab.dim == words.cols == 12
+    for m in ab.mats:
+        assert ag.in_range(words, ag.vec(m))[0]
+
+
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "nonunital"])
+def test_a_wide_denominator_needs_two_primes(unital):
+    # conjugating E11 by [[1, 10^6], [0, 1]] puts 1/10^6 in the echelon
+    # basis of the unital algebra (-10^6 in the non-unital one): one prime
+    # near 3e9 reconstructs fractions with both parts up to 38968, two
+    # combined by CRT up to 2.1e9
+    big = 10**6
+    g = ag.Mat.from_rows([[1, -big], [0, 0]], ag.RATIONAL)
+    gs = ag.GeneratorSet.of(g, unital=unital)
+    rep = ag.span_matrix(gs)
+    assert not rep.fallback and rep.primes == resolvent.LIFT_PRIMES[:2]
+    want = [[1, 0, 0, 1], [0, 0, 1, Fraction(1, big)]] if unital else [[1, 0, -big, 0]]
+    assert rep.rank == len(want)
+    assert rep.colspace == ag.Mat.from_rows(want, ag.RATIONAL).T
+    assert ag.basis(gs).mats[-1] == ag.unvec(ag.Mat.from_rows(want, ag.RATIONAL).T.col(len(want) - 1), 2, 2)
+
+
+def test_a_bad_prime_list_falls_back(monkeypatch):
+    # diag(1, 6) is I mod 5: the image at 5 has rank 1, its lift misses the
+    # generator and is rejected, and the Bareiss path gives 2
+    g = ag.Mat.from_rows([[1, 0], [0, 6]], ag.RATIONAL)
+    gs = ag.GeneratorSet.of(g)
+    monkeypatch.setattr(resolvent, "LIFT_PRIMES", (5,))
+    rep = ag.span_matrix(gs)
+    assert rep.fallback and rep.primes == ()
+    assert rep.rank == 2 and rep.pivots == (0, 3)
+    assert ag.membership(gs, g).member
+    monkeypatch.setattr(resolvent, "LIFT_PRIMES", (5, 7))
+    rep = ag.span_matrix(gs)
+    assert not rep.fallback and rep.primes == (7,) and rep.rank == 2
+
+
+def test_fallback_keeps_the_answers(tri_gens, member_candidate, nonmember_candidate, monkeypatch):
+    monkeypatch.setattr(resolvent, "LIFT_PRIMES", ())
+    rep = ag.span_matrix(tri_gens)
+    assert rep.fallback and rep.rank == 5
+    assert ag.membership(tri_gens, member_candidate, report=rep).member
+    assert not ag.membership(tri_gens, nonmember_candidate, report=rep).member
+    assert ag.basis(tri_gens).dim == 5 and ag.intersect(tri_gens, tri_gens).dim == 5
+
+
+def test_lift_primes_are_fixed_int64_primes():
+    assert len(set(resolvent.LIFT_PRIMES)) == len(resolvent.LIFT_PRIMES) >= 2
+    assert all(is_prime(p) and p < INT64_MODULUS_LIMIT for p in resolvent.LIFT_PRIMES)
+
+
+def _lifted(gs):
+    s, b = kron_square(gs)
+    x = b * np.identity(s.shape[0], dtype=object) - s
+    gens = [g for _, g in clear_denominators(gs.gens)]
+    return _lift(x, b, gens, gs.unital), gens
+
+
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "nonunital"])
+def test_the_check_rejects_a_truncated_or_perturbed_basis(tri_gens, unital):
+    gs = tri_gens.with_unital(unital)
+    (rows, d, pivots, _), gens = _lifted(gs)
+    assert _spans_algebra(rows, d, pivots, gens, unital)
+    # one row short: a span one smaller cannot hold the algebra
+    for i in range(len(pivots)):
+        keep = [k for k in range(len(pivots)) if k != i]
+        assert not _spans_algebra(rows[keep], d, [pivots[k] for k in keep], gens, unital)
+    # any other echelon basis of the same shape spans another space
+    free = [j for j in range(rows.shape[1]) if j not in pivots]
+    for i in range(len(pivots)):
+        for j in free:
+            if j > pivots[i]:
+                bent = rows.copy()
+                bent[i, j] += 1
+                assert not _spans_algebra(bent, d, pivots, gens, unital)
+
+
+def test_the_check_on_random_sets():
+    rng = random.Random(9)
+    for _ in range(10):
+        gs = _fraction_set(rng, 3, 2, rng.random() < 0.5, split=1)
+        (rows, d, pivots, _), gens = _lifted(gs)
+        assert len(pivots) == wordspan.dimension(gs)
+        assert _spans_algebra(rows, d, pivots, gens, gs.unital)
+        if len(pivots) > 1:
+            assert not _spans_algebra(rows[1:], d, pivots[1:], gens, gs.unital)
+
+
+def test_empty_and_zero_sets_lift():
+    for unital, rank in ((True, 1), (False, 0)):
+        for gens in ((), (ag.Mat.zeros(2, 2, ag.RATIONAL),)):
+            rep = ag.span_matrix(ag.GeneratorSet(2, gens, ag.RATIONAL, unital))
+            assert rep.rank == rank and not rep.fallback and rep.primes == resolvent.LIFT_PRIMES[:1]
+            assert rep.colspace.cols == rank
+
+
+def test_rational_reconstruction_bounds():
+    p, q = resolvent.LIFT_PRIMES[:2]
+    t = math.isqrt(p // 2)  # 38967
+
+    def residues(fracs, m):
+        return np.array([f.numerator * pow(f.denominator, -1, m) % m for f in fracs], dtype=object)
+
+    fracs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-t, t - 1), Fraction(t, 2)]
+    nums, d = _reconstruct(residues(fracs, p), p)
+    assert d == math.lcm(7, t - 1, 2) and [Fraction(v, d) for v in nums] == fracs
+    # past the bound one prime gives another small fraction (-3037 / 493
+    # for 1 / 10^6), which only the exact check can reject; two primes
+    # give the right one
+    wide = [Fraction(1, 10**6), Fraction(-(10**6))]
+    for f in wide:
+        (num,), d = _reconstruct(residues([f], p), p)
+        assert Fraction(num, d) != f
+    nums, d = _reconstruct(residues(wide, p * q), p * q)
+    assert [Fraction(v, d) for v in nums] == wide
+    # 2 t^2 is 2 t^2 - p = -146315 mod p, and no fraction within the bound
+    # is congruent to it
+    assert _reconstruct(np.array([2 * t * t], dtype=object), p) is None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import algebragen as ag
 from algebragen import wordspan
+from algebragen.modp import per_prime_failure_bound
 from algebragen.resolvent import clear_denominators, kron_square
 
 from conftest import rand_int_generator_set, rand_mat
@@ -152,3 +153,18 @@ def test_certified_dimension_checks_sizes():
         ag.certified_dimension([g3], trials=1, seed=0, n=2)
     with pytest.raises(ValueError, match="generator is 2x2, expected 3x3"):
         ag.certified_dimension([g3, g2], trials=1, seed=0)
+
+
+def test_a_forced_prime_is_no_trial():
+    # diag(1, 6) is I mod 5, so the forced prime sees rank 1; the one trial
+    # still draws its random prime, which sees 2, and only it enters the bound
+    gens = [ag.Mat.from_rows([[1, 0], [0, 6]], ag.RATIONAL), ag.Mat.zeros(2, 2, ag.RATIONAL)]
+    dim, plan = ag.certified_dimension(gens, trials=1, seed=1, forced_prime=5)
+    assert dim == 2
+    assert plan.outcomes[0] == ag.PrimeOutcome(p=5, rank=1)
+    assert [o.rank for o in plan.outcomes[1:] if not o.singular] == [2]
+    per_prime = per_prime_failure_bound(plan.bad_prime_bound, plan.ceiling)
+    assert plan.failure_probability_bound == per_prime
+    # the random primes are those of the same seed without a forced prime
+    _, free = ag.certified_dimension(gens, trials=1, seed=1)
+    assert plan.outcomes[1:] == free.outcomes
