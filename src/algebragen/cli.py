@@ -85,7 +85,6 @@ def cmd_dim(args) -> int:
             "rank_tolerance": rep.tol,
             "conditioning_flag": rep.ill_conditioned,
             "primes": None if rep.primes is None else list(rep.primes),
-            "fallback": rep.fallback,
         }
     )
     _emit(report, f"dimension {rep.rank} ({inst.field}, {'unital' if inst.gs.unital else 'non-unital'})")

@@ -15,13 +15,10 @@ updates all affected rows of a pivot step in one numpy operation:
   where (p - 1)^2 + p reaches 2^63), on Python-int rows above it;
 * over Q on primitive integer rows by fraction-free (Bareiss) elimination,
   from Fraction or Python-int entries, building Fractions only for the
-  reduced rows a caller reads.  ``_eliminate`` hands out the integer rows
-  and the last pivot themselves: the span matrix over Q reads the
-  adjugate of an integer matrix from them (``resolvent``).
+  reduced rows a caller reads.
 
 The span matrix over Q takes its rank and column space from GF(p)
-eliminations, lifted to Q and checked there (``resolvent``); it runs the
-Bareiss elimination of its adjugate only when no lift passes.
+eliminations, lifted to Q and checked there (``resolvent``).
 
 Exact results hold Python ``int`` / ``Fraction`` entries, never numpy
 integers, so later object-array products cannot wrap.
@@ -233,14 +230,13 @@ def _fractions(ints: np.ndarray, den: int = 1) -> np.ndarray:
     return out
 
 
-def _eliminate(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
-    """Row echelon form over an exact kind, before any conversion; returns
-    (A, pivot_cols, d).
+def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
+    """Row echelon form over an exact kind; returns (R, pivot_cols).
 
-    Over GF(p) A holds the normalized rows and d is 1.  Over Q, where
-    ``data`` may hold Fractions or Python ints, A holds integer rows and d
-    is the last pivot: with ``reduced`` every pivot row ends with d on its
-    pivot column, so A / d is the reduced row echelon form.
+    With ``reduced`` R is the reduced row echelon form, with entries of the
+    kind's scalar type (``int`` over GF(p), ``Fraction`` over Q), where
+    ``data`` may hold Fractions or Python ints over Q.  Without it only the
+    pivot columns are meaningful and R is None: rank and range need no more.
 
     Each pivot step on row r, column c is one vectorized update of the rows
     m it touches, with f = A[m, c]: those below r, and with ``reduced``
@@ -249,7 +245,9 @@ def _eliminate(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
     and ``A[m] = (A[m] - f * A[r] % p) % p``.  Over Q the rows are primitive
     integer rows reduced by fraction-free (Bareiss) elimination,
     ``A[m] = (d * A[m] - f * A[r]) // d_prev`` with d the pivot and d_prev
-    the one before, where the division is exact.
+    the one before, where the division is exact; with ``reduced`` every
+    pivot row then ends with the last pivot d on its pivot column, and R is
+    A / d.
     """
     p = kind.modulus
     if p is None:
@@ -284,24 +282,11 @@ def _eliminate(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
             a[rest] = (d * a[rest] - f[:, None] * a[r]) // prev
             prev = d
         pivots.append(c)
-    return a, pivots, prev
-
-
-def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
-    """Row echelon form over an exact kind (see ``_eliminate``); returns
-    (R, pivot_cols).
-
-    With ``reduced`` R is the reduced row echelon form, with entries of the
-    kind's scalar type (``int`` over GF(p), ``Fraction`` over Q).  Without
-    it only the pivot columns are meaningful and R is None: rank and range
-    need no more.
-    """
-    a, pivots, d = _eliminate(data, kind, reduced)
     if not reduced:
         return None, pivots
-    if kind.modulus is not None:
+    if p is not None:
         return a.astype(object), pivots
-    return _fractions(a, d), pivots
+    return _fractions(a, prev), pivots
 
 
 def _solve_exact(a: Mat, b: Mat):
@@ -344,8 +329,7 @@ class RankInfo:
     The rank SVD computes values only, so the float column space costs a
     second, thin SVD on first use.  A span matrix report over Q does not
     read its colspace from here: it holds the reduced echelon basis of the
-    algebra lifted from GF(p) (see ``resolvent``), and this one only when
-    that lift falls back to the adjugate.
+    algebra lifted from GF(p) (see ``resolvent``).
     """
 
     matrix: Mat

@@ -19,18 +19,17 @@ no caller can choose another:
   the long words to rounding and leave the rank short from n = 16 on.
 * Q realigns the resolvent (I - S/B)^-1, or S/B (I - S/B)^-1 for a
   non-unital set.  Its rank and column space are lifted from GF(p)
-  images, never read off the resolvent itself.  For each prime of
-  LIFT_PRIMES, X = B*I - S is inverted mod p, realigned and brought to
-  reduced echelon form (``_echelon_mod_p``), whose rank is a lower bound
-  on the Q rank.  Images of equal rank and pivots are combined by CRT and
-  lifted to Q by rational reconstruction, and a lift R is accepted only
-  when a check on Python ints shows that its span holds the algebra
-  (``_spans_algebra``).  Then span R is the algebra: ``colspace`` is R^T,
-  with small entries, and ``pivots`` are R's pivot columns.  When no prime
-  passes, the Bareiss elimination of the adjugate below gives the rank.
-  ``matrix`` is the resolvent up to a positive factor, on Python
-  integers: adj(X), divided by its content, realigned.  It is built only
-  when read.
+  images, never read off the resolvent itself.  For each prime in turn,
+  largest first below INT64_MODULUS_LIMIT (``_lift_primes``), X = B*I - S
+  is inverted mod p, realigned and brought to reduced echelon form
+  (``_echelon_mod_p``), whose rank is a lower bound on the Q rank.  Images
+  of equal rank and pivots are combined by CRT and lifted to Q by rational
+  reconstruction, and a lift R is accepted only when a check on Python
+  ints shows that its span holds the algebra (``_spans_algebra``).  Then
+  span R is the algebra: ``colspace`` is R^T, with small entries, and
+  ``pivots`` are R's pivot columns.  ``matrix`` is the realigned resolvent
+  itself, B X^-1 (B X^-1 - I for a non-unital set) realigned, with
+  Fraction entries.  It is built only when read.
 * GF(p) reduces the same X mod p and inverts it there: the reduction of
   the rational (I - S/B)^-1 / B, defined also when p divides B.  The ranks
   of these images are the certificate of the ``modp`` module.
@@ -39,14 +38,15 @@ no caller can choose another:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat, SingularMatrixError, _eliminate, _fractions, _realign, inverse, rank_info, realign
+from .matrix import Mat, SingularMatrixError, _fractions, _realign, _rref, inverse, rank_info, realign
+from .primes import is_prime
 from .scalars import RATIONAL, gf
 
 
@@ -64,11 +64,9 @@ class SpanMatrixReport:
 
     Over Q, ``primes`` are the primes whose GF(p) images were lifted to the
     reduced echelon basis of the algebra, whose transpose is ``colspace``,
-    and ``pivots`` are its pivot columns; ``fallback`` is True when no lift
-    passed its exact check and the rank, pivots and ``colspace`` came from
-    the Bareiss adjugate instead (``primes`` is then empty).  ``primes`` is
-    None on float kinds.  ``matrix`` and ``colspace`` are built on first
-    read: over Q the lift does not need the adjugate.
+    and ``pivots`` are its pivot columns.  ``primes`` is None on float
+    kinds.  ``matrix`` and ``colspace`` are built on first read: over Q
+    the lift does not need the resolvent.
     """
 
     rank: int
@@ -79,7 +77,6 @@ class SpanMatrixReport:
     variant: str
     scale: int
     primes: tuple[int, ...] | None
-    fallback: bool
     _matrix: Callable[[], Mat] = field(repr=False, compare=False)
     _colspace: Callable[[], Mat] = field(repr=False, compare=False)
 
@@ -152,36 +149,11 @@ def kron_square(gs: GeneratorSet) -> tuple[np.ndarray, int]:
     return s, math.ceil(total) + 1
 
 
-def _rational_span(x: np.ndarray, b: int, unital: bool) -> np.ndarray:
-    """The content-reduced adjugate of X = B*I - S over Q, or of S adj(X)
-    for a non-unital set.
-
-    One fraction-free elimination of [X | I] leaves d X^-1 in the right
-    half, d the last pivot.  Divided by its content it is a positive
-    multiple of X^-1 and so of the resolvent (I - S/B)^-1: the same column
-    space, symmetric PSD.  d is positive: each Bareiss pivot is a leading
-    principal minor B*I - S_k of X, and |S_k| <= |S| < B puts every
-    eigenvalue of S_k inside the disc of radius B, so the minor, a product
-    of B - lambda over real and conjugate pairs, is positive and no rows
-    are swapped.
-    """
-    nn = x.shape[0]
-    eye = np.identity(nn, dtype=object)
-    a, _, d = _eliminate(np.concatenate([x, eye], axis=1), RATIONAL)
-    c = math.gcd(*a[:, nn:].ravel())
-    core = a[:, nn:] // c
-    if not unital:
-        # S core = (B I - X) core, and X core = (d / c) I
-        core = b * core - (d // c) * eye
-    return core
-
-
 def _echelon_mod_p(x: np.ndarray, p: int, b: int | None = None, reduced: bool = True):
     """The GF(p) image of the span matrix of X = B*I - S: the row echelon
     form of realign(X^-1), or with ``b`` = B of realign(S X^-1) =
-    realign(B X^-1 - I) for a non-unital set, as (rows, pivots) with the
-    rank-many nonzero rows (see ``matrix._eliminate``); None when p divides
-    det X.
+    realign(B X^-1 - I) for a non-unital set, as the (R, pivots) of
+    ``matrix._rref``; None when p divides det X.
 
     X^-1 mod p is the reduction of the rational (I - S/B)^-1 / B, defined
     also when p divides B.  Its rank is at most the Q rank of the span
@@ -196,8 +168,7 @@ def _echelon_mod_p(x: np.ndarray, p: int, b: int | None = None, reduced: bool = 
     if b is not None:
         inv = inv * (b % p) % p
         inv[np.diag_indices(inv.shape[0])] = (inv.diagonal() - 1) % p
-    rows, pivots, _ = _eliminate(_realign(inv), kind, reduced)
-    return rows[: len(pivots)], pivots
+    return _rref(_realign(inv), kind, reduced)
 
 
 def _reconstruct(residues: np.ndarray, m: int):
@@ -252,16 +223,27 @@ def _spans_algebra(rows: np.ndarray, d: int, pivots: list[int], gens: list[np.nd
     return bool(np.all(d * v == v[:, pivots].dot(rows)))
 
 
-# The primes of the Q lift, largest first below INT64_MODULUS_LIMIT; when
-# all of them fail, the span matrix falls back to the Bareiss adjugate.
+# The head of the Q lift's primes: the four largest below
+# INT64_MODULUS_LIMIT, written out so that no prime search runs while they
+# serve.
 LIFT_PRIMES = (3_037_000_493, 3_037_000_453, 3_037_000_429, 3_037_000_427)
 
 
-def _lift(x: np.ndarray, b: int, gens: list[np.ndarray], unital: bool):
+def _lift_primes():
+    """The primes below INT64_MODULUS_LIMIT, largest first: LIFT_PRIMES,
+    then the next ones below them, each found by ``is_prime`` when asked
+    for."""
+    yield from LIFT_PRIMES
+    for c in range(LIFT_PRIMES[-1] - 2, 2, -2):
+        if is_prime(c):
+            yield c
+
+
+def _lift(x: np.ndarray, b: int, gens: list[np.ndarray], unital: bool, primes):
     """The reduced echelon basis of the algebra over Q, lifted from the
-    GF(p) images of its span matrix: (rows, d, pivots, primes) with rows /
-    d the basis and ``primes`` those whose images it was lifted from, or
-    None when every prime of LIFT_PRIMES failed.
+    GF(p) images of its span matrix at ``primes`` in turn: (rows, d,
+    pivots, used) with rows / d the basis and ``used`` the primes whose
+    images it was lifted from, or None when ``primes`` run out first.
 
     The rank of each prime's image is a lower bound on the Q rank.  Images
     of equal rank and pivots are combined by CRT and lifted by rational
@@ -270,18 +252,25 @@ def _lift(x: np.ndarray, b: int, gens: list[np.ndarray], unital: bool):
     algebra, and its reduced echelon basis is the Q one.  A higher rank, or
     the same rank with earlier pivots, comes from a better prime and starts
     the combination again; a lower one is skipped.
+
+    Over ``_lift_primes()`` it always returns.  Only finitely many primes
+    are bad, and a bad one can only lower the rank or move the pivots
+    later, so the good primes keep the best key.  Their images are those
+    of the Q basis, and their CRT modulus grows until the reconstruction
+    succeeds.
     """
     best, residues, m, used = None, None, 1, []
-    for p in LIFT_PRIMES:
+    for p in primes:
         image = _echelon_mod_p(x, p, None if unital else b)
         if image is None:
             continue
         rows, pivots = image
+        rows = rows[: len(pivots)]
         key = (-len(pivots), pivots)
         if best is None or key < best:
-            best, residues, m, used = key, rows.astype(object), p, [p]
+            best, residues, m, used = key, rows, p, [p]
         elif key == best:
-            t = (rows.astype(object) - residues) * pow(m, -1, p) % p
+            t = (rows - residues) * pow(m, -1, p) % p
             residues, m = residues + m * t, m * p
             used.append(p)
         else:
@@ -303,36 +292,30 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
     s, b = kron_square(gs)
     if gs.kind.exact:
         x = b * np.identity(s.shape[0], dtype=object) - s
-        variant = "resolvent" if gs.unital else "resolvent_nonunital"
-
-        def adjugate() -> Mat:
-            return Mat(_fractions(_realign(_rational_span(x, b, gs.unital))), RATIONAL)
-
         gens = [g for _, g in clear_denominators(gs.gens)]
-        lifted = _lift(x, b, gens, gs.unital)
-        if lifted is not None:
-            rows, d, pivots, primes = lifted
-            return SpanMatrixReport(rank=len(pivots), tol=None, ill_conditioned=False, singular_values=None,
-                                    pivots=tuple(pivots), variant=variant, scale=b, primes=primes,
-                                    fallback=False, _matrix=adjugate,
-                                    _colspace=lambda: Mat(_fractions(rows.T, d), RATIONAL))
-        # no lift passed: rank the integer entries, then hand out Fractions
-        info = rank_info(realign(Mat(_rational_span(x, b, gs.unital), RATIONAL)))
-        info = replace(info, matrix=Mat(_fractions(info.matrix.data), RATIONAL))
-        primes, fallback = (), True
+        rows, d, pivots, primes = _lift(x, b, gens, gs.unital, _lift_primes())
+
+        def realigned_resolvent() -> Mat:
+            # B X^-1 = (I - S/B)^-1, and B X^-1 - I = S/B (I - S/B)^-1
+            core = inverse(Mat(_fractions(x), RATIONAL)) * b
+            if not gs.unital:
+                core = core - Mat.identity(core.rows, RATIONAL)
+            return realign(core)
+
+        return SpanMatrixReport(rank=len(pivots), tol=None, ill_conditioned=False, singular_values=None,
+                                pivots=tuple(pivots), variant="resolvent" if gs.unital else "resolvent_nonunital",
+                                scale=b, primes=primes, _matrix=realigned_resolvent,
+                                _colspace=lambda: Mat(_fractions(rows.T, d), RATIONAL))
+    k = default_power_exponent(gs.n)
+    s = Mat(s, gs.kind) * (1.0 / b)
+    step = Mat.identity(gs.n * gs.n, gs.kind) + s
+    if gs.unital:
+        # free what the products do not read: each copy is 2.6 MB at n = 24
+        del s
+        core, variant = _matrix_power(step, k), f"power:{k}"
     else:
-        k = default_power_exponent(gs.n)
-        s = Mat(s, gs.kind) * (1.0 / b)
-        step = Mat.identity(gs.n * gs.n, gs.kind) + s
-        if gs.unital:
-            # free what the products do not read: each copy is 2.6 MB at n = 24
-            del s
-            core, variant = _matrix_power(step, k), f"power:{k}"
-        else:
-            core, variant = s @ _matrix_power(step, k - 1), f"power_nonunital:{k}"
-        info = rank_info(realign(core))
-        primes, fallback = None, False
+        core, variant = s @ _matrix_power(step, k - 1), f"power_nonunital:{k}"
+    info = rank_info(realign(core))
     return SpanMatrixReport(rank=info.rank, tol=info.tol, ill_conditioned=info.ill_conditioned,
                             singular_values=info.singular_values, pivots=info.pivots, variant=variant,
-                            scale=b, primes=primes, fallback=fallback,
-                            _matrix=lambda: info.matrix, _colspace=lambda: info.colspace)
+                            scale=b, primes=None, _matrix=lambda: info.matrix, _colspace=lambda: info.colspace)

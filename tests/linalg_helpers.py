@@ -3,7 +3,8 @@
 The library itself never needs these: it decides rank, range and
 invertibility through ``matrix._rref`` and forms S and B once, in
 ``resolvent.kron_square``.  They stay here as independent checks on the
-span matrix (it is PSD), on the mod-p certificate (a singular skip means p
+span matrix (it is PSD, and over Q it is the Fraction resolvent of the
+generators as given), on the mod-p certificate (a singular skip means p
 divides det(B*I - S)) and on the builder (entry by entry, on the Fraction
 or complex entries of the generators as given).
 """
@@ -14,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from algebragen.generators import GeneratorSet
-from algebragen.matrix import Mat
+from algebragen.matrix import Mat, inverse, realign
 from algebragen.resolvent import kron_square
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -41,6 +42,14 @@ def summed_kron_square(gs: GeneratorSet) -> Mat:
 def square_bound(gens) -> int:
     """B = ceil(sum of the squared Frobenius norms of ``gens``) + 1."""
     return math.ceil(sum(frobenius_sq(g) for g in gens)) + 1
+
+
+def realigned_resolvent(gs: GeneratorSet, b) -> Mat:
+    """Realigned Fraction resolvent (I - S/B)^-1 of ``gs`` as given, or
+    S/B (I - S/B)^-1 for a non-unital set."""
+    s = summed_kron_square(gs) * Fraction(1, b)
+    core = inverse(Mat.identity(gs.n * gs.n, gs.kind) - s)
+    return realign(core if gs.unital else s @ core)
 
 
 def b_minus_s(gs: GeneratorSet):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -277,18 +278,21 @@ def test_modp_dim_forced_prime_does_not_replace_a_trial(capsys, tmp_path):
     assert [p["p"] for p in doc["prime_plan"]["primes"]][0] == 5 and len(doc["prime_plan"]["primes"]) == 2
 
 
-def test_dim_names_the_primes_and_the_fallback(capsys, monkeypatch):
+def test_dim_names_the_primes(capsys, tmp_path):
     from algebragen import resolvent
 
     code, out, _ = run(capsys, "dim", TRIANGULAR)
     doc = json.loads(out)
     assert code == cli.EXIT_OK and doc["dimension"] == 5
-    assert doc["primes"] == list(resolvent.LIFT_PRIMES[:1]) and doc["fallback"] is False
-    monkeypatch.setattr(resolvent, "LIFT_PRIMES", ())
-    code, out, _ = run(capsys, "dim", TRIANGULAR)
+    assert doc["primes"] == list(resolvent.LIFT_PRIMES[:1]) and "fallback" not in doc
+    # diag(1, 1 + the product of LIFT_PRIMES) is I modulo each of them: the
+    # next prime below them serves
+    big = str(1 + math.prod(resolvent.LIFT_PRIMES))
+    path = write_instance(tmp_path, {"n": 2, "field": "rational", "generators": [[["1", "0"], ["0", big]]]})
+    code, out, _ = run(capsys, "dim", path)
     doc = json.loads(out)
-    assert code == cli.EXIT_OK and doc["dimension"] == 5
-    assert doc["primes"] == [] and doc["fallback"] is True
+    assert code == cli.EXIT_OK and doc["dimension"] == 2
+    assert doc["primes"] == [3_037_000_399] and "fallback" not in doc
 
 
 def test_dim_on_floats_has_no_primes(capsys, tmp_path):
@@ -296,4 +300,4 @@ def test_dim_on_floats_has_no_primes(capsys, tmp_path):
     code, out, _ = run(capsys, "dim", path)
     doc = json.loads(out)
     assert code == cli.EXIT_OK and doc["dimension"] == 2
-    assert doc["primes"] is None and doc["fallback"] is False
+    assert doc["primes"] is None and "fallback" not in doc

@@ -1,10 +1,10 @@
 """The exact span matrix over Q, lifted from GF(p) images.
 
 Its rank, pivots and column space come from the reduced echelon form of
-the span matrix mod fixed primes, lifted by rational reconstruction (and
-CRT) and accepted only after an exact check.  The reference is the Bareiss
-adjugate path the span matrix falls back to, reached here by emptying the
-prime list.
+the span matrix mod primes taken largest first below the int64 modulus
+limit, lifted by rational reconstruction (and CRT) and accepted only after
+an exact check.  The reference is the exact rank of the realigned Fraction
+resolvent of the generators as given, by Bareiss elimination.
 """
 
 import math
@@ -18,15 +18,9 @@ import algebragen as ag
 from algebragen import resolvent, wordspan
 from algebragen.matrix import INT64_MODULUS_LIMIT
 from algebragen.primes import is_prime
-from algebragen.resolvent import _lift, _reconstruct, _spans_algebra, clear_denominators, kron_square
+from algebragen.resolvent import _lift, _lift_primes, _reconstruct, _spans_algebra, clear_denominators, kron_square
 
-
-def _fallback_report(gs, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(resolvent, "LIFT_PRIMES", ())
-        rep = ag.span_matrix(gs)
-    assert rep.fallback and rep.primes == ()
-    return rep
+from linalg_helpers import realigned_resolvent, square_bound
 
 
 def _unimodular(rng, n):
@@ -81,7 +75,7 @@ def _word_columns(gs):
 
 @pytest.mark.parametrize("unital", [True, False], ids=["unital", "nonunital"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_lift_matches_the_bareiss_path(n, unital, monkeypatch):
+def test_lift_matches_the_bareiss_path(n, unital):
     rng = random.Random(100 * n + unital)
     sets = []
     for d in range(4):
@@ -90,15 +84,18 @@ def test_lift_matches_the_bareiss_path(n, unital, monkeypatch):
             sets.append(_fraction_set(rng, n, d, unital, split=rng.randint(1, n - 1)))
     reports = []
     for gs in sets:
-        rep, ref = ag.span_matrix(gs), _fallback_report(gs, monkeypatch)
-        assert not rep.fallback and rep.primes
+        rep = ag.span_matrix(gs)
+        ref = ag.rank_info(realigned_resolvent(gs, square_bound(gs.gens)))
+        assert rep.primes == resolvent.LIFT_PRIMES[: len(rep.primes)]
         assert rep.rank == ref.rank == wordspan.dimension(gs)
+        # the pivots of a PSD matrix are the first independent rows of any
+        # basis of its column space, so they are the echelon basis's
         assert rep.pivots == ref.pivots
-        # equal ranks, and each Bareiss column c lies in the span of the
+        # equal ranks, and each resolvent column c lies in the span of the
         # lifted echelon basis R: c = R^T c[pivots]
         cs = ref.colspace.data
         assert np.array_equal(cs, rep.colspace.data.dot(cs[list(rep.pivots)]))
-        # a non-member against the wide Bareiss columns takes seconds at
+        # a non-member against the wide resolvent columns takes seconds at
         # n = 5: there the word basis, another basis of the space, stands in
         other = ref.colspace if n < 5 else _word_columns(gs)
         for z in _candidates(rng, gs, 2):
@@ -132,47 +129,53 @@ def test_a_wide_denominator_needs_two_primes(unital):
     g = ag.Mat.from_rows([[1, -big], [0, 0]], ag.RATIONAL)
     gs = ag.GeneratorSet.of(g, unital=unital)
     rep = ag.span_matrix(gs)
-    assert not rep.fallback and rep.primes == resolvent.LIFT_PRIMES[:2]
+    assert rep.primes == resolvent.LIFT_PRIMES[:2]
     want = [[1, 0, 0, 1], [0, 0, 1, Fraction(1, big)]] if unital else [[1, 0, -big, 0]]
     assert rep.rank == len(want)
     assert rep.colspace == ag.Mat.from_rows(want, ag.RATIONAL).T
     assert ag.basis(gs).mats[-1] == ag.unvec(ag.Mat.from_rows(want, ag.RATIONAL).T.col(len(want) - 1), 2, 2)
 
 
-def test_a_bad_prime_list_falls_back(monkeypatch):
-    # diag(1, 6) is I mod 5: the image at 5 has rank 1, its lift misses the
-    # generator and is rejected, and the Bareiss path gives 2
-    g = ag.Mat.from_rows([[1, 0], [0, 6]], ag.RATIONAL)
+def test_bad_primes_are_passed_over():
+    # diag(1, 1 + P), P the product of LIFT_PRIMES, is I modulo each of
+    # them: their images have rank 1, their lifts miss the generator and
+    # are rejected, and the next prime below them gives 2
+    g = ag.Mat.from_rows([[1, 0], [0, 1 + math.prod(resolvent.LIFT_PRIMES)]], ag.RATIONAL)
     gs = ag.GeneratorSet.of(g)
-    monkeypatch.setattr(resolvent, "LIFT_PRIMES", (5,))
     rep = ag.span_matrix(gs)
-    assert rep.fallback and rep.primes == ()
-    assert rep.rank == 2 and rep.pivots == (0, 3)
-    assert ag.membership(gs, g).member
-    monkeypatch.setattr(resolvent, "LIFT_PRIMES", (5, 7))
-    rep = ag.span_matrix(gs)
-    assert not rep.fallback and rep.primes == (7,) and rep.rank == 2
+    assert rep.rank == 2 and rep.pivots == (0, 3) and rep.primes == (3_037_000_399,)
+    assert ag.membership(gs, g, report=rep).member
+    assert ag.basis(gs).dim == 2
 
 
-def test_fallback_keeps_the_answers(tri_gens, member_candidate, nonmember_candidate, monkeypatch):
-    monkeypatch.setattr(resolvent, "LIFT_PRIMES", ())
-    rep = ag.span_matrix(tri_gens)
-    assert rep.fallback and rep.rank == 5
-    assert ag.membership(tri_gens, member_candidate, report=rep).member
-    assert not ag.membership(tri_gens, nonmember_candidate, report=rep).member
-    assert ag.basis(tri_gens).dim == 5 and ag.intersect(tri_gens, tri_gens).dim == 5
+def test_a_bad_prime_list_falls_back():
+    # diag(1, 6) is I mod 5: the lift over 5 alone misses the generator
+    # and ends with the primes, and 7 after it gives 2
+    gs = ag.GeneratorSet.of(ag.Mat.from_rows([[1, 0], [0, 6]], ag.RATIONAL))
+    assert _lifted(gs, (5,))[0] is None
+    (rows, d, pivots, used), _ = _lifted(gs, (5, 7))
+    assert used == (7,) and pivots == [0, 3]
+    assert np.array_equal(rows, d * np.array([[1, 0, 0, 0], [0, 0, 0, 1]]))
+    assert ag.span_matrix(gs).rank == 2
 
 
 def test_lift_primes_are_fixed_int64_primes():
     assert len(set(resolvent.LIFT_PRIMES)) == len(resolvent.LIFT_PRIMES) >= 2
     assert all(is_prime(p) and p < INT64_MODULUS_LIMIT for p in resolvent.LIFT_PRIMES)
+    # they are the largest, and the sequence goes on through every prime
+    # below them
+    below = (c for c in range(INT64_MODULUS_LIMIT - 1, 0, -1) if is_prime(c))
+    want = [next(below) for _ in range(12)]
+    seq = _lift_primes()
+    assert [next(seq) for _ in range(12)] == want
+    assert want[: len(resolvent.LIFT_PRIMES)] == list(resolvent.LIFT_PRIMES) and want[4] == 3_037_000_399
 
 
-def _lifted(gs):
+def _lifted(gs, primes=None):
     s, b = kron_square(gs)
     x = b * np.identity(s.shape[0], dtype=object) - s
     gens = [g for _, g in clear_denominators(gs.gens)]
-    return _lift(x, b, gens, gs.unital), gens
+    return _lift(x, b, gens, gs.unital, _lift_primes() if primes is None else primes), gens
 
 
 @pytest.mark.parametrize("unital", [True, False], ids=["unital", "nonunital"])
@@ -209,7 +212,7 @@ def test_empty_and_zero_sets_lift():
     for unital, rank in ((True, 1), (False, 0)):
         for gens in ((), (ag.Mat.zeros(2, 2, ag.RATIONAL),)):
             rep = ag.span_matrix(ag.GeneratorSet(2, gens, ag.RATIONAL, unital))
-            assert rep.rank == rank and not rep.fallback and rep.primes == resolvent.LIFT_PRIMES[:1]
+            assert rep.rank == rank and rep.primes == resolvent.LIFT_PRIMES[:1]
             assert rep.colspace.cols == rank
 
 

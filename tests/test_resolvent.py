@@ -10,7 +10,7 @@ from algebragen import wordspan
 from algebragen.resolvent import _matrix_power, clear_denominators, default_power_exponent, kron_square
 
 from conftest import hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal
-from linalg_helpers import b_minus_s, frobenius_sq, is_psd, square_bound, summed_kron_square
+from linalg_helpers import b_minus_s, frobenius_sq, is_psd, realigned_resolvent, square_bound, summed_kron_square
 
 GF_PRIME = 2_147_483_647  # 2^31 - 1
 
@@ -91,13 +91,6 @@ def test_default_power_exponent():
         default_power_exponent(0)
 
 
-def _realigned_resolvent(gs, b):
-    """Realigned Fraction resolvent (I - S/B)^-1 of ``gs`` as given."""
-    s = summed_kron_square(gs) * Fraction(1, b)
-    core = ag.inverse(ag.Mat.identity(gs.n * gs.n, gs.kind) - s)
-    return ag.realign(core if gs.unital else s @ core)
-
-
 def _assert_same_colspace(u, v):
     assert ag.rank(u) == ag.rank(v)
     for a, b in ((u, v), (v, u)):
@@ -105,37 +98,38 @@ def _assert_same_colspace(u, v):
             assert ag.in_range(b, a.col(j))[0]
 
 
-# realign(adj(X)) / content for the triangular pair cleared to x1 = E11 and
-# x2 = E12 + E23, X = 4 I - S with B = 1 + 2 + 1
-GOLDEN_INTEGER_SPAN_ROWS = [
-    [16, 0, 0, 0, 12, 0, 0, 0, 12],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 4, 0, 0, 0, 3, 0],
-    [12, 0, 0, 0, 12, 0, 0, 0, 12],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 1, 0, 0],
-    [0, 0, 0, 3, 0, 0, 0, 3, 0],
-    [12, 0, 0, 0, 12, 0, 0, 0, 12],
+# realign((I - S/4)^-1) for the triangular pair cleared to x1 = E11 and
+# x2 = E12 + E23, B = 1 + 2 + 1
+GOLDEN_CLEARED_SPAN_ROWS = [
+    ["4/3", "0", "0", "0", "1", "0", "0", "0", "1"],
+    ["0", "0", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "1/3", "0", "0", "0", "1/4", "0"],
+    ["1", "0", "0", "0", "1", "0", "0", "0", "1"],
+    ["0", "0", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "1/12", "0", "0"],
+    ["0", "0", "0", "1/4", "0", "0", "0", "1/4", "0"],
+    ["1", "0", "0", "0", "1", "0", "0", "0", "1"],
 ]
 
 
 def test_golden_span_matrix(tri_gens, golden_span):
-    assert _realigned_resolvent(tri_gens, 1) == golden_span
+    assert realigned_resolvent(tri_gens, 1) == golden_span
     assert is_psd(golden_span)
     rep = ag.span_matrix(tri_gens)
-    assert rep.matrix == ag.Mat.from_rows(GOLDEN_INTEGER_SPAN_ROWS, ag.RATIONAL)
+    assert rep.matrix == ag.Mat.from_rows(GOLDEN_CLEARED_SPAN_ROWS, ag.RATIONAL)
     assert rep.rank == 5
     assert rep.scale == 4
     assert rep.singular_values is None
     assert is_psd(rep.matrix)
-    # a positive multiple of the cleared pair's realigned resolvent, with
-    # the column space of the golden resolvent of the pair itself
+    # the cleared pair's realigned resolvent itself, with the column space
+    # of the golden resolvent of the pair as given
     cleared = ag.GeneratorSet.of(*(g * 3 for g in tri_gens.gens))
-    ref = _realigned_resolvent(cleared, 4)
-    ratio = rep.matrix.data[0, 0] / ref.data[0, 0]
-    assert ratio > 0 and rep.matrix == ref * ratio
+    assert rep.matrix == realigned_resolvent(cleared, 4)
     _assert_same_colspace(rep.colspace, golden_span)
+    nonunital = ag.span_matrix(tri_gens.with_unital(False))
+    assert nonunital.matrix == realigned_resolvent(cleared.with_unital(False), 4)
+    assert nonunital.rank == 4 and is_psd(nonunital.matrix)
 
 
 def test_empty_generators_unital():
@@ -201,7 +195,7 @@ def test_scale_invariance_rank_and_range():
     for _ in range(10):
         gs = rand_int_generator_set(rng, rng.randint(2, 3), rng.randint(1, 2), rng.random() < 0.5)
         rep = ag.span_matrix(gs)
-        wide = ag.rank_info(_realigned_resolvent(gs, 4 * rep.scale))
+        wide = ag.rank_info(realigned_resolvent(gs, 4 * rep.scale))
         assert wide.rank == rep.rank
         _assert_same_colspace(rep.colspace, wide.colspace)
         if gs.unital:
@@ -240,7 +234,7 @@ def _builder_sets():
 @pytest.mark.parametrize("gs", _builder_sets(), ids=lambda gs: f"n{gs.n}-d{gs.d}-{'u' if gs.unital else 'nu'}")
 def test_integer_builder_keeps_the_fraction_resolvent_colspace(gs):
     rep = ag.span_matrix(gs)
-    ref = _realigned_resolvent(gs, square_bound(gs.gens))
+    ref = realigned_resolvent(gs, square_bound(gs.gens))
     assert rep.rank == ag.rank(ref) == wordspan.dimension(gs)
     _assert_same_colspace(rep.colspace, ref)
     assert is_psd(rep.matrix)
