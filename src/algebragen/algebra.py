@@ -8,13 +8,14 @@ matrices are those columns unvectorized, a candidate is a member when its
 vectorization lies in that column space, and an intersection is that of two
 such column spaces.  On float kinds ``colspace`` is orthonormal, so a
 membership residual is a projection defect and an intersection is cut on
-the sines of the principal angles.  Over Q ``colspace`` is the transposed
-reduced echelon basis of the algebra, lifted from GF(p) images of the span
-matrix and checked exactly to span the algebra, so its entries stay small
-and basis matrices are its rows; membership and intersection decide by
-exact elimination against it.  Human-readable word certificates come
-from the word-span baseline, which can exhibit an explicit combination
-where the span matrix only proves existence.
+the sines of the principal angles.  Over Q ``colspace`` is the one exact
+form, the transposed reduced echelon basis q of the algebra, lifted from
+GF(p) images of the span matrix and checked exactly to span the algebra,
+so its entries stay small and basis matrices are its rows; a member is a
+z with vec(z) = q vec(z)[P], P the pivots of q, read with no elimination,
+and an intersection comes out in the same form.  Human-readable word
+certificates come from the word-span baseline, which can exhibit an
+explicit combination where the span matrix only proves existence.
 """
 
 from __future__ import annotations

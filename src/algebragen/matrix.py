@@ -7,7 +7,7 @@ Float distances from a span have one rule, ``_project_out``: a vector lies
 in the span of orthonormal columns Q when what is left of it after
 projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.
 
-Every exact rank, range, kernel, solve and inverse, and the word-span
+Every exact rank, column space, solve and inverse, and the word-span
 insertion of ``wordspan``, goes through one elimination, ``_rref``, which
 updates all affected rows of a pivot step in one numpy operation:
 
@@ -17,8 +17,11 @@ updates all affected rows of a pivot step in one numpy operation:
   from Fraction or Python-int entries, building Fractions only for the
   reduced rows a caller reads.
 
-The span matrix over Q takes its rank and column space from GF(p)
-eliminations, lifted to Q and checked there (``resolvent``).
+Every exact column space has one form q, a transposed reduced echelon
+basis: q[P, :] is the identity on its pivot rows P, and v lies in it
+exactly when v == q v[P] (``_in_span``, no elimination).  Over Q the span
+matrix lifts this form from GF(p) eliminations and checks it by the same
+rule (``resolvent``).
 
 Exact results hold Python ``int`` / ``Fraction`` entries, never numpy
 integers, so later object-array products cannot wrap.
@@ -209,6 +212,16 @@ def _realign(data: np.ndarray) -> np.ndarray:
 INT64_MODULUS_LIMIT = 3_037_000_499
 
 
+def _cleared(data: np.ndarray) -> tuple[int, np.ndarray]:
+    """(l, l * data) for an array of Fractions or Python ints: l the lcm of
+    its denominators, l * data an object array of Python ints."""
+    flat = data.ravel().tolist()
+    dens = [x.denominator for x in flat]
+    l = math.lcm(*dens)
+    ints = [x.numerator * (l // den) for x, den in zip(flat, dens)]
+    return l, np.array(ints, dtype=object).reshape(data.shape)
+
+
 def _integer_rows(data: np.ndarray) -> np.ndarray:
     """Scale each row of rationals or Python ints by its denominator lcm and
     divide out the content: a primitive integer row (Python ints) spanning
@@ -324,12 +337,11 @@ class RankInfo:
 
     ``pivots`` are the pivot columns on exact kinds and None on approximate
     kinds.  ``colspace`` holds ``rank`` columns spanning the column space:
-    the pivot columns on exact kinds, each made a primitive integer column
-    over Q, the first ``rank`` left singular vectors on approximate kinds.
-    The rank SVD computes values only, so the float column space costs a
-    second, thin SVD on first use.  A span matrix report over Q does not
-    read its colspace from here: it holds the reduced echelon basis of the
-    algebra lifted from GF(p) (see ``resolvent``).
+    on exact kinds the exact form, from an elimination of the pivot
+    columns on first use, the first ``rank`` left singular vectors on
+    approximate kinds.  The rank SVD computes values only, so the float
+    column space costs a second, thin SVD on first use.  A span matrix
+    report over Q lifts its colspace from GF(p) instead (see ``resolvent``).
     """
 
     matrix: Mat
@@ -343,10 +355,7 @@ class RankInfo:
     def colspace(self) -> Mat:
         a = self.matrix
         if self.pivots is not None:
-            cols = a.data[:, list(self.pivots)]
-            if a.kind.tag == "rational":
-                cols = _fractions(_integer_rows(cols.T).T)
-            return Mat(cols, a.kind)
+            return Mat(_colspace_form(a.data[:, list(self.pivots)], a.kind)[0], a.kind)
         return Mat(np.linalg.svd(a.data, full_matrices=False)[0][:, : self.rank], a.kind)
 
 
@@ -375,16 +384,19 @@ def rank(a: Mat) -> int:
     return rank_info(a).rank
 
 
-def null_space(a: Mat) -> Mat:
-    """Columns spanning the right kernel of ``a`` (exact kinds only)."""
-    if not a.kind.exact:
-        raise ValueError(f"null_space serves exact kinds only, not {a.kind}")
-    r, pivots = _rref(a.data, a.kind)
-    free = sorted(set(range(a.cols)) - set(pivots))
-    out = Mat.zeros(a.cols, len(free), a.kind).data
-    out[free, np.arange(len(free))] = a.kind.one()
-    out[pivots] = -r[: len(pivots)][:, free]
-    return Mat.wrap(out, a.kind)
+def _colspace_form(data: np.ndarray, kind: ScalarKind):
+    """(q, P): the exact form q of col(data), by ``_rref`` of data^T, and P
+    its pivot rows."""
+    r, pivots = _rref(data.T, kind)
+    return r[: len(pivots)].T, pivots
+
+
+def _in_span(v: np.ndarray, rows: np.ndarray, d: int, pivots, p: int | None = None) -> np.ndarray:
+    """Which rows w of the integer array ``v`` lie in the span of ``rows`` /
+    d, whose pivot columns ``pivots`` hold d times the identity: those with
+    d w == w[pivots] rows (mod p over GF(p))."""
+    diff = d * v - v[:, pivots].dot(rows)
+    return np.all(diff == 0 if p is None else diff % p == 0, axis=1)
 
 
 def _project_out(q: np.ndarray, c: np.ndarray) -> None:
@@ -400,32 +412,36 @@ def _project_out(q: np.ndarray, c: np.ndarray) -> None:
 def in_range(a: Mat, v: Mat):
     """Decide whether column ``v`` lies in the column space of ``a``.
 
-    Returns (verdict, residual).  Exact kinds decide solvability by
-    elimination; the residual is 0 for members and the exact least-squares
-    defect (squared norm; 1 over GF(p)) otherwise.  On float kinds ``a``
-    must have orthonormal columns, as a colspace has: the residual is the
-    norm of v - a a^H v (see _project_out), and v is accepted when it is at
-    most DEFAULT_RESIDUAL_RTOL * max(1, |v|).
+    Returns (verdict, residual).  Exact kinds bring ``a`` to the exact form
+    q unless it is in it already, as every exact colspace is (q[P, :] is
+    the identity for P the leading nonzero row of each column), and accept
+    v when v == q v[P].  The residual is 0 for members and the exact
+    least-squares defect (squared norm; 1 over GF(p)) otherwise.  On float
+    kinds ``a`` must have orthonormal columns, as a colspace has: the
+    residual is the norm of v - a a^H v (see _project_out), and v is
+    accepted when it is at most DEFAULT_RESIDUAL_RTOL * max(1, |v|).
     """
     a._check_kind(v)
     if v.cols != 1 or v.rows != a.rows:
         raise ValueError(f"candidate must be a {a.rows}x1 column")
     if a.kind.exact:
-        _, pivots = _rref(np.concatenate([a.data, v.data], axis=1), a.kind, reduced=False)
-        if not pivots or pivots[-1] < a.cols:
+        p = a.kind.modulus
+        ints = _cleared if p is None else lambda x: (1, x)
+        (d, rows), (l, w) = ints(a.data.T), ints(v.data.T)
+        pivots = (rows != 0).argmax(axis=1).tolist() if rows.size else []
+        if not np.array_equal(rows[:, pivots], d * np.identity(a.cols, dtype=object)):
+            q, pivots = _colspace_form(a.data, a.kind)
+            d, rows = ints(q.T)
+        if _in_span(w, rows, d, pivots, p)[0]:
             return True, a.kind.zero()
-        if a.kind.tag == "gfp":
+        if p is not None:
             return False, 1
-        # The pivot columns of a, scaled to integer columns c, have full
-        # column rank and span col(a), so c^T c y = h = c^T w has one
-        # solution.  For w = l * v an integer vector the least-squares defect
-        # of w is w.w - h.y (its residual is orthogonal to c), and that of
-        # v is 1 / l^2 times it.
-        c = _integer_rows(a.data[:, pivots[:-1]].T).T
-        l = math.lcm(*(x.denominator for x in v.data[:, 0]))
-        w = np.array([x.numerator * (l // x.denominator) for x in v.data[:, 0]], dtype=object)
-        h = c.T.dot(w)
-        y = _solve_exact(Mat(c.T.dot(c), a.kind), Mat(h[:, None], a.kind))
+        # c = d q^T has full row rank, so c c^T y = h = c w has one solution,
+        # and the least-squares defect of w = l v is w.w - h.y (its residual
+        # is orthogonal to c); that of v is 1 / l^2 times it.
+        w = w[0]
+        h = rows.dot(w)
+        y = _solve_exact(Mat(rows.dot(rows.T), a.kind), Mat(h[:, None], a.kind))
         defect = w.dot(w) - sum((hi * yi for hi, yi in zip(h, y.data[:, 0])), Fraction(0))
         return False, defect / (l * l)
     c = v.data.copy()
@@ -435,7 +451,10 @@ def in_range(a: Mat, v: Mat):
 
 
 def subspace_intersect(u: Mat, v: Mat) -> Mat:
-    """Basis of col(u) & col(v), from the kernel of [u | -v] on exact kinds.
+    """Basis of col(u) & col(v).  Exact kinds take any spanning columns: in
+    the reduced echelon form of [[u^T, u^T], [v^T, 0]] (Zassenhaus) the
+    rows with their pivot in the right half hold there the exact form of
+    the intersection.
 
     Float kinds need orthonormal columns in u and v, as a colspace has, and
     apply the rule of in_range: (I - v v^H) u is formed by _project_out, its
@@ -453,6 +472,6 @@ def subspace_intersect(u: Mat, v: Mat) -> Mat:
         _, sines, vh = np.linalg.svd(defect, full_matrices=False)
         keep = vh[sines <= DEFAULT_RESIDUAL_RTOL]
         return Mat(u.data.dot(keep.conj().T), u.kind)
-    block = Mat.wrap(np.concatenate([u.data, -v.data], axis=1), u.kind)
-    ker = null_space(block)
-    return u @ Mat(ker.data[: u.cols, :], u.kind)
+    r, pivots = _rref(np.block([[u.data.T, u.data.T], [v.data.T, Mat.zeros(v.cols, u.rows, u.kind).data]]), u.kind)
+    left = sum(c < u.rows for c in pivots)
+    return Mat(r[left : len(pivots), u.rows :].T, u.kind)

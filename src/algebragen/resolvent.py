@@ -45,7 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat, SingularMatrixError, _fractions, _realign, _rref, inverse, rank_info, realign
+from .matrix import (Mat, SingularMatrixError, _cleared, _fractions, _in_span, _realign, _rref, inverse, rank_info,
+                     realign)
 from .primes import is_prime
 from .scalars import RATIONAL, gf
 
@@ -55,7 +56,8 @@ class SpanMatrixReport:
     """The rank of a span matrix (``matrix``) with its provenance.
 
     It carries the rank diagnostics of a RankInfo and ``colspace``, a basis
-    of the vectorized algebra that membership, basis and intersection read.
+    of the vectorized algebra that membership, basis and intersection read:
+    over Q in the one exact form of the ``matrix`` module, q[pivots, :] = I.
     ``variant`` names what was realigned: "power:<k>" or
     "power_nonunital:<k>" with the exponent k on float kinds, "resolvent"
     or "resolvent_nonunital" over Q.  ``scale`` is the integer B: the
@@ -63,8 +65,8 @@ class SpanMatrixReport:
     the generators with cleared denominators over Q.
 
     Over Q, ``primes`` are the primes whose GF(p) images were lifted to the
-    reduced echelon basis of the algebra, whose transpose is ``colspace``,
-    and ``pivots`` are its pivot columns.  ``primes`` is None on float
+    reduced echelon basis R of the algebra, ``colspace`` is R^T and
+    ``pivots`` are R's pivot columns.  ``primes`` is None on float
     kinds.  ``matrix`` and ``colspace`` are built on first read: over Q
     the lift does not need the resolvent.
     """
@@ -97,19 +99,6 @@ def default_power_exponent(n: int) -> int:
     return min(n * n, math.ceil(2 * n * math.log2(n) + 4 * n))
 
 
-def _matrix_power(m: Mat, k: int) -> Mat:
-    """m^k by repeated squaring; k = 0 gives the identity."""
-    acc = None
-    base = m
-    while k:
-        if k & 1:
-            acc = base if acc is None else acc @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return Mat.identity(m.rows, m.kind) if acc is None else acc
-
-
 def clear_denominators(gens: Sequence[Mat]) -> list[tuple[int, np.ndarray]]:
     """Each rational generator g as (l, l g): l its denominator lcm, l g an
     object array of Python ints.
@@ -117,14 +106,9 @@ def clear_denominators(gens: Sequence[Mat]) -> list[tuple[int, np.ndarray]]:
     Per-generator scaling leaves the generated algebra (and so its
     dimension) unchanged, since every word just picks up a nonzero factor.
     """
-    cleared = []
-    for g in gens:
-        if g.kind.tag != "rational":
-            raise ValueError("clear_denominators expects rational-kind matrices")
-        l = math.lcm(*(x.denominator for x in g.data.ravel()))
-        ints = [x.numerator * (l // x.denominator) for x in g.data.ravel()]
-        cleared.append((l, np.array(ints, dtype=object).reshape(g.data.shape)))
-    return cleared
+    if any(g.kind.tag != "rational" for g in gens):
+        raise ValueError("clear_denominators expects rational-kind matrices")
+    return [_cleared(g.data) for g in gens]
 
 
 def kron_square(gs: GeneratorSet) -> tuple[np.ndarray, int]:
@@ -207,9 +191,8 @@ def _spans_algebra(rows: np.ndarray, d: int, pivots: list[int], gens: list[np.nd
     generator g and every row E, because it is then closed under left
     multiplication by the generators and so holds every word.
 
-    A vector v lies in the span exactly when v = v[pivots] (rows / d), i.e.
-    d v = v[pivots] rows: the pivot columns of the rows are d times the
-    identity.
+    A vector v lies in the span exactly when d v = v[pivots] rows, the rule
+    of every exact colspace (``matrix._in_span``).
     """
     r, nn = rows.shape
     n = math.isqrt(nn)
@@ -217,10 +200,7 @@ def _spans_algebra(rows: np.ndarray, d: int, pivots: list[int], gens: list[np.nd
     ets = rows.reshape(r, n, n)
     seeds = [np.identity(n, dtype=object)] if unital else gens
     vs = [g.T.reshape(1, nn) for g in seeds] + [(ets @ g.T).reshape(r, nn) for g in gens]
-    if not vs:
-        return True
-    v = np.concatenate(vs)
-    return bool(np.all(d * v == v[:, pivots].dot(rows)))
+    return not vs or bool(_in_span(np.concatenate(vs), rows, d, pivots).all())
 
 
 # The head of the Q lift's primes: the four largest below
@@ -307,15 +287,16 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
                                 scale=b, primes=primes, _matrix=realigned_resolvent,
                                 _colspace=lambda: Mat(_fractions(rows.T, d), RATIONAL))
     k = default_power_exponent(gs.n)
-    s = Mat(s, gs.kind) * (1.0 / b)
-    step = Mat.identity(gs.n * gs.n, gs.kind) + s
+    # in place, and free what the products do not read: a copy is 2.6 MB at n = 24
+    s *= 1.0 / b
+    step = np.identity(s.shape[0], dtype=s.dtype)
+    step += s
     if gs.unital:
-        # free what the products do not read: each copy is 2.6 MB at n = 24
         del s
-        core, variant = _matrix_power(step, k), f"power:{k}"
+        core, variant = np.linalg.matrix_power(step, k), f"power:{k}"
     else:
-        core, variant = s @ _matrix_power(step, k - 1), f"power_nonunital:{k}"
-    info = rank_info(realign(core))
+        core, variant = s.dot(np.linalg.matrix_power(step, k - 1)), f"power_nonunital:{k}"
+    info = rank_info(realign(Mat(core, gs.kind)))
     return SpanMatrixReport(rank=info.rank, tol=info.tol, ill_conditioned=info.ill_conditioned,
                             singular_values=info.singular_values, pivots=info.pivots, variant=variant,
                             scale=b, primes=None, _matrix=lambda: info.matrix, _colspace=lambda: info.colspace)

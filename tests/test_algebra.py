@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import algebragen as ag
-from algebragen import wordspan
+from algebragen import matrix, wordspan
 from algebragen.instances import random_generator_set
 
 from conftest import hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal, word_value
@@ -289,3 +289,37 @@ def test_f64_intersection_dimension_at_n8():
     assert ab.dim == 43 and ab.source == "power:64"
     for m in ab.mats:
         assert ag.membership(gs_a, m).member and ag.membership(gs_b, m).member
+
+
+# -- exact membership reads the lifted echelon basis ----------------------------
+
+
+def test_q_member_verdict_against_a_report_eliminates_nothing(monkeypatch, tri_gens, member_candidate,
+                                                              nonmember_candidate):
+    rep = ag.span_matrix(tri_gens)
+    want = ag.membership(tri_gens, nonmember_candidate, report=rep).residual
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("a member verdict against a colspace ran an elimination")
+
+    monkeypatch.setattr(matrix, "_rref", no_elimination)
+    res = ag.membership(tri_gens, member_candidate, report=rep)
+    assert res.member and res.residual == 0
+    # a non-member still solves the normal equations for its defect
+    monkeypatch.undo()
+    assert ag.membership(tri_gens, nonmember_candidate, report=rep).residual == want > 0
+
+
+def test_zero_algebra_membership_and_intersect(tri_gens):
+    zero = ag.GeneratorSet(n=3, gens=(ag.Mat.zeros(3, 3, ag.RATIONAL),), kind=ag.RATIONAL, unital=False)
+    rep = ag.span_matrix(zero)
+    assert rep.rank == 0 and rep.colspace.data.shape == (9, 0)
+    res = ag.membership(zero, ag.Mat.zeros(3, 3, ag.RATIONAL), report=rep)
+    assert res.member and res.residual == 0
+    z = ag.Mat.from_rows([[1, 0, 0], [0, 0, Fraction(1, 2)], [0, 0, 0]], ag.RATIONAL)
+    res = ag.membership(zero, z, report=rep)
+    # the defect of a non-member of {0} is its whole squared norm
+    assert not res.member and res.residual == Fraction(5, 4)
+    for other in (zero, tri_gens.with_unital(False)):
+        ab = ag.intersect(zero, other)
+        assert ab.dim == 0 and ab.mats == ()

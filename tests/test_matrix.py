@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.matrix import _rref, _solve_exact, null_space
+from algebragen.matrix import _rref, _solve_exact
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
 from linalg_helpers import det, frobenius_sq, is_psd
 
 ALL_KINDS = (ag.RATIONAL, ag.gf(1048583), ag.F64, ag.C64)
+EXACT_KINDS = ALL_KINDS[:2]
 
 
 def close(a: ag.Mat, b: ag.Mat, tol=1e-12) -> bool:
@@ -252,12 +253,13 @@ def test_in_range_consistent_systems():
             n = rng.randint(2, 4)
             a = rand_mat(rng, n, kind, max_den=2)
             x = rand_mat(rng, n, kind, max_den=2).col(0)
-            # float in_range reads orthonormal columns spanning col(a)
-            q = a if kind.exact else ag.rank_info(a).colspace
-            ok, residual = ag.in_range(q, a @ x)
-            assert ok
-            if kind.exact:
-                assert residual == 0
+            # float in_range reads orthonormal columns spanning col(a), exact
+            # kinds any columns or the exact form of a colspace
+            for q in (a, ag.rank_info(a).colspace) if kind.exact else (ag.rank_info(a).colspace,):
+                ok, residual = ag.in_range(q, a @ x)
+                assert ok
+                if kind.exact:
+                    assert residual == 0
 
 
 def test_in_range_zero_vector():
@@ -283,34 +285,52 @@ def test_in_range_float_tolerance():
     assert not ok2
 
 
-# -- null space / intersection ----------------------------------------------
+# -- intersection -------------------------------------------------------------
 
 
-def test_null_space_annihilates():
-    rng = random.Random(4)
-    for kind in (k for k in ALL_KINDS if k.exact):
-        for _ in range(8):
-            m = rand_mat(rng, 3, kind, max_den=2)
-            wide = ag.Mat.wrap(np.concatenate([m.data, m.data], axis=1), kind)
-            ns = null_space(wide)
-            assert ns.cols >= 3
-            assert wide @ ns == ag.Mat.zeros(3, ns.cols, kind)
-    with pytest.raises(ValueError):
-        null_space(ag.Mat.identity(2, ag.F64))
+def assert_exact_form(q: ag.Mat):
+    """q is the transpose of a reduced row echelon matrix: its leading
+    nonzero rows P hold the identity, and they increase."""
+    pivots = [int(np.flatnonzero(q.data[:, j] != 0)[0]) for j in range(q.cols)]
+    assert pivots == sorted(set(pivots))
+    assert np.array_equal(q.data[pivots], np.identity(q.cols, dtype=int))
 
 
 def test_subspace_intersect_same_space():
-    u = ag.Mat.from_rows([[1, 0], [0, 1], [0, 0]], ag.RATIONAL)
-    w = ag.subspace_intersect(u, u)
-    assert w.cols == 2
+    for kind in EXACT_KINDS:
+        u = ag.Mat.from_rows([[2, 0], [1, 3], [0, 0]], kind)
+        w = ag.subspace_intersect(u, u)
+        assert w.cols == 2
+        assert_exact_form(w)
+        assert w == ag.Mat.from_rows([[1, 0], [0, 1], [0, 0]], kind)
 
 
 def test_subspace_intersect_partial_overlap():
-    u = ag.Mat.from_rows([[1, 0], [0, 1], [0, 0]], ag.RATIONAL)  # span{e1, e2}
-    v = ag.Mat.from_rows([[0, 0], [1, 0], [0, 1]], ag.RATIONAL)  # span{e2, e3}
-    w = ag.subspace_intersect(u, v)
-    assert w.cols == 1
-    assert w.data[0, 0] == 0 and w.data[2, 0] == 0 and w.data[1, 0] != 0
+    for kind in EXACT_KINDS:
+        u = ag.Mat.from_rows([[1, 0], [0, 1], [0, 0]], kind)  # span{e1, e2}
+        v = ag.Mat.from_rows([[0, 0], [5, 0], [0, 1]], kind)  # span{e2, e3}
+        w = ag.subspace_intersect(u, v)
+        assert w.cols == 1
+        assert_exact_form(w)
+        assert w == ag.Mat.from_rows([[0], [1], [0]], kind)
+
+
+@pytest.mark.parametrize("kind", EXACT_KINDS, ids=str)
+def test_subspace_intersect_random_spanning_columns(kind):
+    # dependent spanning columns on both sides: the result is the exact
+    # form of the intersection, dim U + dim V - dim(U + V)
+    rng = random.Random(6)
+    for _ in range(10):
+        u = ag.Mat.from_rows(low_rank_rows(rng, kind, 5, 4, rng.randint(1, 4), 0), kind)
+        x = ag.Mat.from_rows(low_rank_rows(rng, kind, 4, 2, 2, 0), kind)
+        extra = ag.Mat.from_rows(low_rank_rows(rng, kind, 5, 2, 1, 0), kind)
+        v = ag.Mat.wrap(np.concatenate([(u @ x).data, extra.data], axis=1), kind)
+        w = ag.subspace_intersect(u, v)
+        assert_exact_form(w)
+        both = ag.Mat.wrap(np.concatenate([u.data, v.data], axis=1), kind)
+        assert w.cols == ag.rank(u) + ag.rank(v) - ag.rank(both)
+        for j in range(w.cols):
+            assert ag.in_range(u, w.col(j))[0] and ag.in_range(v, w.col(j))[0]
 
 
 def test_subspace_intersect_float():
@@ -326,9 +346,12 @@ def test_subspace_intersect_float():
 
 
 def test_subspace_intersect_disjoint():
-    u = ag.Mat.from_rows([[1], [0], [0]], ag.RATIONAL)
-    v = ag.Mat.from_rows([[0], [1], [0]], ag.RATIONAL)
-    assert ag.subspace_intersect(u, v).cols == 0
+    for kind in EXACT_KINDS:
+        u = ag.Mat.from_rows([[1], [0], [0]], kind)
+        v = ag.Mat.from_rows([[0], [1], [0]], kind)
+        w = ag.subspace_intersect(u, v)
+        assert w.cols == 0 and w.rows == 3
+        assert_exact_form(w)
 
 
 # -- PSD ---------------------------------------------------------------------
@@ -459,7 +482,7 @@ def test_exact_outputs_are_python_scalars():
     rng = random.Random(21)
     for kind in (ag.gf(1048583), ag.gf(4294967311), ag.RATIONAL):
         m = rand_mat(rng, 4, kind, max_den=3)
-        for out in (ag.inverse(m) if ag.rank(m) == 4 else m, null_space(m), ag.rank_info(m).colspace):
+        for out in (ag.inverse(m) if ag.rank(m) == 4 else m, ag.subspace_intersect(m, m), ag.rank_info(m).colspace):
             scalar = Fraction if kind.tag == "rational" else int
             assert all(type(x) is scalar for x in out.data.ravel())
 

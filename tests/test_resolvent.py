@@ -7,7 +7,7 @@ import pytest
 
 import algebragen as ag
 from algebragen import wordspan
-from algebragen.resolvent import _matrix_power, clear_denominators, default_power_exponent, kron_square
+from algebragen.resolvent import clear_denominators, default_power_exponent, kron_square
 
 from conftest import hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal
 from linalg_helpers import b_minus_s, frobenius_sq, is_psd, realigned_resolvent, square_bound, summed_kron_square
@@ -282,7 +282,7 @@ def test_power_rank_monotone_saturating():
     rng = random.Random(37)
     gs = rand_int_generator_set(rng, 3, 2, True)
     step = ag.Mat.identity(9, ag.RATIONAL) + summed_kron_square(gs)
-    ranks = [ag.rank(ag.realign(_matrix_power(step, k))) for k in range(1, 12)]
+    ranks = [ag.rank(ag.realign(ag.Mat(np.linalg.matrix_power(step.data, k), ag.RATIONAL))) for k in range(1, 12)]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
     assert len(set(ranks[8:])) == 1  # constant at and beyond k = n^2
 
@@ -313,12 +313,6 @@ def test_resolvent_matches_geometric_series_exactly():
         diff = inv - partial
         bound = Fraction(1, 2**49)
         assert all(abs(x) <= bound for x in diff.data.ravel())
-
-
-def test_matrix_power_helper():
-    m = ag.Mat.from_rows([[1, 1], [0, 1]], ag.RATIONAL)
-    assert _matrix_power(m, 5).data[0, 1] == 5
-    assert _matrix_power(m, 0) == ag.Mat.identity(2, ag.RATIONAL)
 
 
 def test_report_fields_float_backend():
