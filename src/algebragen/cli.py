@@ -7,7 +7,7 @@ to stderr.  Exit codes are a stable contract:
     1  non-member
     2  parse or validation failure
     3  (retired)
-    4  numeric failure
+    4  numeric failure, running out of memory included
     5  instance too large for the deterministic primality range
     6  bench: the span matrix and the word span disagreed on a dimension
 """
@@ -40,11 +40,12 @@ EXIT_DISAGREE = 6
 
 # Exit code of an error a command raises: the first class that matches.
 # ParseError and PrimeRangeError are ValueErrors, and SingularMatrixError is
-# an ArithmeticError.
+# an ArithmeticError.  A MemoryError must not escape: Python would exit 1,
+# the non-member code.
 _ERROR_EXITS = (
     (ParseError, EXIT_PARSE),
     (PrimeRangeError, EXIT_RANGE),
-    ((ArithmeticError, ValueError), EXIT_NUMERIC),
+    ((ArithmeticError, ValueError, MemoryError), EXIT_NUMERIC),
 )
 
 
@@ -317,8 +318,8 @@ def main(argv=None) -> int:
     args._argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (ArithmeticError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ArithmeticError, ValueError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS if isinstance(e, cls))
 
 

@@ -174,7 +174,7 @@ def grid_of(mat: Mat) -> list[list[str]]:
     return [[format_entry(x, mat.kind) for x in row] for row in mat.data]
 
 
-def random_generator_set(n: int, d: int, rng, unital: bool = True) -> GeneratorSet:
+def random_generator_set(n: int, d: int, rng) -> GeneratorSet:
     """Gaussian float instance, for benchmarks and generic-dimension runs."""
     gens = tuple(Mat.wrap(rng.standard_normal((n, n)), F64) for _ in range(d))
-    return GeneratorSet(n=n, gens=gens, kind=F64, unital=unital)
+    return GeneratorSet(n=n, gens=gens, kind=F64)

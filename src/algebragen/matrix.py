@@ -1,13 +1,14 @@
 """Dense matrices over the four scalar backends.
 
 Provides the two structural maps (column-stacking vectorization and the
-block realignment involution on n^2 x n^2 matrices) together with exact and
-numerical rank and column space.
+block realignment involution on n^2 x n^2 matrices) together with rank,
+the numerical rank record of float matrices (``rank_info``), membership and
+intersection.
 Float distances from a span have one rule, ``_project_out``: a vector lies
 in the span of orthonormal columns Q when what is left of it after
 projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.
 
-Every exact rank, column space, solve and inverse, and the word-span
+Every exact rank, solve, inverse and intersection, and the word-span
 insertion of ``wordspan``, goes through one elimination, ``_rref``, which
 updates all affected rows of a pivot step in one numpy operation:
 
@@ -19,9 +20,10 @@ updates all affected rows of a pivot step in one numpy operation:
 
 Every exact column space has one form q, a transposed reduced echelon
 basis: q[P, :] is the identity on its pivot rows P, and v lies in it
-exactly when v == q v[P] (``_in_span``, no elimination).  Over Q the span
-matrix lifts this form from GF(p) eliminations and checks it by the same
-rule (``resolvent``).
+exactly when v == q v[P] (``_in_span``, no elimination).  It has two
+producers: over Q the span matrix lifts this form from GF(p) eliminations
+and checks it by the same rule (``resolvent``), and ``subspace_intersect``
+reads it off its Zassenhaus elimination.
 
 Exact results hold Python ``int`` / ``Fraction`` entries, never numpy
 integers, so later object-array products cannot wrap.
@@ -122,16 +124,13 @@ class Mat:
     def col(self, j: int) -> "Mat":
         return Mat(self.data[:, j : j + 1], self.kind)
 
-    def to_lists(self) -> list:
-        return [list(row) for row in self.data]
-
     def convert(self, kind: ScalarKind) -> "Mat":
         """Re-coerce every entry into another scalar kind."""
         if kind == self.kind:
             return self
         if self.kind.tag == "c64" and kind.tag != "c64":
             raise TypeError("cannot convert complex matrices to a real kind")
-        return Mat.from_rows(self.to_lists(), kind)
+        return Mat.from_rows(self.data.tolist(), kind)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -147,20 +146,14 @@ class Mat:
         self._check_kind(other)
         return Mat.wrap(self.data - other.data, self.kind)
 
-    def __neg__(self) -> "Mat":
-        return Mat.wrap(-self.data, self.kind)
-
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_kind(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.data.shape} @ {other.data.shape}")
         return Mat.wrap(self.data.dot(other.data), self.kind)
 
-    def scale(self, s) -> "Mat":
-        return Mat.wrap(self.data * self.kind.coerce(s), self.kind)
-
     def __mul__(self, s) -> "Mat":
-        return self.scale(s)
+        return Mat.wrap(self.data * self.kind.coerce(s), self.kind)
 
     __rmul__ = __mul__
 
@@ -332,45 +325,39 @@ def inverse(a: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class RankInfo:
-    """Rank of ``matrix`` with the diagnostics that produced it, and a basis
-    of its column space.
+    """Numerical rank of a float ``matrix`` with the diagnostics that
+    produced it, and a basis of its column space.
 
-    ``pivots`` are the pivot columns on exact kinds and None on approximate
-    kinds.  ``colspace`` holds ``rank`` columns spanning the column space:
-    on exact kinds the exact form, from an elimination of the pivot
-    columns on first use, the first ``rank`` left singular vectors on
-    approximate kinds.  The rank SVD computes values only, so the float
-    column space costs a second, thin SVD on first use.  A span matrix
-    report over Q lifts its colspace from GF(p) instead (see ``resolvent``).
+    ``colspace`` holds the first ``rank`` left singular vectors.  The rank
+    SVD computes values only, so the column space costs a second, thin SVD
+    on first use.  Exact kinds have no RankInfo: their rank is ``rank``'s,
+    and their column spaces come in the exact form from the lifted span
+    matrix report over Q (see ``resolvent``) and from ``subspace_intersect``.
     """
 
     matrix: Mat
     rank: int
-    tol: float | None
+    tol: float
     ill_conditioned: bool
-    singular_values: tuple[float, ...] | None
-    pivots: tuple[int, ...] | None = None
+    singular_values: tuple[float, ...]
 
     @cached_property
     def colspace(self) -> Mat:
         a = self.matrix
-        if self.pivots is not None:
-            return Mat(_colspace_form(a.data[:, list(self.pivots)], a.kind)[0], a.kind)
         return Mat(np.linalg.svd(a.data, full_matrices=False)[0][:, : self.rank], a.kind)
 
 
 def rank_info(a: Mat) -> RankInfo:
-    """Rank of ``a``: pivot count on exact kinds, count of singular values
-    above the cut ``tol`` = max(rows, cols) * eps * sigma_max on approximate
-    kinds.
+    """Numerical rank of ``a`` on a float kind: the count of singular values
+    above the cut ``tol`` = max(rows, cols) * eps * sigma_max.  Exact kinds
+    raise ValueError; ``rank`` serves them.
 
     The result is flagged ill-conditioned when the singular values on either
     side of the retained/discarded cut differ by less than
     ILL_CONDITIONED_RATIO.
     """
     if a.kind.exact:
-        _, pivots = _rref(a.data, a.kind, reduced=False)
-        return RankInfo(a, len(pivots), None, False, None, tuple(pivots))
+        raise ValueError(f"rank_info serves float kinds only, not {a.kind}")
     if min(a.data.shape) == 0:
         return RankInfo(a, 0, 0.0, False, ())
     sv = np.linalg.svd(a.data, compute_uv=False)
@@ -381,14 +368,11 @@ def rank_info(a: Mat) -> RankInfo:
 
 
 def rank(a: Mat) -> int:
+    """Rank of ``a``: the pivot count of ``_rref`` on exact kinds,
+    ``rank_info``'s on float kinds."""
+    if a.kind.exact:
+        return len(_rref(a.data, a.kind, reduced=False)[1])
     return rank_info(a).rank
-
-
-def _colspace_form(data: np.ndarray, kind: ScalarKind):
-    """(q, P): the exact form q of col(data), by ``_rref`` of data^T, and P
-    its pivot rows."""
-    r, pivots = _rref(data.T, kind)
-    return r[: len(pivots)].T, pivots
 
 
 def _in_span(v: np.ndarray, rows: np.ndarray, d: int, pivots, p: int | None = None) -> np.ndarray:
@@ -412,9 +396,10 @@ def _project_out(q: np.ndarray, c: np.ndarray) -> None:
 def in_range(a: Mat, v: Mat):
     """Decide whether column ``v`` lies in the column space of ``a``.
 
-    Returns (verdict, residual).  Exact kinds bring ``a`` to the exact form
-    q unless it is in it already, as every exact colspace is (q[P, :] is
-    the identity for P the leading nonzero row of each column), and accept
+    Returns (verdict, residual).  Exact kinds read ``a`` in the exact form
+    q when it is in it already, as every exact colspace and intersection
+    is (q[P, :] is the identity for P the leading nonzero row of each
+    column), and otherwise take q^T from one ``_rref`` of a^T; they accept
     v when v == q v[P].  The residual is 0 for members and the exact
     least-squares defect (squared norm; 1 over GF(p)) otherwise.  On float
     kinds ``a`` must have orthonormal columns, as a colspace has: the
@@ -430,8 +415,8 @@ def in_range(a: Mat, v: Mat):
         (d, rows), (l, w) = ints(a.data.T), ints(v.data.T)
         pivots = (rows != 0).argmax(axis=1).tolist() if rows.size else []
         if not np.array_equal(rows[:, pivots], d * np.identity(a.cols, dtype=object)):
-            q, pivots = _colspace_form(a.data, a.kind)
-            d, rows = ints(q.T)
+            r, pivots = _rref(a.data.T, a.kind)
+            d, rows = ints(r[: len(pivots)])
         if _in_span(w, rows, d, pivots, p)[0]:
             return True, a.kind.zero()
         if p is not None:

@@ -55,9 +55,11 @@ from .scalars import RATIONAL, gf
 class SpanMatrixReport:
     """The rank of a span matrix (``matrix``) with its provenance.
 
-    It carries the rank diagnostics of a RankInfo and ``colspace``, a basis
-    of the vectorized algebra that membership, basis and intersection read:
-    over Q in the one exact form of the ``matrix`` module, q[pivots, :] = I.
+    On float kinds it carries the rank diagnostics of the matrix's
+    RankInfo, and ``pivots`` is None.  ``colspace`` is a basis of the
+    vectorized algebra that membership, basis and intersection read: the
+    RankInfo's on floats, over Q the one exact form of the ``matrix``
+    module, q[pivots, :] = I.
     ``variant`` names what was realigned: "power:<k>" or
     "power_nonunital:<k>" with the exponent k on float kinds, "resolvent"
     or "resolvent_nonunital" over Q.  ``scale`` is the integer B: the
@@ -298,5 +300,5 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
         core, variant = s.dot(np.linalg.matrix_power(step, k - 1)), f"power_nonunital:{k}"
     info = rank_info(realign(Mat(core, gs.kind)))
     return SpanMatrixReport(rank=info.rank, tol=info.tol, ill_conditioned=info.ill_conditioned,
-                            singular_values=info.singular_values, pivots=info.pivots, variant=variant,
+                            singular_values=info.singular_values, pivots=None, variant=variant,
                             scale=b, primes=None, _matrix=lambda: info.matrix, _colspace=lambda: info.colspace)

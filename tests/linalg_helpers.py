@@ -1,10 +1,12 @@
 """Reference linear algebra used by the tests.
 
 The library itself never needs these: it decides rank, range and
-invertibility through ``matrix._rref`` and forms S and B once, in
-``resolvent.kron_square``.  They stay here as independent checks on the
-span matrix (it is PSD, and over Q it is the Fraction resolvent of the
-generators as given), on the mod-p certificate (a singular skip means p
+invertibility through ``matrix._rref``, forms S and B once, in
+``resolvent.kron_square``, and lifts the exact column space of a span
+matrix from GF(p).  They stay here as independent checks on the span
+matrix (it is PSD, and over Q it is the Fraction resolvent of the
+generators as given, with the exact form that ``echelon_reference`` reads
+off it by elimination), on the mod-p certificate (a singular skip means p
 divides det(B*I - S)) and on the builder (entry by entry, on the Fraction
 or complex entries of the generators as given).
 """
@@ -15,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from algebragen.generators import GeneratorSet
-from algebragen.matrix import Mat, inverse, realign
+from algebragen.matrix import Mat, _rref, inverse, realign
 from algebragen.resolvent import kron_square
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -50,6 +52,15 @@ def realigned_resolvent(gs: GeneratorSet, b) -> Mat:
     s = summed_kron_square(gs) * Fraction(1, b)
     core = inverse(Mat.identity(gs.n * gs.n, gs.kind) - s)
     return realign(core if gs.unital else s @ core)
+
+
+def echelon_reference(m: Mat):
+    """(rank, pivots, form) of an exact matrix by elimination: its pivot
+    columns, and the exact form q of its column space (q[P, :] = I), from
+    the reduced echelon form of its pivot columns transposed."""
+    _, pivots = _rref(m.data, m.kind, reduced=False)
+    r, rows = _rref(m.data[:, pivots].T, m.kind)
+    return len(pivots), tuple(pivots), Mat(r[: len(rows)].T, m.kind)
 
 
 def b_minus_s(gs: GeneratorSet):

@@ -7,9 +7,9 @@ import algebragen as ag
 # their modules and are imported from there.
 PUBLIC = {
     "AlgebraBasis", "C64", "F64", "GeneratorSet", "Mat", "MembershipResult", "PrimeOutcome", "PrimePlan",
-    "PrimeRangeError", "RATIONAL", "RankInfo", "ScalarKind", "SingularMatrixError", "SpanMatrixReport",
+    "PrimeRangeError", "RATIONAL", "ScalarKind", "SingularMatrixError", "SpanMatrixReport",
     "WordBasis", "basis", "certified_dimension", "dimension", "dimension_mod_p", "express", "gf", "in_range",
-    "intersect", "inverse", "membership", "rank", "rank_info", "realign", "span_matrix", "subspace_intersect",
+    "intersect", "inverse", "membership", "realign", "span_matrix", "subspace_intersect",
     "unvec", "vec", "word_span",
 }
 

@@ -62,6 +62,19 @@ def test_member_and_nonmember_exit_codes(capsys):
     assert code == cli.EXIT_NONMEMBER and not json.loads(out)["member"]
 
 
+def test_memory_error_exits_with_the_numeric_code(capsys, monkeypatch):
+    # uncaught, a MemoryError makes Python exit 1, the non-member code
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "span_matrix", exhausted)
+    monkeypatch.setattr(cli, "membership", exhausted)
+    for argv in (("dim", TRIANGULAR), ("member", TRIANGULAR, MEMBER)):
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_NUMERIC
+        assert err.startswith("error:")
+
+
 def test_prime_ceiling_beyond_primality_range_exits_5(capsys, monkeypatch):
     from algebragen import modp
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.matrix import _rref, _solve_exact
+from algebragen.matrix import _rref, _solve_exact, rank, rank_info
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
@@ -156,7 +156,7 @@ def test_inverse_random_exact_roundtrip():
             try:
                 inv = ag.inverse(m)
             except ag.SingularMatrixError:
-                assert ag.rank(m) < n
+                assert rank(m) < n
                 continue
             assert m @ inv == ag.Mat.identity(n, kind)
 
@@ -187,13 +187,13 @@ def test_det():
 
 
 def test_rank_basics():
-    assert ag.rank(ag.Mat.zeros(4, 4, ag.RATIONAL)) == 0
-    assert ag.rank(ag.Mat.zeros(4, 4, ag.F64)) == 0
+    assert rank(ag.Mat.zeros(4, 4, ag.RATIONAL)) == 0
+    assert rank(ag.Mat.zeros(4, 4, ag.F64)) == 0
     rng = random.Random(9)
     for kind in ALL_KINDS:
         a, b = rand_mat(rng, 3, kind, max_den=2), rand_mat(rng, 3, kind, max_den=2)
         outer = ag.vec(a) @ ag.vec(b).T
-        assert ag.rank(outer) == 1
+        assert rank(outer) == 1
 
 
 def test_rank_rational_vs_gfp_agreement():
@@ -211,39 +211,23 @@ def test_rank_rational_vs_gfp_agreement():
             if is_prime(p):
                 break
         f = ag.Mat.from_rows(rows, ag.gf(p))
-        agree += ag.rank(q) == ag.rank(f)
+        agree += rank(q) == rank(f)
     assert agree >= 190
 
 
 def test_rank_info_ill_conditioned_flag():
     # clean cut: retained 1e-2 vs discarded 1e-16 is a huge gap
-    clean = ag.rank_info(ag.Mat.wrap(np.diag([1.0, 1e-2, 1e-16]), ag.F64))
+    clean = rank_info(ag.Mat.wrap(np.diag([1.0, 1e-2, 1e-16]), ag.F64))
     assert clean.rank == 2 and not clean.ill_conditioned
     # murky cut: 1e-15 kept, 1e-16 dropped at the cut 3 * eps, ratio 10
-    murky = ag.rank_info(ag.Mat.wrap(np.diag([1.0, 1e-15, 1e-16]), ag.F64))
+    murky = rank_info(ag.Mat.wrap(np.diag([1.0, 1e-15, 1e-16]), ag.F64))
     assert murky.rank == 2 and murky.ill_conditioned
     # full rank leaves nothing discarded, so no flag
-    full = ag.rank_info(ag.Mat.wrap(np.diag([1.0, 0.5]), ag.F64))
+    full = rank_info(ag.Mat.wrap(np.diag([1.0, 0.5]), ag.F64))
     assert full.rank == 2 and not full.ill_conditioned
 
 
 # -- range / membership ----------------------------------------------------
-
-
-def test_range_basis_identity():
-    rb = ag.rank_info(ag.Mat.identity(3, ag.RATIONAL)).colspace
-    assert rb.cols == 3 and ag.rank(rb) == 3
-
-
-def test_range_basis_outer_product():
-    rng = random.Random(1)
-    a = rand_mat(rng, 3, ag.RATIONAL, max_den=2)
-    outer = ag.vec(a) @ ag.vec(a).T
-    rb = ag.rank_info(outer).colspace
-    assert rb.cols == 1
-    # single column parallel to vec(a)
-    stacked = ag.Mat.wrap(np.concatenate([rb.data, ag.vec(a).data], axis=1), ag.RATIONAL)
-    assert ag.rank(stacked) == 1
 
 
 def test_in_range_consistent_systems():
@@ -254,8 +238,8 @@ def test_in_range_consistent_systems():
             a = rand_mat(rng, n, kind, max_den=2)
             x = rand_mat(rng, n, kind, max_den=2).col(0)
             # float in_range reads orthonormal columns spanning col(a), exact
-            # kinds any columns or the exact form of a colspace
-            for q in (a, ag.rank_info(a).colspace) if kind.exact else (ag.rank_info(a).colspace,):
+            # kinds any columns or the exact form, as an intersection has it
+            for q in (a, ag.subspace_intersect(a, a)) if kind.exact else (rank_info(a).colspace,):
                 ok, residual = ag.in_range(q, a @ x)
                 assert ok
                 if kind.exact:
@@ -328,7 +312,7 @@ def test_subspace_intersect_random_spanning_columns(kind):
         w = ag.subspace_intersect(u, v)
         assert_exact_form(w)
         both = ag.Mat.wrap(np.concatenate([u.data, v.data], axis=1), kind)
-        assert w.cols == ag.rank(u) + ag.rank(v) - ag.rank(both)
+        assert w.cols == rank(u) + rank(v) - rank(both)
         for j in range(w.cols):
             assert ag.in_range(u, w.col(j))[0] and ag.in_range(v, w.col(j))[0]
 
@@ -482,16 +466,17 @@ def test_exact_outputs_are_python_scalars():
     rng = random.Random(21)
     for kind in (ag.gf(1048583), ag.gf(4294967311), ag.RATIONAL):
         m = rand_mat(rng, 4, kind, max_den=3)
-        for out in (ag.inverse(m) if ag.rank(m) == 4 else m, ag.subspace_intersect(m, m), ag.rank_info(m).colspace):
+        for out in (ag.inverse(m) if rank(m) == 4 else m, ag.subspace_intersect(m, m)):
             scalar = Fraction if kind.tag == "rational" else int
             assert all(type(x) is scalar for x in out.data.ravel())
 
 
-def test_rank_info_pivots_exact_only():
+def test_rank_info_refuses_exact_kinds():
     m = ag.Mat.from_rows([[0, 1, 2], [0, 2, 4], [1, 0, 0]], ag.RATIONAL)
-    assert ag.rank_info(m).pivots == (0, 1)
-    assert ag.rank_info(m.convert(ag.gf(5))).pivots == (0, 1)
-    assert ag.rank_info(m.convert(ag.F64)).pivots is None
+    for kind in (ag.RATIONAL, ag.gf(5)):
+        with pytest.raises(ValueError):
+            rank_info(m.convert(kind))
+    assert [rank(m.convert(kind)) for kind in (ag.RATIONAL, ag.gf(5), ag.F64)] == [2, 2, 2]
 
 
 def test_in_range_defect_matches_all_column_normal_equations():

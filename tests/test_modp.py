@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import algebragen as ag
 from algebragen import wordspan
+from algebragen.matrix import rank
 from algebragen.modp import per_prime_failure_bound
 from algebragen.resolvent import clear_denominators, kron_square
 
@@ -76,7 +77,7 @@ def reference_mod_p(gs: ag.GeneratorSet, p: int):
         core = ag.inverse(ag.Mat.identity(gs.n * gs.n, kind) * b - s)
     except ag.SingularMatrixError:
         return None
-    return ag.rank(ag.realign(core))
+    return rank(ag.realign(core))
 
 
 def test_dimension_mod_p_matches_reference():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import algebragen as ag
 from algebragen import wordspan
+from algebragen.matrix import rank
 from algebragen.resolvent import clear_denominators
 
 from conftest import gaussian, hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal, word_value
@@ -131,7 +132,7 @@ def greedy_words(gs: ag.GeneratorSet):
         nonlocal kept
         v = ag.vec(m)
         grown = v if kept is None else ag.Mat.wrap(np.concatenate([kept.data, v.data], axis=1), gs.kind)
-        if ag.rank(grown) > len(words):
+        if rank(grown) > len(words):
             kept = grown
             words.append((word, m))
             return True
