@@ -11,7 +11,9 @@ An instance document looks like::
 
 Entries are strings so exact values survive serialization: "a/b" or integer
 literals under "rational", decimal literals under "f64", "re+im i" literals
-under "c64".  Decimal entries are only legal under the approximate fields.
+under "c64".  Decimal entries are only legal under the approximate fields;
+"a/b" and integer entries are legal under every field, and the approximate
+ones round the exact value.
 When "field" is absent it defaults to "rational" if every entry parses as a
 rational, else "f64".
 """
@@ -62,26 +64,29 @@ def parse_entry(text, kind: ScalarKind):
     if kind.tag == "rational":
         if not _RATIONAL_RE.match(s):
             raise ParseError(f"entry {text!r} is not an integer or a/b rational")
-        try:
-            return Fraction(s.replace(" ", ""))
-        except ZeroDivisionError:
-            raise ParseError(f"entry {text!r} has a zero denominator") from None
-    if kind.tag == "f64":
-        try:
-            value = float(s)
-        except ValueError:
-            raise ParseError(f"entry {text!r} is not a decimal literal") from None
-        if not math.isfinite(value):
-            raise ParseError(f"entry {text!r} is not finite")
-        return value
-    # c64: "re+im i" with an optional imaginary part
+        return _fraction(s, text)
     try:
-        value = complex(s.replace(" ", "").replace("i", "j"))
+        # c64: "re+im i" with an optional imaginary part
+        value = float(s) if kind.tag == "f64" else complex(s.replace(" ", "").replace("i", "j"))
     except ValueError:
-        raise ParseError(f"entry {text!r} is not a complex literal") from None
+        if not _RATIONAL_RE.match(s):
+            what = "decimal" if kind.tag == "f64" else "complex"
+            raise ParseError(f"entry {text!r} is not a {what} literal") from None
+        try:
+            value = kind.coerce(_fraction(s, text))
+        except OverflowError:
+            raise ParseError(f"entry {text!r} is not finite") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ParseError(f"entry {text!r} is not finite")
     return value
+
+
+def _fraction(s: str, text) -> Fraction:
+    """The rational value of an entry ``s`` that matches _RATIONAL_RE."""
+    try:
+        return Fraction(s.replace(" ", ""))
+    except ZeroDivisionError:
+        raise ParseError(f"entry {text!r} has a zero denominator") from None
 
 
 def format_entry(x, kind: ScalarKind) -> str:

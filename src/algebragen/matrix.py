@@ -8,12 +8,19 @@ Float distances from a span have one rule, ``_project_out``: a vector lies
 in the span of orthonormal columns Q when what is left of it after
 projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.
 
-Every exact rank, solve, inverse and intersection, and the word-span
-insertion of ``wordspan``, goes through one elimination, ``_rref``, which
-updates all affected rows of a pivot step in one numpy operation:
+Every exact rank, solve, inverse and intersection, the GF(p) images of
+the span matrix and the word-span insertion of ``wordspan`` go through one
+elimination, ``_eliminate`` (``_rref`` for callers), which updates all
+affected rows of a pivot step in one numpy operation:
 
 * over GF(p) on int64 rows while p < INT64_MODULUS_LIMIT (3 037 000 499,
-  where (p - 1)^2 + p reaches 2^63), on Python-int rows above it;
+  where (p - 1)^2 + p reaches 2^63), on Python-int rows above it.  The
+  columns go in panels of PANEL = 32: a pivot step touches only its
+  panel's columns and PANEL coefficient columns beside them, and the
+  columns right of the panel are brought up to date once per panel by one
+  product mod p.  On int64 rows that product is two float64 BLAS products
+  on the 16-bit halves of one factor, exact because every sum stays below
+  PANEL (p - 1) 2^16 < 2^53;
 * over Q on primitive integer rows by fraction-free (Bareiss) elimination,
   from Fraction or Python-int entries, building Fractions only for the
   reduced rows a caller reads.
@@ -204,6 +211,11 @@ def _realign(data: np.ndarray) -> np.ndarray:
 # step computes (p - 1)^2 + p, which must stay below 2^63.
 INT64_MODULUS_LIMIT = 3_037_000_499
 
+# Columns per GF(p) panel: the largest power of two K with
+# K (p - 1) 2^16 < 2^53 for every p < INT64_MODULUS_LIMIT, so that both
+# float64 products of ``_mul_mod`` are exact.
+PANEL = 1 << ((2**53 // ((INT64_MODULUS_LIMIT - 2) << 16)).bit_length() - 1)
+
 
 def _cleared(data: np.ndarray) -> tuple[int, np.ndarray]:
     """(l, l * data) for an array of Fractions or Python ints: l the lcm of
@@ -236,6 +248,92 @@ def _fractions(ints: np.ndarray, den: int = 1) -> np.ndarray:
     return out
 
 
+def _residue_dtype(p: int):
+    """The dtype of GF(p) rows: int64 when p < INT64_MODULUS_LIMIT, else
+    object (Python ints)."""
+    return np.int64 if p < INT64_MODULUS_LIMIT else object
+
+
+def _residues(data: np.ndarray, p: int) -> np.ndarray:
+    """A new array of the integers ``data`` mod p, in ``_residue_dtype``."""
+    return (np.asarray(data, dtype=object) % p).astype(_residue_dtype(p))
+
+
+def _mul_mod(f: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
+    """f @ t mod p for residues of ``_residues``, with at most PANEL
+    columns in f.  On int64 it is two float64 products, f @ (t >> 16) and
+    f @ (t & 0xFFFF), each of whose sums stays below PANEL (p - 1) 2^16 <
+    2^53 and is exact."""
+    if f.dtype == object:
+        return f.dot(t) % p
+    g = f.astype(np.float64)
+    hi = g.dot((t >> 16).astype(np.float64)).astype(np.int64)
+    lo = g.dot((t & 0xFFFF).astype(np.float64)).astype(np.int64)
+    return (hi % p * 65536 + lo) % p
+
+
+def _eliminate(a: np.ndarray, p: int | None, reduced: bool) -> tuple[list[int], int]:
+    """Bring ``a`` to row echelon form in place: residues of ``_residues``
+    over GF(p), primitive integer rows over Q (p None).  Returns the pivot
+    columns and the last pivot d over Q (1 over GF(p)).  See ``_rref``.
+    """
+    rows, cols = a.shape
+    order = np.arange(rows)
+    pivots: list[int] = []
+    prev = 1
+    # Bareiss rows change as a whole, so Q takes all columns in one panel
+    width = PANEL if p is not None else max(cols, 1)
+    for c0 in range(0, cols, width):
+        r0 = len(pivots)
+        if r0 == rows:
+            break
+        c1 = c0 + width
+        trailing = c1 < cols
+        # w: the panel and, while columns trail it, beside it the
+        # coefficients with which its pivot rows' trailing parts enter
+        # each row
+        w = np.concatenate((a[:, c0:c1], np.zeros((rows, width), a.dtype)), axis=1) if trailing else a[:, c0:]
+        for c in range(min(width, cols - c0)):
+            r = len(pivots)
+            if r == rows:
+                break
+            nz = np.flatnonzero(w[r:, c] != 0)
+            if nz.size == 0:
+                continue
+            pr = r + int(nz[0])
+            if pr != r:
+                w[[r, pr]] = w[[pr, r]]
+                if trailing:
+                    a[[r, pr], c1:] = a[[pr, r], c1:]
+            rest = np.concatenate((order[0 if reduced else r : r], order[r + 1 :]))
+            f = w[rest, c]
+            if p is not None:
+                # the columns that can be nonzero in row r: the panel's
+                # from c on and the coefficients of the pivots so far
+                e = width + r - r0 + 1 if trailing else w.shape[1]
+                if trailing:
+                    w[r, e - 1] = 1
+                w[r, c:e] = w[r, c:e] * pow(int(w[r, c]), -1, p) % p
+                hit = f != 0
+                rest, f = rest[hit], f[hit]
+                w[rest, c:e] = (w[rest, c:e] + (p - f)[:, None] * w[r, c:e]) % p
+            else:
+                # every row in rest changes, even where f is 0
+                d = w[r, c]
+                w[rest] = (d * w[rest] - f[:, None] * w[r]) // prev
+                prev = d
+            pivots.append(c0 + c)
+        if trailing:
+            # each row's trailing part, with the pivot rows' own parts
+            # moved into their coefficients: one product for the panel
+            k, top = len(pivots) - r0, 0 if reduced else r0
+            a[:, c0:c1] = w[:, :width]
+            t = a[r0 : r0 + k, c1:].copy()
+            a[r0 : r0 + k, c1:] = 0
+            a[top:, c1:] = (a[top:, c1:] + _mul_mod(w[top:, width : width + k], t, p)) % p
+    return pivots, prev
+
+
 def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
     """Row echelon form over an exact kind; returns (R, pivot_cols).
 
@@ -244,55 +342,35 @@ def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
     ``data`` may hold Fractions or Python ints over Q.  Without it only the
     pivot columns are meaningful and R is None: rank and range need no more.
 
-    Each pivot step on row r, column c is one vectorized update of the rows
-    m it touches, with f = A[m, c]: those below r, and with ``reduced``
-    those above it too.  Over GF(p) the rows are int64 when
-    p < INT64_MODULUS_LIMIT, else Python ints, the pivot row is normalized
-    and ``A[m] = (A[m] - f * A[r] % p) % p``.  Over Q the rows are primitive
-    integer rows reduced by fraction-free (Bareiss) elimination,
-    ``A[m] = (d * A[m] - f * A[r]) // d_prev`` with d the pivot and d_prev
-    the one before, where the division is exact; with ``reduced`` every
-    pivot row then ends with the last pivot d on its pivot column, and R is
-    A / d.
+    Each pivot step on row r, column c updates the rows m it touches in one
+    numpy operation, with f = A[m, c]: those below r, and with ``reduced``
+    those above it too.
+
+    Over GF(p) the rows are the residues of ``_residues`` and the columns
+    are taken in panels of PANEL.  Within a panel the pivot row is
+    normalized and ``A[m] = (A[m] + (p - f) * A[r]) % p`` on the panel's
+    columns only, below (p - 1)^2 + p on int64 rows.  Beside them PANEL coefficient columns track each row as
+    its own trailing part (the columns right of the panel) plus a
+    combination of the trailing parts the panel's pivot rows had on
+    entry; a pivot row takes its own part into its coefficient 1 before
+    it is normalized.  After the panel every trailing part is brought up to
+    date by one product of the coefficients and the pivot rows' trailing
+    parts, mod p (``_mul_mod``: exact float64 BLAS on int64 rows).  A
+    panel with no columns right of it, as every one of a matrix of at most
+    PANEL columns, is eliminated in place with no coefficients.
+
+    Over Q the rows are primitive integer rows reduced by fraction-free
+    (Bareiss) elimination, ``A[m] = (d * A[m] - f * A[r]) // d_prev`` with
+    d the pivot and d_prev the one before, where the division is exact;
+    with ``reduced`` every pivot row then ends with the last pivot d on its
+    pivot column, and R is A / d.
     """
     p = kind.modulus
-    if p is None:
-        a = _integer_rows(data)
-    else:
-        dtype = np.int64 if p < INT64_MODULUS_LIMIT else object
-        a = (np.asarray(data, dtype=object) % p).astype(dtype)
-    rows, cols = a.shape
-    order = np.arange(rows)
-    pivots = []
-    prev = 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c] != 0)
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        rest = np.concatenate((order[0 if reduced else r : r], order[r + 1 :]))
-        f = a[rest, c]
-        if p is not None:
-            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-            hit = f != 0
-            rest, f = rest[hit], f[hit]
-            a[rest, c:] = (a[rest, c:] - f[:, None] * a[r, c:] % p) % p
-        else:
-            # every row in rest changes, even where f is 0
-            d = a[r, c]
-            a[rest] = (d * a[rest] - f[:, None] * a[r]) // prev
-            prev = d
-        pivots.append(c)
+    a = _integer_rows(data) if p is None else _residues(data, p)
+    pivots, d = _eliminate(a, p, reduced)
     if not reduced:
         return None, pivots
-    if p is not None:
-        return a.astype(object), pivots
-    return _fractions(a, prev), pivots
+    return (a.astype(object) if p is not None else _fractions(a, d)), pivots
 
 
 def _solve_exact(a: Mat, b: Mat):
@@ -313,11 +391,17 @@ def inverse(a: Mat) -> Mat:
         raise ValueError(f"inverse serves exact kinds only, not {a.kind}")
     if a.rows != a.cols:
         raise ValueError("inverse needs a square matrix")
-    n = a.rows
-    r, pivots = _rref(np.concatenate([a.data, Mat.identity(n, a.kind).data], axis=1), a.kind)
+    n, p = a.rows, a.kind.modulus
+    if p is None:
+        r, pivots = _rref(np.concatenate([a.data, Mat.identity(n, a.kind).data], axis=1), a.kind)
+    else:
+        # [X | I] from the residues of X alone
+        x = _residues(a.data, p)
+        r = np.concatenate((x, np.identity(n, dtype=x.dtype)), axis=1)
+        pivots = _eliminate(r, p, True)[0]
     if pivots != list(range(n)):
         raise SingularMatrixError(f"{n}x{n} matrix is singular")
-    return Mat(r[:, n:], a.kind)
+    return Mat(r[:, n:].astype(object), a.kind)
 
 
 # -- rank and subspaces ---------------------------------------------------

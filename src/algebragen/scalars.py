@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +82,9 @@ C64 = ScalarKind("c64")
 RATIONAL = ScalarKind("rational")
 
 
+# bounded, since ``modp`` makes a kind for every prime it samples
+@lru_cache(maxsize=256)
 def gf(p: int) -> ScalarKind:
-    """The prime field of p elements."""
+    """The prime field of p elements.  The kinds of recent primes are kept,
+    so that p is not proved prime again each time its field is named."""
     return ScalarKind("gfp", int(p))

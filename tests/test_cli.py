@@ -314,3 +314,12 @@ def test_dim_on_floats_has_no_primes(capsys, tmp_path):
     doc = json.loads(out)
     assert code == cli.EXIT_OK and doc["dimension"] == 2
     assert doc["primes"] is None and "fallback" not in doc
+
+
+@pytest.mark.parametrize("field", ["f64", "c64"])
+def test_float_fields_read_rational_entries(capsys, field):
+    # the shipped instance holds a/b entries; the float fields round them
+    code, out, err = run(capsys, "dim", "--field", field, TRIANGULAR)
+    assert code == cli.EXIT_OK, err
+    doc = json.loads(out)
+    assert doc["field"] == field and doc["dimension"] == 5

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.matrix import _rref, _solve_exact, rank, rank_info
+from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _mul_mod, _rref, _solve_exact, rank, rank_info
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
@@ -159,6 +159,15 @@ def test_inverse_random_exact_roundtrip():
                 assert rank(m) < n
                 continue
             assert m @ inv == ag.Mat.identity(n, kind)
+
+
+@pytest.mark.parametrize("p", (3037000493, 4294967311))
+def test_inverse_gfp_across_panels(p):
+    # side 72: [A | I] spans five panels, the last one without columns after it
+    kind = ag.gf(p)
+    rng = np.random.default_rng(72)
+    a = ag.Mat.wrap(rng.integers(0, 2**62, (72, 72)).astype(object), kind)
+    assert a @ ag.inverse(a) == ag.Mat.identity(72, kind)
 
 
 def test_inverse_errors():
@@ -405,8 +414,9 @@ def reference_rref(rows, kind):
     return a, pivots
 
 
-def low_rank_rows(rng, kind, rows, cols, rank, zero_rows):
-    """rows x cols entries of rank at most ``rank``, with some rows zeroed."""
+def low_rank_rows(rng, kind, rows, cols, rank, zero_rows, zero_cols=()):
+    """rows x cols entries of rank at most ``rank``, with some rows and the
+    columns ``zero_cols`` zeroed."""
     if kind.tag == "rational":
         draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
     else:
@@ -416,6 +426,10 @@ def low_rank_rows(rng, kind, rows, cols, rank, zero_rows):
     out = [[sum((l[k] * right[k][j] for k in range(rank)), kind.zero()) for j in range(cols)] for l in left]
     for i in rng.sample(range(rows), min(zero_rows, rows)):
         out[i] = [kind.zero()] * cols
+    for row in out:
+        for j in zero_cols:
+            if j < cols:
+                row[j] = kind.zero()
     return [[kind.coerce(x) for x in row] for row in out]
 
 
@@ -439,12 +453,22 @@ elimination_shapes = dict(
 
 
 @pytest.mark.parametrize("p", GF_PRIMES)
-@given(**elimination_shapes)
+@given(
+    rows=st.integers(0, 40), cols=st.integers(1, 3 * PANEL), rank=st.integers(0, 40),
+    zero_rows=st.integers(0, 2), lead=st.integers(0, 2 * PANEL), zero_cols=st.lists(st.integers(0, 3 * PANEL - 1), max_size=8),
+    panel_edges=st.booleans(), seed=st.integers(0, 10**6),
+)
 @settings(max_examples=40, deadline=None)
-def test_rref_gfp_matches_reference(p, rows, cols, rank, zero_rows, seed):
+def test_rref_gfp_matches_reference(p, rows, cols, rank, zero_rows, lead, zero_cols, panel_edges, seed):
+    # up to three panels: ``lead`` zero columns move the pivots into the
+    # later ones, and ``panel_edges`` puts zero columns on both sides of
+    # each panel edge
     kind = ag.gf(p)
     rng = random.Random(seed)
-    check_rref(low_rank_rows(rng, kind, rows, cols, min(rank, rows, cols), zero_rows), kind, cols)
+    zero_cols = list(range(lead)) + zero_cols
+    if panel_edges:
+        zero_cols += [PANEL - 1, PANEL, 2 * PANEL - 1, 2 * PANEL]
+    check_rref(low_rank_rows(rng, kind, rows, cols, min(rank, rows, cols), zero_rows, zero_cols), kind, cols)
 
 
 @given(**elimination_shapes)
@@ -455,11 +479,28 @@ def test_rref_rational_matches_reference(rows, cols, rank, zero_rows, seed):
 
 
 def test_rref_gfp_int64_edge_entries():
-    # every entry p - 1: each product in the update is the largest int64 sees
+    # every entry p - 1: each product in the update is the largest int64
+    # sees; 3037000493 is also the worst case of the split float64 products
+    rng = np.random.default_rng(17)
     for p in (3037000493, 4294967311):
         kind = ag.gf(p)
         rows = [[p - 1, p - 1, 1], [p - 1, 1, p - 1], [1, p - 1, p - 1]]
         check_rref(rows, kind, 3)
+        # two and a half panels, all p - 1 (rank 1), and p - 1 or 0 (rank 40)
+        check_rref([[p - 1] * (2 * PANEL + 8)] * 40, kind, 2 * PANEL + 8)
+        check_rref((rng.integers(0, 2, (40, 2 * PANEL + 8)) * (p - 1)).tolist(), kind, 2 * PANEL + 8)
+
+
+def test_panel_products_are_exact_in_float64():
+    # K (p - 1) 2^16 < 2^53 for the largest int64 modulus, for the low
+    # halves (< 2^16) and for the high ones (<= (p - 1) >> 16)
+    p = INT64_MODULUS_LIMIT - 1
+    assert PANEL * (p - 1) * 2**16 < 2**53
+    assert PANEL * (p - 1) * ((p - 1) >> 16) < 2**53
+    p = 3037000493
+    f = np.full((5, PANEL), p - 1, dtype=np.int64)
+    t = np.full((PANEL, 7), p - 1, dtype=np.int64)
+    assert _mul_mod(f, t, p).tolist() == (f.astype(object).dot(t.astype(object)) % p).tolist()
 
 
 def test_exact_outputs_are_python_scalars():

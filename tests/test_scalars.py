@@ -22,6 +22,11 @@ def test_gfp_modulus_must_be_prime():
         ScalarKind("gfp")
 
 
+def test_gf_makes_one_kind_per_prime():
+    assert gf(3037000493) is gf(3037000493)
+    assert gf(7) == ScalarKind("gfp", 7)
+
+
 def test_no_modulus_elsewhere():
     with pytest.raises(ValueError):
         ScalarKind("f64", 5)
