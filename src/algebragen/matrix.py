@@ -248,15 +248,16 @@ def _fractions(ints: np.ndarray, den: int = 1) -> np.ndarray:
     return out
 
 
-def _residue_dtype(p: int):
-    """The dtype of GF(p) rows: int64 when p < INT64_MODULUS_LIMIT, else
-    object (Python ints)."""
-    return np.int64 if p < INT64_MODULUS_LIMIT else object
-
-
 def _residues(data: np.ndarray, p: int) -> np.ndarray:
-    """A new array of the integers ``data`` mod p, in ``_residue_dtype``."""
-    return (np.asarray(data, dtype=object) % p).astype(_residue_dtype(p))
+    """A new array of the integers ``data`` mod p: int64 while
+    p < INT64_MODULUS_LIMIT, else Python ints.  Entries that fit int64 are
+    reduced there, with no pass over Python ints."""
+    if p < INT64_MODULUS_LIMIT:
+        try:
+            return np.asarray(data, dtype=np.int64) % p
+        except OverflowError:
+            return (np.asarray(data, dtype=object) % p).astype(np.int64)
+    return np.asarray(data, dtype=object) % p
 
 
 def _mul_mod(f: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
@@ -323,9 +324,10 @@ def _eliminate(a: np.ndarray, p: int | None, reduced: bool) -> tuple[list[int], 
                 w[rest] = (d * w[rest] - f[:, None] * w[r]) // prev
                 prev = d
             pivots.append(c0 + c)
-        if trailing:
+        if trailing and len(pivots) > r0:
             # each row's trailing part, with the pivot rows' own parts
-            # moved into their coefficients: one product for the panel
+            # moved into their coefficients: one product for the panel (a
+            # panel without pivots changed no row)
             k, top = len(pivots) - r0, 0 if reduced else r0
             a[:, c0:c1] = w[:, :width]
             t = a[r0 : r0 + k, c1:].copy()
@@ -391,17 +393,11 @@ def inverse(a: Mat) -> Mat:
         raise ValueError(f"inverse serves exact kinds only, not {a.kind}")
     if a.rows != a.cols:
         raise ValueError("inverse needs a square matrix")
-    n, p = a.rows, a.kind.modulus
-    if p is None:
-        r, pivots = _rref(np.concatenate([a.data, Mat.identity(n, a.kind).data], axis=1), a.kind)
-    else:
-        # [X | I] from the residues of X alone
-        x = _residues(a.data, p)
-        r = np.concatenate((x, np.identity(n, dtype=x.dtype)), axis=1)
-        pivots = _eliminate(r, p, True)[0]
+    n = a.rows
+    r, pivots = _rref(np.concatenate([a.data, Mat.identity(n, a.kind).data], axis=1), a.kind)
     if pivots != list(range(n)):
         raise SingularMatrixError(f"{n}x{n} matrix is singular")
-    return Mat(r[:, n:].astype(object), a.kind)
+    return Mat(r[:, n:], a.kind)
 
 
 # -- rank and subspaces ---------------------------------------------------

@@ -45,8 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import (Mat, SingularMatrixError, _cleared, _eliminate, _fractions, _in_span, _realign, _residue_dtype,
-                     inverse, rank_info, realign)
+from .matrix import (Mat, SingularMatrixError, _cleared, _fractions, _in_span, _realign, _rref, inverse, rank_info,
+                     realign)
 from .primes import is_prime
 from .scalars import RATIONAL, gf
 
@@ -139,27 +139,24 @@ def _echelon_mod_p(x: np.ndarray, p: int, b: int | None = None, reduced: bool = 
     """The GF(p) image of the span matrix of X = B*I - S: the row echelon
     form of realign(X^-1), or with ``b`` = B of realign(S X^-1) =
     realign(B X^-1 - I) for a non-unital set, as the (R, pivots) of
-    ``matrix._rref`` but with R in ``matrix._residue_dtype(p)`` (int64
-    below INT64_MODULUS_LIMIT); None when p divides det X.
+    ``matrix._rref``; None when p divides det X.
 
-    ``matrix.inverse`` reduces X mod p once and inverts it on rows of
-    that dtype; from its result on, the image stays in it through the
-    realignment and the echelon form.  X^-1 mod p is the reduction of the rational
+    X goes into ``matrix.inverse`` unreduced: the elimination takes its
+    residues itself.  X^-1 mod p is the reduction of the rational
     (I - S/B)^-1 / B, defined also when p divides B.  Its rank is at most
     the Q rank of the span matrix, since a minor that is nonzero mod p is
     nonzero over Q.  The span matrix is symmetric, so its rows span its
     column space.
     """
+    kind = gf(p)
     try:
-        # X goes in unreduced: inverse takes its residues itself
-        inv = inverse(Mat(x, gf(p))).data.astype(_residue_dtype(p))
+        inv = inverse(Mat(x, kind)).data
     except SingularMatrixError:
         return None
     if b is not None:
         inv = inv * (b % p) % p
         inv[np.diag_indices(inv.shape[0])] = (inv.diagonal() - 1) % p
-    image = _realign(inv)
-    return (image if reduced else None), _eliminate(image, p, reduced)[0]
+    return _rref(_realign(inv), kind, reduced)
 
 
 def _reconstruct(residues: np.ndarray, m: int):
@@ -252,7 +249,7 @@ def _lift(x: np.ndarray, b: int, gens: list[np.ndarray], unital: bool, primes):
         if image is None:
             continue
         rows, pivots = image
-        rows = rows[: len(pivots)].astype(object)  # CRT outgrows int64
+        rows = rows[: len(pivots)]
         key = (-len(pivots), pivots)
         if best is None or key < best:
             best, residues, m, used = key, rows, p, [p]

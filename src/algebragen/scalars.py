@@ -82,7 +82,10 @@ C64 = ScalarKind("c64")
 RATIONAL = ScalarKind("rational")
 
 
-# bounded, since ``modp`` makes a kind for every prime it samples
+# Bounded, since ``modp`` makes a kind for every prime it samples.  One
+# 24 s algebench process names at most 25 distinct primes (modp-certify,
+# seeds 1 and 11; 2 on exact-rational) and hits the cache about 2000
+# times, so 256 keeps every prime of such a run with room to spare.
 @lru_cache(maxsize=256)
 def gf(p: int) -> ScalarKind:
     """The prime field of p elements.  The kinds of recent primes are kept,

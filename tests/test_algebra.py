@@ -302,7 +302,10 @@ def test_q_member_verdict_against_a_report_eliminates_nothing(monkeypatch, tri_g
     def no_elimination(*args, **kwargs):
         raise AssertionError("a member verdict against a colspace ran an elimination")
 
-    monkeypatch.setattr(matrix, "_rref", no_elimination)
+    # every exact elimination, in any module, runs matrix._eliminate
+    monkeypatch.setattr(matrix, "_eliminate", no_elimination)
+    with pytest.raises(AssertionError):
+        ag.span_matrix(tri_gens)
     res = ag.membership(tri_gens, member_candidate, report=rep)
     assert res.member and res.residual == 0
     # a non-member still solves the normal equations for its defect

@@ -489,6 +489,8 @@ def test_rref_gfp_int64_edge_entries():
         # two and a half panels, all p - 1 (rank 1), and p - 1 or 0 (rank 40)
         check_rref([[p - 1] * (2 * PANEL + 8)] * 40, kind, 2 * PANEL + 8)
         check_rref((rng.integers(0, 2, (40, 2 * PANEL + 8)) * (p - 1)).tolist(), kind, 2 * PANEL + 8)
+        # entries beyond int64 are reduced through Python ints
+        check_rref([[2**64 + 3, -(2**70), 1], [5, 2**63, -4], [-1, 0, 2**62]], kind, 3)
 
 
 def test_panel_products_are_exact_in_float64():
