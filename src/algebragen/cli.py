@@ -73,6 +73,15 @@ def _report_base(args, inst, started) -> dict:
     }
 
 
+def _cut_values(rep) -> list | None:
+    """[sigma_r, sigma_(r+1)]: the spectrum on both sides of the rank cut,
+    None over Q, and None for a side with no value (rank 0, full rank)."""
+    sv, r = rep.singular_values, rep.rank
+    if sv is None:
+        return None
+    return [sv[r - 1] if r > 0 else None, sv[r] if r < len(sv) else None]
+
+
 def cmd_dim(args) -> int:
     started = time.perf_counter()
     inst = load_instance(args.instance, field=args.field, unital=False if args.nonunital else None)
@@ -84,6 +93,7 @@ def cmd_dim(args) -> int:
             "variant": rep.variant,
             "scale": str(rep.scale),
             "rank_tolerance": rep.tol,
+            "cut_values": _cut_values(rep),
             "conditioning_flag": rep.ill_conditioned,
             "primes": None if rep.primes is None else list(rep.primes),
         }

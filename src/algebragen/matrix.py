@@ -2,8 +2,9 @@
 
 Provides the two structural maps (column-stacking vectorization and the
 block realignment involution on n^2 x n^2 matrices) together with rank,
-the numerical rank record of float matrices (``rank_info``), membership and
-intersection.
+membership and intersection.  A float rank has one cut, ``_spectral_rank``,
+on a descending spectrum: the singular values of ``rank``'s matrix, or the
+absolute eigenvalues of a Hermitian span matrix (``resolvent``).
 Float distances from a span have one rule, ``_project_out``: a vector lies
 in the span of orthonormal columns Q when what is left of it after
 projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.
@@ -47,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -403,56 +403,28 @@ def inverse(a: Mat) -> Mat:
 # -- rank and subspaces ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankInfo:
-    """Numerical rank of a float ``matrix`` with the diagnostics that
-    produced it, and a basis of its column space.
+def _spectral_rank(values: np.ndarray, side: int) -> tuple[int, float, bool]:
+    """(rank, tol, ill_conditioned) of a matrix of larger dimension ``side``
+    from its singular values ``values`` in descending order: the count of
+    values above the cut tol = side * eps * values[0].
 
-    ``colspace`` holds the first ``rank`` left singular vectors.  The rank
-    SVD computes values only, so the column space costs a second, thin SVD
-    on first use.  Exact kinds have no RankInfo: their rank is ``rank``'s,
-    and their column spaces come in the exact form from the lifted span
-    matrix report over Q (see ``resolvent``) and from ``subspace_intersect``.
+    The rank is flagged ill-conditioned when the values on either side of
+    the cut differ by less than ILL_CONDITIONED_RATIO.
     """
-
-    matrix: Mat
-    rank: int
-    tol: float
-    ill_conditioned: bool
-    singular_values: tuple[float, ...]
-
-    @cached_property
-    def colspace(self) -> Mat:
-        a = self.matrix
-        return Mat(np.linalg.svd(a.data, full_matrices=False)[0][:, : self.rank], a.kind)
-
-
-def rank_info(a: Mat) -> RankInfo:
-    """Numerical rank of ``a`` on a float kind: the count of singular values
-    above the cut ``tol`` = max(rows, cols) * eps * sigma_max.  Exact kinds
-    raise ValueError; ``rank`` serves them.
-
-    The result is flagged ill-conditioned when the singular values on either
-    side of the retained/discarded cut differ by less than
-    ILL_CONDITIONED_RATIO.
-    """
-    if a.kind.exact:
-        raise ValueError(f"rank_info serves float kinds only, not {a.kind}")
-    if min(a.data.shape) == 0:
-        return RankInfo(a, 0, 0.0, False, ())
-    sv = np.linalg.svd(a.data, compute_uv=False)
-    tol = max(a.rows, a.cols) * _EPS * float(sv[0])
-    r = int((sv > tol).sum())
-    flagged = 0 < r < len(sv) and sv[r] > 0 and sv[r - 1] / sv[r] < ILL_CONDITIONED_RATIO
-    return RankInfo(a, r, tol, bool(flagged), tuple(float(s) for s in sv))
+    if len(values) == 0:
+        return 0, 0.0, False
+    tol = side * _EPS * float(values[0])
+    r = int((values > tol).sum())
+    flagged = 0 < r < len(values) and values[r] > 0 and values[r - 1] / values[r] < ILL_CONDITIONED_RATIO
+    return r, tol, bool(flagged)
 
 
 def rank(a: Mat) -> int:
-    """Rank of ``a``: the pivot count of ``_rref`` on exact kinds,
-    ``rank_info``'s on float kinds."""
+    """Rank of ``a``: the pivot count of ``_rref`` on exact kinds, the
+    ``_spectral_rank`` of its singular values on float kinds."""
     if a.kind.exact:
         return len(_rref(a.data, a.kind, reduced=False)[1])
-    return rank_info(a).rank
+    return _spectral_rank(np.linalg.svd(a.data, compute_uv=False), max(a.rows, a.cols))[0]
 
 
 def _in_span(v: np.ndarray, rows: np.ndarray, d: int, pivots, p: int | None = None) -> np.ndarray:

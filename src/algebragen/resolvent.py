@@ -17,6 +17,9 @@ no caller can choose another:
   S/B (I + S/B)^(k-1) for a non-unital set.  Its binomial weights keep every
   word length up to k in view, where the resolvent's weights |S/B|^j lose
   the long words to rounding and leave the rank short from n = 16 on.
+  The realigned power is Hermitian, so the rank is cut on the absolute
+  values of its eigenvalues, and the column space is spanned by the
+  eigenvectors of the largest; no span matrix is factored by an SVD.
 * Q realigns the resolvent (I - S/B)^-1, or S/B (I - S/B)^-1 for a
   non-unital set.  Its rank and column space are lifted from GF(p)
   images, never read off the resolvent itself.  For each prime in turn,
@@ -45,8 +48,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import (Mat, SingularMatrixError, _cleared, _fractions, _in_span, _realign, _rref, inverse, rank_info,
-                     realign)
+from .matrix import (Mat, SingularMatrixError, _cleared, _fractions, _in_span, _realign, _rref, _spectral_rank,
+                     inverse, realign)
 from .primes import is_prime
 from .scalars import RATIONAL, gf
 
@@ -55,11 +58,14 @@ from .scalars import RATIONAL, gf
 class SpanMatrixReport:
     """The rank of a span matrix (``matrix``) with its provenance.
 
-    On float kinds it carries the rank diagnostics of the matrix's
-    RankInfo, and ``pivots`` is None.  ``colspace`` is a basis of the
-    vectorized algebra that membership, basis and intersection read: the
-    RankInfo's on floats, over Q the one exact form of the ``matrix``
-    module, q[pivots, :] = I.
+    On float kinds the matrix is Hermitian: ``singular_values`` are the
+    absolute values of its eigenvalues in descending order, ``rank``,
+    ``tol`` and ``ill_conditioned`` their ``matrix._spectral_rank``, and
+    ``pivots`` is None.  ``colspace`` is a basis of the vectorized algebra
+    that membership, basis and intersection read: on floats the
+    orthonormal eigenvectors of the ``rank`` eigenvalues largest in
+    absolute value, over Q the one exact form of the ``matrix`` module,
+    q[pivots, :] = I.
     ``variant`` names what was realigned: "power:<k>" or
     "power_nonunital:<k>" with the exponent k on float kinds, "resolvent"
     or "resolvent_nonunital" over Q.  ``scale`` is the integer B: the
@@ -70,7 +76,8 @@ class SpanMatrixReport:
     reduced echelon basis R of the algebra, ``colspace`` is R^T and
     ``pivots`` are R's pivot columns.  ``primes`` is None on float
     kinds.  ``matrix`` and ``colspace`` are built on first read: over Q
-    the lift does not need the resolvent.
+    the lift does not need the resolvent, and on floats the rank needs the
+    eigenvalues only, so the eigenvectors cost one ``eigh`` when read.
     """
 
     rank: int
@@ -300,7 +307,14 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
         core, variant = np.linalg.matrix_power(step, k), f"power:{k}"
     else:
         core, variant = s.dot(np.linalg.matrix_power(step, k - 1)), f"power_nonunital:{k}"
-    info = rank_info(realign(Mat(core, gs.kind)))
-    return SpanMatrixReport(rank=info.rank, tol=info.tol, ill_conditioned=info.ill_conditioned,
-                            singular_values=info.singular_values, pivots=None, variant=variant,
-                            scale=b, primes=None, _matrix=lambda: info.matrix, _colspace=lambda: info.colspace)
+    m = realign(Mat(core, gs.kind))
+    values = np.sort(np.abs(np.linalg.eigvalsh(m.data)))[::-1]
+    r, tol, flagged = _spectral_rank(values, m.rows)
+
+    def colspace() -> Mat:
+        w, v = np.linalg.eigh(m.data)
+        return Mat(v[:, np.argsort(-np.abs(w), kind="stable")[:r]], gs.kind)
+
+    return SpanMatrixReport(rank=r, tol=tol, ill_conditioned=flagged, singular_values=tuple(values.tolist()),
+                            pivots=None, variant=variant, scale=b, primes=None, _matrix=lambda: m,
+                            _colspace=colspace)

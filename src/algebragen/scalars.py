@@ -55,8 +55,8 @@ class ScalarKind:
         """Coerce one entry to this kind's canonical scalar type.
 
         Floats convert to rationals exactly (binary value, not a decimal
-        guess); rationals convert to GF(p) via a modular inverse of the
-        denominator.
+        guess); rationals, and so floats, convert to GF(p) via a modular
+        inverse of the denominator.
         """
         if self.tag == "f64":
             return float(x)
@@ -66,6 +66,8 @@ class ScalarKind:
             return Fraction(x)
         # gfp
         p = self.modulus
+        if isinstance(x, (float, np.floating)):
+            x = Fraction(float(x))
         if isinstance(x, Fraction):
             den = x.denominator % p
             if den == 0:

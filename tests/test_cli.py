@@ -323,3 +323,21 @@ def test_float_fields_read_rational_entries(capsys, field):
     assert code == cli.EXIT_OK, err
     doc = json.loads(out)
     assert doc["field"] == field and doc["dimension"] == 5
+
+
+def test_dim_prints_the_values_at_the_cut(capsys, tmp_path):
+    code, out, _ = run(capsys, "dim", "--field", "f64", TRIANGULAR)
+    doc = json.loads(out)
+    assert code == cli.EXIT_OK and doc["dimension"] == 5
+    kept, dropped = doc["cut_values"]
+    assert kept > doc["rank_tolerance"] >= dropped
+    code, out, _ = run(capsys, "dim", TRIANGULAR)
+    assert json.loads(out)["cut_values"] is None
+    # full rank leaves no value below the cut, rank 0 none above it
+    full = [[["1", "2"], ["0", "1"]], [["0", "0"], ["1", "0"]]]
+    path = write_instance(tmp_path, {"n": 2, "field": "f64", "generators": full})
+    doc = json.loads(run(capsys, "dim", path)[1])
+    assert doc["dimension"] == 4 and doc["cut_values"][0] > 0 and doc["cut_values"][1] is None
+    path = write_instance(tmp_path, {"n": 2, "field": "f64", "generators": [[["0", "0"], ["0", "0"]]]})
+    doc = json.loads(run(capsys, "dim", "--nonunital", path)[1])
+    assert doc["dimension"] == 0 and doc["cut_values"][0] is None

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _mul_mod, _rref, _solve_exact, rank, rank_info
+from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _mul_mod, _rref, _solve_exact, _spectral_rank, rank
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
@@ -225,15 +225,17 @@ def test_rank_rational_vs_gfp_agreement():
 
 
 def test_rank_info_ill_conditioned_flag():
+    eps = np.finfo(np.float64).eps
     # clean cut: retained 1e-2 vs discarded 1e-16 is a huge gap
-    clean = rank_info(ag.Mat.wrap(np.diag([1.0, 1e-2, 1e-16]), ag.F64))
-    assert clean.rank == 2 and not clean.ill_conditioned
+    assert _spectral_rank(np.array([1.0, 1e-2, 1e-16]), 3) == (2, 3 * eps, False)
     # murky cut: 1e-15 kept, 1e-16 dropped at the cut 3 * eps, ratio 10
-    murky = rank_info(ag.Mat.wrap(np.diag([1.0, 1e-15, 1e-16]), ag.F64))
-    assert murky.rank == 2 and murky.ill_conditioned
+    assert _spectral_rank(np.array([1.0, 1e-15, 1e-16]), 3) == (2, 3 * eps, True)
     # full rank leaves nothing discarded, so no flag
-    full = rank_info(ag.Mat.wrap(np.diag([1.0, 0.5]), ag.F64))
-    assert full.rank == 2 and not full.ill_conditioned
+    assert _spectral_rank(np.array([1.0, 0.5]), 2) == (2, 2 * eps, False)
+    # rank feeds the cut the singular values of its matrix
+    assert rank(ag.Mat.wrap(np.diag([1.0, 1e-15, 1e-16]), ag.F64)) == 2
+    assert _spectral_rank(np.array([]), 5) == (0, 0.0, False)
+    assert rank(ag.Mat.zeros(5, 0, ag.F64)) == 0 and rank(ag.Mat.zeros(0, 5, ag.F64)) == 0
 
 
 # -- range / membership ----------------------------------------------------
@@ -248,7 +250,11 @@ def test_in_range_consistent_systems():
             x = rand_mat(rng, n, kind, max_den=2).col(0)
             # float in_range reads orthonormal columns spanning col(a), exact
             # kinds any columns or the exact form, as an intersection has it
-            for q in (a, ag.subspace_intersect(a, a)) if kind.exact else (rank_info(a).colspace,):
+            if kind.exact:
+                spans = (a, ag.subspace_intersect(a, a))
+            else:
+                spans = (ag.Mat(np.linalg.svd(a.data)[0][:, : rank(a)], kind),)
+            for q in spans:
                 ok, residual = ag.in_range(q, a @ x)
                 assert ok
                 if kind.exact:
@@ -516,9 +522,6 @@ def test_exact_outputs_are_python_scalars():
 
 def test_rank_info_refuses_exact_kinds():
     m = ag.Mat.from_rows([[0, 1, 2], [0, 2, 4], [1, 0, 0]], ag.RATIONAL)
-    for kind in (ag.RATIONAL, ag.gf(5)):
-        with pytest.raises(ValueError):
-            rank_info(m.convert(kind))
     assert [rank(m.convert(kind)) for kind in (ag.RATIONAL, ag.gf(5), ag.F64)] == [2, 2, 2]
 
 

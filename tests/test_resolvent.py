@@ -317,14 +317,29 @@ def test_resolvent_matches_geometric_series_exactly():
         assert all(abs(x) <= bound for x in diff.data.ravel())
 
 
-def test_report_fields_float_backend():
+@pytest.mark.parametrize("kind, unital", [(ag.F64, True), (ag.F64, False), (ag.C64, True), (ag.C64, False)],
+                         ids=["f64", "f64-nonunital", "c64", "c64-nonunital"])
+def test_report_fields_float_backend(kind, unital):
+    # the span matrix is Hermitian: the absolute values of its eigenvalues
+    # are its singular values, and the eigenvectors of the largest span the
+    # space of the top left singular vectors.  Block upper triangular for
+    # (2, 2), hidden: 4 + 4 + 4 of 16 dimensions
     rng = np.random.default_rng(5)
-    gens = tuple(ag.Mat.wrap(rng.standard_normal((3, 3)), ag.F64) for _ in range(2))
-    gs = ag.GeneratorSet(n=3, gens=gens, kind=ag.F64)
+    q = random_orthogonal(rng, 4)
+    gs = ag.GeneratorSet.of(*(hidden_block_upper(rng, q, 2, kind) for _ in range(2)), unital=unital)
     rep = ag.span_matrix(gs)
-    assert rep.tol is not None and rep.tol > 0
-    assert len(rep.singular_values) == 9
-    assert rep.rank <= 9
+    assert rep.rank == 12 and rep.tol is not None and rep.tol > 0
+    sv = np.array(rep.singular_values)
+    assert len(sv) == 16 and np.all(np.diff(sv) <= 0)
+    u, want, _ = np.linalg.svd(rep.matrix.data)
+    assert np.abs(sv - want).max() <= 16 * np.finfo(np.float64).eps * want[0]
+    cs = rep.colspace.data
+    assert cs.shape == (16, 12) and np.abs(cs.conj().T @ cs - np.eye(12)).max() <= 1e-12
+    top = u[:, :12]
+    assert np.linalg.svd(cs - top @ (top.conj().T @ cs), compute_uv=False).max() <= 1e-8
+    if not unital:
+        empty = ag.span_matrix(ag.GeneratorSet(4, (), kind, unital=False))
+        assert empty.rank == 0 and empty.colspace.data.shape == (16, 0)
 
 
 def _gaussian_set(n, kind, unital, seed=0):

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from algebragen.matrix import Mat
 from algebragen.scalars import C64, F64, RATIONAL, ScalarKind, gf
 
 
@@ -44,6 +46,15 @@ def test_coerce():
     assert k.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
     with pytest.raises(ZeroDivisionError):
         k.coerce(Fraction(1, 7))
+    # a float enters GF(p) as its exact rational
+    assert k.coerce(0.5) == 4 and k.coerce(np.float64(-1.5)) == 2 and k.coerce(np.float32(3.0)) == 3
+    assert Mat.from_rows([[0.5]], F64).convert(k).data.tolist() == [[4]]
+    with pytest.raises(ZeroDivisionError):
+        gf(2).coerce(0.5)
+    with pytest.raises(ValueError):
+        k.coerce(float("nan"))
+    with pytest.raises(OverflowError):
+        k.coerce(float("inf"))
 
 
 def test_str():
