@@ -82,6 +82,17 @@ def _cut_values(rep) -> list | None:
     return [sv[r - 1] if r > 0 else None, sv[r] if r < len(sv) else None]
 
 
+def _span_fields(rep) -> dict:
+    """How the span matrix report ``rep`` was obtained and cut."""
+    return {
+        "variant": rep.variant,
+        "scale": str(rep.scale),
+        "rank_tolerance": rep.tol,
+        "cut_values": _cut_values(rep),
+        "conditioning_flag": rep.ill_conditioned,
+    }
+
+
 def cmd_dim(args) -> int:
     started = time.perf_counter()
     inst = load_instance(args.instance, field=args.field, unital=False if args.nonunital else None)
@@ -90,11 +101,7 @@ def cmd_dim(args) -> int:
     report.update(
         {
             "dimension": rep.rank,
-            "variant": rep.variant,
-            "scale": str(rep.scale),
-            "rank_tolerance": rep.tol,
-            "cut_values": _cut_values(rep),
-            "conditioning_flag": rep.ill_conditioned,
+            **_span_fields(rep),
             "primes": None if rep.primes is None else list(rep.primes),
         }
     )
@@ -111,10 +118,12 @@ def cmd_member(args) -> int:
     if cand.n != inst.n:
         raise ParseError(f"candidate is {cand.n}x{cand.n}, generators are {inst.n}x{inst.n}")
     z = cand.gs.gens[0]
-    result = membership(inst.gs, z, want_certificate=args.certificate)
+    rep = span_matrix(inst.gs)
+    result = membership(inst.gs, z, want_certificate=args.certificate, report=rep)
     report = _report_base(args, inst, started)
     report.update(
         {
+            **_span_fields(rep),
             "candidate": args.candidate,
             "member": result.member,
             "residual": str(result.residual),

@@ -17,9 +17,18 @@ no caller can choose another:
   S/B (I + S/B)^(k-1) for a non-unital set.  Its binomial weights keep every
   word length up to k in view, where the resolvent's weights |S/B|^j lose
   the long words to rounding and leave the rank short from n = 16 on.
+  The power is taken on S folded by the swap T: vec(X) -> vec(X^T)
+  (``_fold``, ``_unfold``).  T S T = conj S, so S is real in the basis of
+  the symmetric pairs e_u + e_v and the antisymmetric ones i (e_u - e_v),
+  and for real generators it commutes with T and splits into two blocks,
+  of sides n(n+1)/2 and n(n-1)/2 (the symmetric and exterior squares).
+  f64 powers the two blocks, about a quarter of the flops of the power at
+  side n^2, and c64 the one real matrix, a real product in place of a
+  complex one; the power is unfolded before it is realigned.
   The realigned power is Hermitian, so the rank is cut on the absolute
   values of its eigenvalues, and the column space is spanned by the
-  eigenvectors of the largest; no span matrix is factored by an SVD.
+  eigenvectors of the largest, or is the whole space at full rank; no span
+  matrix is factored by an SVD.
 * Q realigns the resolvent (I - S/B)^-1, or S/B (I - S/B)^-1 for a
   non-unital set.  Its rank and column space are lifted from GF(p)
   images, never read off the resolvent itself.  For each prime in turn,
@@ -64,8 +73,10 @@ class SpanMatrixReport:
     ``pivots`` is None.  ``colspace`` is a basis of the vectorized algebra
     that membership, basis and intersection read: on floats the
     orthonormal eigenvectors of the ``rank`` eigenvalues largest in
-    absolute value, over Q the one exact form of the ``matrix`` module,
-    q[pivots, :] = I.
+    absolute value, or the identity when the rank is the side, over Q the
+    one exact form of the ``matrix`` module, q[pivots, :] = I.  On floats
+    ``matrix`` is the realigned power, taken on the summed Kronecker square
+    folded by the swap symmetry (see the module docstring).
     ``variant`` names what was realigned: "power:<k>" or
     "power_nonunital:<k>" with the exponent k on float kinds, "resolvent"
     or "resolvent_nonunital" over Q.  ``scale`` is the integer B: the
@@ -77,7 +88,8 @@ class SpanMatrixReport:
     ``pivots`` are R's pivot columns.  ``primes`` is None on float
     kinds.  ``matrix`` and ``colspace`` are built on first read: over Q
     the lift does not need the resolvent, and on floats the rank needs the
-    eigenvalues only, so the eigenvectors cost one ``eigh`` when read.
+    eigenvalues only, so the eigenvectors cost one ``eigh`` when read below
+    full rank.
     """
 
     rank: int
@@ -140,6 +152,76 @@ def kron_square(gs: GeneratorSet) -> tuple[np.ndarray, int]:
         s += np.kron(g.conj(), g)
         total += np.vdot(g, g).real
     return s, math.ceil(total) + 1
+
+
+def _swap_pairs(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(u, v, m): the index pairs that the swap T: vec(X) -> vec(X^T) exchanges
+    among the n^2 indices a*n + b of np.kron, u = a*n + b and v = b*n + a,
+    first for the m pairs a < b in row-major order, then for a = b (u = v)."""
+    a, b = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
+    diag = np.arange(0, n * n, n + 1)
+    return np.concatenate((a * n + b, diag)), np.concatenate((b * n + a, diag)), len(a)
+
+
+def _fold(s: np.ndarray, pairs) -> list[np.ndarray]:
+    """W^-1 S W, for W the basis e_u + e_v (e_u where u = v), then
+    i (e_u - e_v) for u != v, over the ``pairs`` of ``_swap_pairs``.
+
+    T S T = conj S and conj W = T W, so W^-1 S W is real.  Its entries are
+    the real or imaginary parts of S[u, u'] + S[u, v'] (S[u, u'] where
+    u' = v') and S[u, u'] - S[u, v'], one addition each.  A real S commutes
+    with T, which leaves W^-1 S W block diagonal: its two blocks are
+    returned, of sides m + n (symmetric) and m (antisymmetric).  For a
+    complex S it is the one real matrix of side n^2.
+    """
+    u, v, m = pairs
+    rows = s[u]
+    left, right = rows[:, u[:m]], rows[:, v[:m]]
+    plus = np.concatenate((left + right, rows[:, u[m:]]), axis=1)
+    minus = left - right
+    if not np.iscomplexobj(s):
+        return [plus, minus[:m]]
+    return [np.block([[plus.real, -minus.imag], [plus.imag[:m], minus.real[:m]]])]
+
+
+def _unfold(blocks: list[np.ndarray], pairs, dtype) -> np.ndarray:
+    """W G W^-1 in ``dtype``, for G given in the form ``_fold`` returns
+    (the blocks are scaled in place).
+
+    W^-1 reads the coordinates (x_u + x_v) / 2 (x_u where u = v) and
+    (x_u - x_v) / 2i, so unfolding multiplies by 1 or 1/2 only.  With the
+    blocks G_ss, G_sa, G_as, G_aa of G in that order, D halving the first m
+    columns and the antisymmetric blocks padded by zeros to side m + n,
+    the rows u and columns u of W G W^-1 are
+    top = G_ss D + G_aa / 2 + i (G_as D - G_sa / 2), the rows u and columns
+    v are cross = G_ss D - G_aa / 2 + i (G_as D + G_sa / 2), and the rows v
+    are their conjugates, since T W G W^-1 T = conj(W G W^-1).
+    """
+    u, v, m = pairs
+    side = len(u)
+    if len(blocks) == 2:
+        ss, aa = blocks
+    else:
+        (g,) = blocks
+        ss, aa = g[:side, :side], g[side:, side:]
+    ss[:, :m] *= 0.5
+    aa *= 0.5
+    top, cross = ss.astype(dtype), ss.astype(dtype)
+    top[:m, :m] += aa
+    cross[:m, :m] -= aa
+    if len(blocks) == 1:
+        sa, as_ = 0.5j * g[:side, side:], g[side:, :side]
+        as_[:, :m] *= 0.5
+        top[:m] += 1j * as_
+        cross[:m] += 1j * as_
+        top[:, :m] -= sa
+        cross[:, :m] += sa
+    core = np.empty((side + m, side + m), dtype)
+    core[u[:, None], u] = top
+    core[v[:, None], v] = top.conj()
+    core[u[:, None], v] = cross
+    core[v[:, None], u] = cross.conj()
+    return core
 
 
 def _echelon_mod_p(x: np.ndarray, p: int, b: int | None = None, reduced: bool = True):
@@ -298,20 +380,23 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
                                 scale=b, primes=primes, _matrix=realigned_resolvent,
                                 _colspace=lambda: Mat(_fractions(rows.T, d), RATIONAL))
     k = default_power_exponent(gs.n)
-    # in place, and free what the products do not read: a copy is 2.6 MB at n = 24
-    s *= 1.0 / b
-    step = np.identity(s.shape[0], dtype=s.dtype)
-    step += s
-    if gs.unital:
-        del s
-        core, variant = np.linalg.matrix_power(step, k), f"power:{k}"
-    else:
-        core, variant = s.dot(np.linalg.matrix_power(step, k - 1)), f"power_nonunital:{k}"
-    m = realign(Mat(core, gs.kind))
+    pairs = _swap_pairs(gs.n)
+    blocks = _fold(s, pairs)
+    del s  # 2.6 MB at n = 24, and the power reads only the blocks
+    powers = []
+    for f in blocks:
+        f *= 1.0 / b
+        step = np.identity(len(f))
+        step += f
+        powers.append(np.linalg.matrix_power(step, k) if gs.unital else f.dot(np.linalg.matrix_power(step, k - 1)))
+    variant = f"power:{k}" if gs.unital else f"power_nonunital:{k}"
+    m = realign(Mat(_unfold(powers, pairs, gs.kind.dtype), gs.kind))
     values = np.sort(np.abs(np.linalg.eigvalsh(m.data)))[::-1]
     r, tol, flagged = _spectral_rank(values, m.rows)
 
     def colspace() -> Mat:
+        if r == m.rows:
+            return Mat.identity(r, gs.kind)
         w, v = np.linalg.eigh(m.data)
         return Mat(v[:, np.argsort(-np.abs(w), kind="stable")[:r]], gs.kind)
 

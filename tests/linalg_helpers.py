@@ -8,7 +8,9 @@ matrix (it is PSD, and over Q it is the Fraction resolvent of the
 generators as given, with the exact form that ``echelon_reference`` reads
 off it by elimination), on the mod-p certificate (a singular skip means p
 divides det(B*I - S)) and on the builder (entry by entry, on the Fraction
-or complex entries of the generators as given).
+or complex entries of the generators as given), and on the float power,
+which the span matrix takes on S folded by the swap symmetry
+(``plain_power`` takes it at side n^2).
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 
 from algebragen.generators import GeneratorSet
 from algebragen.matrix import Mat, _rref, inverse, realign
-from algebragen.resolvent import kron_square
+from algebragen.resolvent import default_power_exponent, kron_square
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -52,6 +54,17 @@ def realigned_resolvent(gs: GeneratorSet, b) -> Mat:
     s = summed_kron_square(gs) * Fraction(1, b)
     core = inverse(Mat.identity(gs.n * gs.n, gs.kind) - s)
     return realign(core if gs.unital else s @ core)
+
+
+def plain_power(gs: GeneratorSet) -> np.ndarray:
+    """The float power before realignment, taken at side n^2: (I + S/B)^k,
+    or S/B (I + S/B)^(k-1) for a non-unital set, with S and B from the
+    builder and k = default_power_exponent(n)."""
+    s, b = kron_square(gs)
+    s = s / b
+    k = default_power_exponent(gs.n)
+    step = np.identity(len(s)) + s
+    return np.linalg.matrix_power(step, k) if gs.unital else s @ np.linalg.matrix_power(step, k - 1)
 
 
 def echelon_reference(m: Mat):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from algebragen import cli
+from algebragen import algebra, cli
 from algebragen.matrix import DEFAULT_RESIDUAL_RTOL
 
 TRIANGULAR = str(Path(__file__).resolve().parent.parent / "instances" / "triangular_pair.json")
@@ -341,3 +341,23 @@ def test_dim_prints_the_values_at_the_cut(capsys, tmp_path):
     path = write_instance(tmp_path, {"n": 2, "field": "f64", "generators": [[["0", "0"], ["0", "0"]]]})
     doc = json.loads(run(capsys, "dim", "--nonunital", path)[1])
     assert doc["dimension"] == 0 and doc["cut_values"][0] is None
+
+
+@pytest.mark.parametrize("field", ["f64", "rational"])
+def test_member_carries_the_span_matrix_report(capsys, monkeypatch, field):
+    # the verdict reads the report whose provenance it prints: one span
+    # matrix for the member command, as for dim
+    calls = []
+    built = cli.span_matrix
+
+    def counted(gs):
+        calls.append(gs)
+        return built(gs)
+
+    monkeypatch.setattr(cli, "span_matrix", counted)
+    monkeypatch.setattr(algebra, "span_matrix", counted)
+    code, out, _ = run(capsys, "member", "--field", field, TRIANGULAR, MEMBER)
+    assert code == cli.EXIT_OK and len(calls) == 1
+    member, dim = json.loads(out), json.loads(run(capsys, "dim", "--field", field, TRIANGULAR)[1])
+    for key in ("variant", "scale", "rank_tolerance", "cut_values", "conditioning_flag"):
+        assert member[key] == dim[key]

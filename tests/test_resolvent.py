@@ -7,12 +7,12 @@ import pytest
 
 import algebragen as ag
 from algebragen import wordspan
-from algebragen.matrix import rank
-from algebragen.resolvent import clear_denominators, default_power_exponent, kron_square
+from algebragen.matrix import in_range, rank, vec
+from algebragen.resolvent import _fold, _swap_pairs, clear_denominators, default_power_exponent, kron_square
 
-from conftest import hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal
-from linalg_helpers import (b_minus_s, echelon_reference, frobenius_sq, is_psd, realigned_resolvent, square_bound,
-                            summed_kron_square)
+from conftest import gaussian, hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal
+from linalg_helpers import (b_minus_s, echelon_reference, frobenius_sq, is_psd, plain_power, realigned_resolvent,
+                            square_bound, summed_kron_square)
 
 GF_PRIME = 2_147_483_647  # 2^31 - 1
 
@@ -317,8 +317,11 @@ def test_resolvent_matches_geometric_series_exactly():
         assert all(abs(x) <= bound for x in diff.data.ravel())
 
 
-@pytest.mark.parametrize("kind, unital", [(ag.F64, True), (ag.F64, False), (ag.C64, True), (ag.C64, False)],
-                         ids=["f64", "f64-nonunital", "c64", "c64-nonunital"])
+FLOAT_CASES = [(ag.F64, True), (ag.F64, False), (ag.C64, True), (ag.C64, False)]
+FLOAT_IDS = ["f64", "f64-nonunital", "c64", "c64-nonunital"]
+
+
+@pytest.mark.parametrize("kind, unital", FLOAT_CASES, ids=FLOAT_IDS)
 def test_report_fields_float_backend(kind, unital):
     # the span matrix is Hermitian: the absolute values of its eigenvalues
     # are its singular values, and the eigenvectors of the largest span the
@@ -340,6 +343,59 @@ def test_report_fields_float_backend(kind, unital):
     if not unital:
         empty = ag.span_matrix(ag.GeneratorSet(4, (), kind, unital=False))
         assert empty.rank == 0 and empty.colspace.data.shape == (16, 0)
+
+
+@pytest.mark.parametrize("kind, unital", FLOAT_CASES, ids=FLOAT_IDS)
+def test_folded_power_matches_the_plain_power(kind, unital):
+    # the power is taken on S folded by the swap symmetry; unfolded, it is
+    # the plain power at side n^2.  n = 1 has no antisymmetric block, d = 0
+    # makes S zero, and the hidden block upper triangular pair has rank 12
+    # of 16
+    rng = np.random.default_rng(11)
+    q = random_orthogonal(rng, 4)
+    sets = [ag.GeneratorSet.of(gaussian(rng, 1, kind), gaussian(rng, 1, kind), unital=unital),
+            ag.GeneratorSet.of(gaussian(rng, 2, kind), unital=unital),
+            ag.GeneratorSet(3, (), kind, unital),
+            ag.GeneratorSet.of(*(hidden_block_upper(rng, q, 2, kind) for _ in range(2)), unital=unital)]
+    for gs in sets:
+        want = plain_power(gs)
+        rep = ag.span_matrix(gs)
+        got = ag.realign(rep.matrix).data
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert rep.rank == 12
+
+
+def test_fold_of_a_real_s_is_block_diagonal():
+    # T S T = conj S, so a real S commutes with the swap T: folded as a
+    # complex matrix, its blocks across the symmetric and antisymmetric
+    # parts are exactly 0, and the others are the two blocks of the real fold
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 5):
+        s, _ = kron_square(ag.GeneratorSet.of(gaussian(rng, n), gaussian(rng, n)))
+        pairs = _swap_pairs(n)
+        sym, anti = _fold(s, pairs)
+        (whole,) = _fold(s.astype(complex), pairs)
+        side = n * (n + 1) // 2
+        assert sym.shape == (side, side) and anti.shape == (n * n - side, n * n - side)
+        assert whole.dtype == np.float64 and whole.shape == (n * n, n * n)
+        assert not whole[:side, side:].any() and not whole[side:, :side].any()
+        assert np.array_equal(whole[:side, :side], sym) and np.array_equal(whole[side:, side:], anti)
+
+
+@pytest.mark.parametrize("kind", [ag.F64, ag.C64], ids=["f64", "c64"])
+def test_full_rank_colspace_is_the_identity(kind):
+    # the column space of a full-rank span matrix is the whole space: no
+    # eigh, the standard basis, and the verdicts of the eigenvectors' basis
+    rng = np.random.default_rng(17)
+    gs = ag.GeneratorSet.of(gaussian(rng, 3, kind), gaussian(rng, 3, kind))
+    rep = ag.span_matrix(gs)
+    assert rep.rank == 9 and rep.colspace == ag.Mat.identity(9, kind)
+    units = [np.identity(9)[:, j].reshape(3, 3, order="F") for j in range(9)]
+    assert all(np.array_equal(m.data, e) for m, e in zip(ag.basis(gs).mats, units))
+    eigenvectors = ag.Mat(np.linalg.eigh(rep.matrix.data)[1], kind)
+    for z in (gaussian(rng, 3, kind), ag.Mat.identity(3, kind), gs.gens[0] @ gs.gens[1]):
+        assert ag.membership(gs, z, report=rep).member == in_range(eigenvectors, vec(z))[0]
 
 
 def _gaussian_set(n, kind, unital, seed=0):
