@@ -106,7 +106,8 @@ def word_span(gs: GeneratorSet) -> WordBasis:
         stacked product per generator, its entries made canonical (mod p
         over GF(p)) at once.  The stack and the unreduced products are gone
         before the selection, whose peak memory they would raise: by 1.4 MB
-        at n = 24 on floats, by 0.9 MB at n = 12 over GF(p)."""
+        at n = 24 on floats, and by 0.9 MB the peak of the modp-certify
+        benchmark, whose case generation runs the GF(p) word span."""
         stack = np.stack([m.data for _, m in frontier])
         products = [Mat.wrap((stack @ g.data).reshape(-1, gs.n), gs.kind).data.reshape(stack.shape) for g in gens]
         return [(word + (i,), Mat(p[j], gs.kind)) for j, (word, _) in enumerate(frontier) for i, p in enumerate(products)]
