@@ -388,13 +388,17 @@ def _solve_exact(a: Mat, b: Mat):
 
 
 def inverse(a: Mat) -> Mat:
-    """Exact matrix inverse; raises SingularMatrixError when none exists."""
+    """Exact matrix inverse; raises SingularMatrixError when none exists.
+
+    Over GF(p) ``a`` may hold the int64 residues of ``_residues``: the
+    identity beside it takes their dtype, so the elimination reads them
+    with no pass over Python ints."""
     if not a.kind.exact:
         raise ValueError(f"inverse serves exact kinds only, not {a.kind}")
     if a.rows != a.cols:
         raise ValueError("inverse needs a square matrix")
     n = a.rows
-    r, pivots = _rref(np.concatenate([a.data, Mat.identity(n, a.kind).data], axis=1), a.kind)
+    r, pivots = _rref(np.concatenate([a.data, np.identity(n, dtype=a.data.dtype)], axis=1), a.kind)
     if pivots != list(range(n)):
         raise SingularMatrixError(f"{n}x{n} matrix is singular")
     return Mat(r[:, n:], a.kind)

@@ -16,6 +16,11 @@ same image from fixed primes and proves the lift by an exact check, where
 this module reads the rank alone and bounds its failure probability.  A
 prime the caller forces is tried besides the random ones: its rank joins
 the maximum, but only the random primes enter the failure bound.
+
+For odd p the image inverts X folded by the swap vec(Y) -> vec(Y^T), as
+two blocks of sides n(n+1)/2 and n(n-1)/2, so ``dimension_mod_p`` refuses
+an X that does not commute with the swap mod p.  Every X built from
+rational generators commutes with it, since they are real.
 """
 
 from __future__ import annotations
@@ -99,7 +104,8 @@ def sample_prime(bound: float, rng: np.random.Generator) -> int:
     n = prime_ceiling(bound)
     while True:
         c = int(rng.integers(n // 2, n + 1)) | 1
-        if is_prime(c):
+        # an even draw of N itself maps past N
+        if c <= n and is_prime(c):
             return c
 
 
@@ -108,7 +114,8 @@ def dimension_mod_p(x: np.ndarray, p: int) -> PrimeOutcome:
     det X.  ``x`` is the integer X = B*I - S of ``certified_dimension``; its
     inverse mod p is that of the rational (I - S/B)^-1 / B, defined also
     when p divides B.  The image is ``resolvent._echelon_mod_p``, the one
-    the exact Q span matrix lifts.
+    the exact Q span matrix lifts; it raises ValueError for an X that does
+    not commute with the swap vec(Y) -> vec(Y^T) mod p.
     """
     image = _echelon_mod_p(x, p, reduced=False)
     return PrimeOutcome(p=p, rank=None if image is None else len(image[1]))

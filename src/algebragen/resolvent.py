@@ -44,7 +44,11 @@ no caller can choose another:
   Fraction entries.  It is built only when read.
 * GF(p) reduces the same X mod p and inverts it there: the reduction of
   the rational (I - S/B)^-1 / B, defined also when p divides B.  The ranks
-  of these images are the certificate of the ``modp`` module.
+  of these images are the certificate of the ``modp`` module.  Rational
+  generators are real, so X commutes with the swap T, and for odd p it is
+  inverted folded, as the float power is taken: its two blocks are
+  inverted mod p, and the inverse is unfolded with 1/2 = (p + 1) / 2.
+  GF(2) has no 1/2 and inverts X at side n^2.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import (Mat, SingularMatrixError, _cleared, _fractions, _in_span, _realign, _rref, _spectral_rank,
-                     inverse, realign)
+from .matrix import (Mat, SingularMatrixError, _cleared, _fractions, _in_span, _realign, _residues, _rref,
+                     _spectral_rank, inverse, realign)
 from .primes import is_prime
 from .scalars import RATIONAL, gf
 
@@ -172,7 +176,10 @@ def _fold(s: np.ndarray, pairs) -> list[np.ndarray]:
     u' = v') and S[u, u'] - S[u, v'], one addition each.  A real S commutes
     with T, which leaves W^-1 S W block diagonal: its two blocks are
     returned, of sides m + n (symmetric) and m (antisymmetric).  For a
-    complex S it is the one real matrix of side n^2.
+    complex S it is the one real matrix of side n^2.  The fold only adds
+    and subtracts, so it serves integer arrays too, int64 or Python ints
+    (the GF(p) residues of ``_echelon_mod_p``), whose blocks are integers
+    congruent to the entries of W^-1 S W, not yet reduced mod p.
     """
     u, v, m = pairs
     rows = s[u]
@@ -184,15 +191,17 @@ def _fold(s: np.ndarray, pairs) -> list[np.ndarray]:
     return [np.block([[plus.real, -minus.imag], [plus.imag[:m], minus.real[:m]]])]
 
 
-def _unfold(blocks: list[np.ndarray], pairs, dtype) -> np.ndarray:
+def _unfold(blocks: list[np.ndarray], pairs, dtype, p: int | None = None) -> np.ndarray:
     """W G W^-1 in ``dtype``, for G given in the form ``_fold`` returns
-    (the blocks are scaled in place).
+    (the blocks are scaled in place); over GF(p) with ``p``, for the two
+    blocks of residues of a G that commutes with the swap, reduced mod p.
 
     W^-1 reads the coordinates (x_u + x_v) / 2 (x_u where u = v) and
-    (x_u - x_v) / 2i, so unfolding multiplies by 1 or 1/2 only.  With the
-    blocks G_ss, G_sa, G_as, G_aa of G in that order, D halving the first m
-    columns and the antisymmetric blocks padded by zeros to side m + n,
-    the rows u and columns u of W G W^-1 are
+    (x_u - x_v) / 2i, so unfolding multiplies by 1 or 1/2 only: 0.5 on
+    floats, (p + 1) / 2 over GF(p), where a residue times it stays below
+    (p - 1)^2 on int64.  With the blocks G_ss, G_sa, G_as, G_aa of G in
+    that order, D halving the first m columns and the antisymmetric blocks
+    padded by zeros to side m + n, the rows u and columns u of W G W^-1 are
     top = G_ss D + G_aa / 2 + i (G_as D - G_sa / 2), the rows u and columns
     v are cross = G_ss D - G_aa / 2 + i (G_as D + G_sa / 2), and the rows v
     are their conjugates, since T W G W^-1 T = conj(W G W^-1).
@@ -204,11 +213,17 @@ def _unfold(blocks: list[np.ndarray], pairs, dtype) -> np.ndarray:
     else:
         (g,) = blocks
         ss, aa = g[:side, :side], g[side:, side:]
-    ss[:, :m] *= 0.5
-    aa *= 0.5
+    half = 0.5 if p is None else (p + 1) // 2
+    for h in (ss[:, :m], aa):
+        h *= half
+        if p is not None:
+            h %= p
     top, cross = ss.astype(dtype), ss.astype(dtype)
     top[:m, :m] += aa
     cross[:m, :m] -= aa
+    if p is not None:
+        top[:m, :m] %= p
+        cross[:m, :m] %= p
     if len(blocks) == 1:
         sa, as_ = 0.5j * g[:side, side:], g[side:, :side]
         as_[:, :m] *= 0.5
@@ -230,16 +245,31 @@ def _echelon_mod_p(x: np.ndarray, p: int, b: int | None = None, reduced: bool = 
     realign(B X^-1 - I) for a non-unital set, as the (R, pivots) of
     ``matrix._rref``; None when p divides det X.
 
-    X goes into ``matrix.inverse`` unreduced: the elimination takes its
-    residues itself.  X^-1 mod p is the reduction of the rational
-    (I - S/B)^-1 / B, defined also when p divides B.  Its rank is at most
-    the Q rank of the span matrix, since a minor that is nonzero mod p is
-    nonzero over Q.  The span matrix is symmetric, so its rows span its
-    column space.
+    X is reduced to residues first (``matrix._residues``) and must commute
+    with the swap T: vec(Y) -> vec(Y^T) mod p, as it does for the real
+    generators of Q; a ValueError is raised otherwise.  For odd p, X^-1 is
+    W G^-1 W^-1 for the two blocks G of X folded by the swap (``_fold``,
+    ``_unfold`` with 1/2 = (p + 1) / 2), of sides n(n+1)/2 and n(n-1)/2,
+    each inverted by ``matrix.inverse``: about a quarter of the work of one
+    inverse at side n^2.  GF(2) has no 1/2, and inverts X itself.
+
+    X^-1 mod p is the reduction of the rational (I - S/B)^-1 / B, defined
+    also when p divides B.  Its rank is at most the Q rank of the span
+    matrix, since a minor that is nonzero mod p is nonzero over Q.  The
+    span matrix is symmetric, so its rows span its column space.
     """
     kind = gf(p)
+    x = _residues(x, p)
+    n = math.isqrt(len(x))
+    t = np.arange(n * n).reshape(n, n).T.ravel()
+    if not np.array_equal(x[t[:, None], t], x):
+        raise ValueError(f"X must commute with the swap vec(Y) -> vec(Y^T) mod {p}")
     try:
-        inv = inverse(Mat(x, kind)).data
+        if p == 2:
+            inv = _residues(inverse(Mat(x, kind)).data, p)
+        else:
+            pairs = _swap_pairs(n)
+            inv = _unfold([_residues(inverse(Mat(f, kind)).data, p) for f in _fold(x, pairs)], pairs, x.dtype, p)
     except SingularMatrixError:
         return None
     if b is not None:

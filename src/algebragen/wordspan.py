@@ -135,8 +135,9 @@ def express(wb: WordBasis, z: Mat):
 
     Returns a list of (word, coefficient) pairs with nonzero coefficients
     (empty for the zero matrix), or None when ``z`` is outside the span.  On
-    exact kinds the combination is re-multiplied out and checked before
-    being returned; on float kinds the least-squares residual is cut at
+    exact kinds the combination is multiplied out again, as one product of
+    the vectorized words and the coefficients, and checked before being
+    returned; on float kinds the least-squares residual is cut at
     DEFAULT_RESIDUAL_RTOL * max(1, |z|), as in ``matrix.in_range``.
     """
     if z.rows != wb.n or z.cols != wb.n:
@@ -151,12 +152,9 @@ def express(wb: WordBasis, z: Mat):
         x = _solve_exact(w, target)
         if x is None:
             return None
-        coeffs = list(x.data[:, 0])
-        combo = Mat.zeros(wb.n, wb.n, wb.kind)
-        for c, m in zip(coeffs, wb.mats):
-            combo = combo + m * c
-        if combo != z:
+        if w @ x != target:
             raise AssertionError("certificate failed exact re-verification")
+        coeffs = list(x.data[:, 0])
     else:
         sol, *_ = np.linalg.lstsq(w.data, target.data, rcond=None)
         residual = float(np.linalg.norm(w.data.dot(sol) - target.data))

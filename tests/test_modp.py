@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import algebragen as ag
 from algebragen import wordspan
 from algebragen.matrix import rank
-from algebragen.modp import per_prime_failure_bound
+from algebragen.modp import per_prime_failure_bound, prime_ceiling, sample_prime
+from algebragen.primes import is_prime
 from algebragen.resolvent import clear_denominators, kron_square
 
 from conftest import rand_int_generator_set, rand_mat
@@ -81,17 +82,56 @@ def reference_mod_p(gs: ag.GeneratorSet, p: int):
 
 
 def test_dimension_mod_p_matches_reference():
+    # every odd prime folds X by the swap, GF(2) inverts X itself, and
+    # 4294967311 takes Python-int rows
     rng = random.Random(7)
     divides_b = singular = 0
     for _ in range(60):
-        gs = rand_int_generator_set(rng, rng.randint(1, 3), rng.randint(0, 3), True, lo=-2, hi=2)
+        gs = rand_int_generator_set(rng, rng.randint(1, 5), rng.randint(0, 3), True, lo=-2, hi=2)
         x, b = b_minus_s(gs)
-        for p in (2, 3, 5, 7, 1048583):
+        for p in (2, 3, 5, 7, 1048583, 4294967311):
             outcome = ag.dimension_mod_p(x, p)
             assert outcome == ag.PrimeOutcome(p=p, rank=reference_mod_p(gs, p))
             divides_b += b % p == 0
             singular += outcome.singular
     assert divides_b > 20 and singular > 20
+
+
+def test_dimension_mod_p_refuses_an_x_that_does_not_commute_with_the_swap():
+    # the fold reads X in the basis of symmetric and antisymmetric pairs,
+    # which only an X that commutes with vec(Y) -> vec(Y^T) keeps apart
+    x = np.identity(4, dtype=object)
+    x[0, 1] = 1  # E_11 -> E_11 + E_21, whose swap maps E_11 to E_12
+    swapped = x.copy()
+    swapped[0, 2] = 1  # and to E_11 + E_12 as well: this X commutes with it
+    for p in (2, 5, 1048583, 4294967311):
+        with pytest.raises(ValueError, match="commute with the swap"):
+            ag.dimension_mod_p(x, p)
+        want = rank(ag.realign(ag.inverse(ag.Mat.wrap(swapped, ag.gf(p)))))
+        assert ag.dimension_mod_p(swapped, p) == ag.PrimeOutcome(p=p, rank=want)
+
+
+class _Draws:
+    """A stand-in generator whose ``integers`` returns the given draws."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def integers(self, lo, hi):
+        c = self.draws.pop(0)
+        assert lo <= c < hi
+        return c
+
+
+def test_sample_prime_stays_below_the_ceiling():
+    # an even draw of the ceiling N maps to N + 1, which is prime for this
+    # bound; it is drawn again, and an odd draw keeps its prime
+    bound = 1740.0
+    n = prime_ceiling(bound)
+    assert n == 2_099_626 and is_prime(n + 1)
+    below = next(c for c in range(n - 1, 0, -2) if is_prime(c))
+    assert sample_prime(bound, _Draws(n, below)) == below
+    assert sample_prime(bound, _Draws(below - 1)) == below
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6))

@@ -7,8 +7,9 @@ import pytest
 
 import algebragen as ag
 from algebragen import wordspan
-from algebragen.matrix import in_range, rank, vec
-from algebragen.resolvent import _fold, _swap_pairs, clear_denominators, default_power_exponent, kron_square
+from algebragen.matrix import _realign, _rref, in_range, rank, vec
+from algebragen.resolvent import (_echelon_mod_p, _fold, _swap_pairs, clear_denominators, default_power_exponent,
+                                  kron_square)
 
 from conftest import gaussian, hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal
 from linalg_helpers import (b_minus_s, echelon_reference, frobenius_sq, is_psd, plain_power, realigned_resolvent,
@@ -381,6 +382,33 @@ def test_fold_of_a_real_s_is_block_diagonal():
         assert whole.dtype == np.float64 and whole.shape == (n * n, n * n)
         assert not whole[:side, side:].any() and not whole[side:, :side].any()
         assert np.array_equal(whole[:side, :side], sym) and np.array_equal(whole[side:, side:], anti)
+
+
+def test_folded_gfp_image_matches_the_plain_inverse():
+    # the GF(p) image inverts X folded by the swap, as two blocks; its
+    # reduced echelon form is that of the inverse of X at side n^2, unital
+    # and non-unital.  n = 1 has an empty antisymmetric block, d = 0 makes
+    # X = I, and the small primes divide det X on some sets
+    rng = random.Random(23)
+    skips = 0
+    for k in range(36):
+        n, d = k % 6 + 1, k % 4
+        x, b = b_minus_s(rand_int_generator_set(rng, n, d, True, lo=-2, hi=2))
+        for p in (2, 3, 5, 7, 1048583, 3037000493, 4294967311):
+            kind = ag.gf(p)
+            try:
+                inv = ag.inverse(ag.Mat(x, kind)).data
+            except ag.SingularMatrixError:
+                assert _echelon_mod_p(x, p) is None and _echelon_mod_p(x, p, b) is None
+                skips += 1
+                continue
+            nonunital = (inv * b - np.identity(n * n, dtype=object)) % p
+            for core, scale in ((inv, None), (nonunital, b)):
+                want_rows, want_pivots = _rref(_realign(core), kind)
+                rows, pivots = _echelon_mod_p(x, p, scale)
+                assert pivots == want_pivots and np.array_equal(rows, want_rows)
+                assert rows.dtype == object and all(type(v) is int for v in rows.ravel())
+    assert skips > 0
 
 
 @pytest.mark.parametrize("kind", [ag.F64, ag.C64], ids=["f64", "c64"])

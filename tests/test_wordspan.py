@@ -109,6 +109,20 @@ def test_express_validation(tri_gens):
         wordspan.express(wb, ag.Mat.identity(3, ag.F64))
 
 
+@pytest.mark.parametrize("kind", [ag.RATIONAL, ag.gf(7)], ids=["rational", "gf7"])
+def test_express_rejects_a_wrong_exact_solution(tri_gens, member_candidate, monkeypatch, kind):
+    # the exact coefficients are multiplied out again before they are returned
+    gs, z = tri_gens.convert(kind), member_candidate.convert(kind)
+    wb = wordspan.word_span(gs)
+    right = wordspan.express(wb, z)
+    assert right
+    wrong = ag.Mat.zeros(wb.dim, 1, kind)
+    wrong.data[0, 0] = kind.one()
+    monkeypatch.setattr(wordspan, "_solve_exact", lambda a, b: wrong)
+    with pytest.raises(AssertionError, match="re-verification"):
+        wordspan.express(wb, z)
+
+
 @pytest.mark.parametrize("kind", [ag.F64, ag.RATIONAL])
 @pytest.mark.parametrize("gens", [0, 1])
 def test_express_on_the_zero_algebra(kind, gens):
