@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _fractions, _project_out, _rref, _solve_exact, vec
+from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _cleared, _fractions, _project_out, _rref, _solve_exact, vec
 from .resolvent import clear_denominators
 from .scalars import ScalarKind
 
@@ -135,9 +135,9 @@ def express(wb: WordBasis, z: Mat):
 
     Returns a list of (word, coefficient) pairs with nonzero coefficients
     (empty for the zero matrix), or None when ``z`` is outside the span.  On
-    exact kinds the combination is multiplied out again, as one product of
-    the vectorized words and the coefficients, and checked before being
-    returned; on float kinds the least-squares residual is cut at
+    exact kinds the combination is multiplied out again, as one integer
+    product of the vectorized words and the coefficients with their
+    denominators cleared, and checked before being returned; on float kinds the least-squares residual is cut at
     DEFAULT_RESIDUAL_RTOL * max(1, |z|), as in ``matrix.in_range``.
     """
     if z.rows != wb.n or z.cols != wb.n:
@@ -152,7 +152,13 @@ def express(wb: WordBasis, z: Mat):
         x = _solve_exact(w, target)
         if x is None:
             return None
-        if w @ x != target:
+        # on Python ints, with w = W / l_w, x = X / l_x and target = T / l_t
+        # (each l is 1 over GF(p)): the Fraction product takes about 6x as
+        # long at n = 6
+        (lw, wi), (lx, xi), (lt, ti) = (_cleared(a.data) for a in (w, x, target))
+        diff = wi.dot(xi) * lt - ti * (lw * lx)
+        p = wb.kind.modulus
+        if (diff if p is None else diff % p).any():
             raise AssertionError("certificate failed exact re-verification")
         coeffs = list(x.data[:, 0])
     else:
