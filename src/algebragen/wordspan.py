@@ -152,9 +152,8 @@ def express(wb: WordBasis, z: Mat):
         x = _solve_exact(w, target)
         if x is None:
             return None
-        # on Python ints, with w = W / l_w, x = X / l_x and target = T / l_t
-        # (each l is 1 over GF(p)): the Fraction product takes about 6x as
-        # long at n = 6
+        # on Python ints, which multiply far faster than Fractions: w = W / l_w,
+        # x = X / l_x and target = T / l_t, each l 1 over GF(p)
         (lw, wi), (lx, xi), (lt, ti) = (_cleared(a.data) for a in (w, x, target))
         diff = wi.dot(xi) * lt - ti * (lw * lx)
         p = wb.kind.modulus
