@@ -13,6 +13,7 @@ form, the transposed reduced echelon basis q of the algebra, lifted from
 GF(p) images of the span matrix and checked exactly to span the algebra,
 so its entries stay small and basis matrices are its rows; a member is a
 z with vec(z) = q vec(z)[P], P the pivots of q, read with no elimination,
+a non-member is witnessed by the first nonzero entry of that difference,
 and an intersection comes out in the same form.  Human-readable word
 certificates come from the word-span baseline, which can exhibit an
 explicit combination where the span matrix only proves existence.
@@ -32,8 +33,10 @@ from .resolvent import SpanMatrixReport, span_matrix
 class MembershipResult:
     """Verdict for one candidate matrix.
 
-    ``residual`` is exactly zero for members on exact backends and the
-    projection defect |v - Q Q^H v| of v = vec(z) on approximate ones.
+    ``residual`` is the projection defect |v - Q Q^H v| of v = vec(z) on
+    approximate backends.  On exact ones it is zero for members, and for a
+    non-member the first nonzero entry of v - q v[P], q the basis ``basis``
+    prints: f(v) for a functional f zero on the algebra (``matrix.in_range``).
     ``certificate`` (when requested and available) lists (word,
     coefficient) pairs whose combination reconstructs the candidate; words
     are tuples of 0-based generator indices, the empty tuple meaning the

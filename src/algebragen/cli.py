@@ -27,7 +27,7 @@ from . import wordspan
 from .algebra import basis, intersect, membership
 from .instances import ParseError, grid_of, load_instance, random_generator_set
 from .matrix import DEFAULT_RESIDUAL_RTOL
-from .modp import PrimeRangeError, certified_dimension
+from .modp import DEFAULT_TRIALS, PrimeRangeError, certified_dimension
 from .primes import DETERMINISTIC_LIMIT, is_prime
 from .resolvent import span_matrix
 
@@ -38,14 +38,15 @@ EXIT_NUMERIC = 4
 EXIT_RANGE = 5
 EXIT_DISAGREE = 6
 
-# Exit code of an error a command raises: the first class that matches.
-# ParseError and PrimeRangeError are ValueErrors, and SingularMatrixError is
-# an ArithmeticError.  A MemoryError must not escape: Python would exit 1,
-# the non-member code.
+# The errors ``main`` catches, with the exit code of the first that matches.
+# ParseError and PrimeRangeError are ValueErrors, SingularMatrixError is an
+# ArithmeticError.  A MemoryError must not escape: Python would exit 1, the non-member code.
 _ERROR_EXITS = (
     (ParseError, EXIT_PARSE),
     (PrimeRangeError, EXIT_RANGE),
-    ((ArithmeticError, ValueError, MemoryError), EXIT_NUMERIC),
+    (ArithmeticError, EXIT_NUMERIC),
+    (ValueError, EXIT_NUMERIC),
+    (MemoryError, EXIT_NUMERIC),
 )
 
 
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modp-dim", help="certified dimension via random primes (integer data)")
     p.add_argument("instance")
     common(p)
-    p.add_argument("--trials", type=int, default=2)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--prime", type=int, default=None,
                    help="also try this prime: its rank joins the maximum, not the failure bound")
@@ -337,7 +338,7 @@ def main(argv=None) -> int:
     args._argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (ArithmeticError, ValueError, MemoryError) as e:
+    except tuple(cls for cls, _ in _ERROR_EXITS) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS if isinstance(e, cls))
 

@@ -28,7 +28,8 @@ affected rows of a pivot step in one numpy operation:
 
 Every exact column space has one form q, a transposed reduced echelon
 basis: q[P, :] is the identity on its pivot rows P, and v lies in it
-exactly when v == q v[P] (``_in_span``, no elimination).  It has two
+exactly when v - q v[P] is zero (``_in_span``, no elimination; its first
+nonzero entry witnesses a non-member, see ``in_range``).  It has two
 producers: over Q the span matrix lifts this form from GF(p) eliminations
 and checks it by the same rule (``resolvent``), and ``subspace_intersect``
 reads it off its Zassenhaus elimination.
@@ -432,11 +433,11 @@ def rank(a: Mat) -> int:
 
 
 def _in_span(v: np.ndarray, rows: np.ndarray, d: int, pivots, p: int | None = None) -> np.ndarray:
-    """Which rows w of the integer array ``v`` lie in the span of ``rows`` /
-    d, whose pivot columns ``pivots`` hold d times the identity: those with
-    d w == w[pivots] rows (mod p over GF(p))."""
+    """d w - w[pivots] rows (mod p over GF(p)) for each row w of the integer
+    array ``v``: zero exactly when w lies in the span of ``rows`` / d, whose
+    pivot columns ``pivots`` hold d times the identity."""
     diff = d * v - v[:, pivots].dot(rows)
-    return np.all(diff == 0 if p is None else diff % p == 0, axis=1)
+    return diff if p is None else diff % p
 
 
 def _project_out(q: np.ndarray, c: np.ndarray) -> None:
@@ -456,9 +457,10 @@ def in_range(a: Mat, v: Mat):
     q when it is in it already, as every exact colspace and intersection
     is (q[P, :] is the identity for P the leading nonzero row of each
     column), and otherwise take q^T from one ``_rref`` of a^T; they accept
-    v when v == q v[P].  The residual is 0 for members and the exact
-    least-squares defect (squared norm; 1 over GF(p)) otherwise.  On float
-    kinds ``a`` must have orthonormal columns, as a colspace has: the
+    v when v == q v[P].  The residual is 0 for members and otherwise the
+    first nonzero entry, at c, of v - q v[P]: f(v) for f(x) = x_c - q[c, :]
+    x[P], which vanishes on col(a), so anyone holding q can check it.  On
+    float kinds ``a`` must have orthonormal columns, as a colspace has: the
     residual is the norm of v - a a^H v (see _project_out), and v is
     accepted when it is at most DEFAULT_RESIDUAL_RTOL * max(1, |v|).
     """
@@ -466,25 +468,17 @@ def in_range(a: Mat, v: Mat):
     if v.cols != 1 or v.rows != a.rows:
         raise ValueError(f"candidate must be a {a.rows}x1 column")
     if a.kind.exact:
-        p = a.kind.modulus
-        ints = _cleared if p is None else lambda x: (1, x)
-        (d, rows), (l, w) = ints(a.data.T), ints(v.data.T)
+        (d, rows), (l, w) = _cleared(a.data.T), _cleared(v.data.T)
         pivots = (rows != 0).argmax(axis=1).tolist() if rows.size else []
         if not np.array_equal(rows[:, pivots], d * np.identity(a.cols, dtype=object)):
             r, pivots = _rref(a.data.T, a.kind)
-            d, rows = ints(r[: len(pivots)])
-        if _in_span(w, rows, d, pivots, p)[0]:
+            d, rows = _cleared(r[: len(pivots)])
+        # the difference is d l (v - q v[P])
+        diff = _in_span(w, rows, d, pivots, a.kind.modulus)[0]
+        c = np.flatnonzero(diff)
+        if c.size == 0:
             return True, a.kind.zero()
-        if p is not None:
-            return False, 1
-        # c = d q^T has full row rank, so c c^T y = h = c w has one solution,
-        # and the least-squares defect of w = l v is w.w - h.y (its residual
-        # is orthogonal to c); that of v is 1 / l^2 times it.
-        w = w[0]
-        h = rows.dot(w)
-        y = _solve_exact(Mat(rows.dot(rows.T), a.kind), Mat(h[:, None], a.kind))
-        defect = w.dot(w) - sum((hi * yi for hi, yi in zip(h, y.data[:, 0])), Fraction(0))
-        return False, defect / (l * l)
+        return False, a.kind.coerce(Fraction(diff[c[0]], d * l))
     c = v.data.copy()
     _project_out(a.data, c)
     residual = float(np.linalg.norm(c))

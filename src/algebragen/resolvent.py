@@ -323,7 +323,7 @@ def _spans_algebra(rows: np.ndarray, d: int, pivots: list[int], gens: list[np.nd
     ets = rows.reshape(r, n, n)
     seeds = [np.identity(n, dtype=object)] if unital else gens
     vs = [g.T.reshape(1, nn) for g in seeds] + [(ets @ g.T).reshape(r, nn) for g in gens]
-    return not vs or bool(_in_span(np.concatenate(vs), rows, d, pivots).all())
+    return not vs or not _in_span(np.concatenate(vs), rows, d, pivots).any()
 
 
 # The head of the Q lift's primes: the four largest below

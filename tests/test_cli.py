@@ -73,6 +73,15 @@ def test_memory_error_exits_with_the_numeric_code(capsys, monkeypatch):
         code, _, err = run(capsys, *argv)
         assert code == cli.EXIT_NUMERIC
         assert err.startswith("error:")
+    # every class of the exit table is caught and exits with its own code,
+    # the subclasses ParseError and PrimeRangeError before ValueError
+    for cls, want in cli._ERROR_EXITS:
+        def raise_it(*args, **kwargs):
+            raise cls("raised")
+
+        monkeypatch.setattr(cli, "span_matrix", raise_it)
+        code, _, err = run(capsys, "dim", TRIANGULAR)
+        assert (code, err) == (want, "error: raised\n")
 
 
 def test_prime_ceiling_beyond_primality_range_exits_5(capsys, monkeypatch):
@@ -193,7 +202,8 @@ def test_nonunital_member_needs_the_identity(capsys):
     code, out, _ = run(capsys, "member", TRIANGULAR, MEMBER, "--nonunital")
     report = json.loads(out)
     assert code == cli.EXIT_NONMEMBER
-    assert (report["member"], report["residual"], report["unital"]) == (False, "2", False)
+    # without the identity the algebra misses vec(MEMBER)[4] = MEMBER[1, 1] = 1
+    assert (report["member"], report["residual"], report["unital"]) == (False, "1", False)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _mul_mod, _rref, _solve_exact, _spectral_rank, rank
+from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _mul_mod, _rref, _spectral_rank, rank
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
@@ -520,26 +520,36 @@ def test_exact_outputs_are_python_scalars():
             assert all(type(x) is scalar for x in out.data.ravel())
 
 
-def test_rank_info_refuses_exact_kinds():
+def test_rank_agrees_on_q_gf5_and_f64():
     m = ag.Mat.from_rows([[0, 1, 2], [0, 2, 4], [1, 0, 0]], ag.RATIONAL)
     assert [rank(m.convert(kind)) for kind in (ag.RATIONAL, ag.gf(5), ag.F64)] == [2, 2, 2]
 
 
-def test_in_range_defect_matches_all_column_normal_equations():
-    # the pivot-column projection gives the same defect as the normal
-    # equations on every column of a
+@pytest.mark.parametrize("kind", [ag.RATIONAL, ag.gf(1048583), ag.gf(4294967311)])
+def test_in_range_nonmember_residual_is_a_functional_vanishing_on_the_span(kind):
+    # q from _rref of a^T, P its pivots: a non-member's residual is the
+    # first nonzero entry c of v - q v[P], the value at v of
+    # f(x) = x_c - q[c, :] x[P], and f vanishes on every column of a
     rng = random.Random(23)
     checked = 0
     while checked < 6:
         n = rng.randint(3, 5)
-        rank = rng.randint(1, n - 1)
-        a = ag.Mat.from_rows(low_rank_rows(rng, ag.RATIONAL, n, n, rank, 0), ag.RATIONAL)
-        v = rand_mat(rng, n, ag.RATIONAL, max_den=4).col(0)
+        a = ag.Mat.from_rows(low_rank_rows(rng, kind, n, n, rng.randint(1, n - 1), 0), kind)
+        v = rand_mat(rng, n, kind, max_den=4).col(0)
         ok, residual = ag.in_range(a, v)
         if ok:
             continue
-        xo = _solve_exact(a.T @ a, a.T @ v)
-        resid = a @ xo - v
-        assert residual == sum((e * e for e in resid.data.ravel()), Fraction(0))
-        assert residual > 0
+        r, pivots = _rref(a.data.T, kind)
+        q = ag.Mat(r[: len(pivots)].T.copy(), kind)
+        diff = (v - q @ ag.Mat(v.data[pivots], kind)).data[:, 0].tolist()
+        c = next(i for i, x in enumerate(diff) if x != 0)
+        assert residual == diff[c] != 0
+        f = ag.Mat.zeros(1, n, kind).data
+        f[0, pivots] = [-x for x in q.data[c]]
+        f[0, c] = kind.one()
+        f = ag.Mat.wrap(f, kind)
+        assert f @ a == ag.Mat.zeros(1, n, kind)
+        assert (f @ v).data[0, 0] == residual
+        # a in the exact form q gives the same witness with no elimination
+        assert ag.in_range(q, v) == (False, residual)
         checked += 1
