@@ -38,9 +38,9 @@ EXIT_NUMERIC = 4
 EXIT_RANGE = 5
 EXIT_DISAGREE = 6
 
-# The errors ``main`` catches, with the exit code of the first that matches.
-# ParseError and PrimeRangeError are ValueErrors, SingularMatrixError is an
-# ArithmeticError.  A MemoryError must not escape: Python would exit 1, the non-member code.
+# The errors ``main`` catches; each exits with the code of the first class it
+# matches (ParseError and PrimeRangeError are ValueErrors, SingularMatrixError
+# an ArithmeticError).  Uncaught, a MemoryError would exit 1, the non-member code.
 _ERROR_EXITS = (
     (ParseError, EXIT_PARSE),
     (PrimeRangeError, EXIT_RANGE),

@@ -525,7 +525,7 @@ def test_rank_agrees_on_q_gf5_and_f64():
     assert [rank(m.convert(kind)) for kind in (ag.RATIONAL, ag.gf(5), ag.F64)] == [2, 2, 2]
 
 
-@pytest.mark.parametrize("kind", [ag.RATIONAL, ag.gf(1048583), ag.gf(4294967311)])
+@pytest.mark.parametrize("kind", [ag.RATIONAL, ag.gf(1048583), ag.gf(4294967311)], ids=str)
 def test_in_range_nonmember_residual_is_a_functional_vanishing_on_the_span(kind):
     # q from _rref of a^T, P its pivots: a non-member's residual is the
     # first nonzero entry c of v - q v[P], the value at v of
