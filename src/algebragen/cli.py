@@ -40,7 +40,8 @@ EXIT_DISAGREE = 6
 
 # The errors ``main`` catches; each exits with the code of the first class it
 # matches (ParseError and PrimeRangeError are ValueErrors, SingularMatrixError
-# an ArithmeticError).  Uncaught, a MemoryError would exit 1, the non-member code.
+# an ArithmeticError).  Any class the table does not list, AssertionError
+# among them, goes uncaught and exits 1, the non-member code.
 _ERROR_EXITS = (
     (ParseError, EXIT_PARSE),
     (PrimeRangeError, EXIT_RANGE),

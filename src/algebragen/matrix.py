@@ -67,7 +67,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class SingularMatrixError(ArithmeticError):
-    """An exact or numeric inverse does not exist."""
+    """An exact matrix has dependent columns: no inverse, no unique solve."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,20 +376,23 @@ def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
     return (a.astype(object) if p is not None else _fractions(a, d)), pivots
 
 
-def _solve_exact(a: Mat, b: Mat):
-    """One exact solution of ``a @ x = b`` (free variables set to zero), or
-    None when the system is inconsistent."""
-    aug = np.concatenate([a.data, b.data], axis=1)
-    r, pivots = _rref(aug, a.kind)
-    if pivots and pivots[-1] >= a.cols:
+def _solve(a: np.ndarray, b: np.ndarray, kind: ScalarKind):
+    """The solution x of a @ x = b over an exact kind, for a of full column
+    rank: the block right of a in the reduced form of [a | b] (one
+    ``_rref``), or None when b adds a pivot, a column of b outside col(a).
+    Raises SingularMatrixError when the columns of a are dependent."""
+    k = a.shape[1]
+    r, pivots = _rref(np.concatenate((a, b), axis=1), kind)
+    if pivots[:k] != list(range(k)):
+        raise SingularMatrixError(f"a {a.shape[0]}x{k} matrix has dependent columns")
+    if len(pivots) > k:
         return None
-    x = Mat.zeros(a.cols, b.cols, a.kind)
-    x.data[pivots] = r[: len(pivots), a.cols :]
-    return x
+    return r[:k, k:]
 
 
 def inverse(a: Mat) -> Mat:
-    """Exact matrix inverse; raises SingularMatrixError when none exists.
+    """Exact matrix inverse, the ``_solve`` of a X = I; raises
+    SingularMatrixError when none exists.
 
     Over GF(p) ``a`` may hold the int64 residues of ``_residues``: the
     identity beside it takes their dtype, so the elimination reads them
@@ -398,11 +401,7 @@ def inverse(a: Mat) -> Mat:
         raise ValueError(f"inverse serves exact kinds only, not {a.kind}")
     if a.rows != a.cols:
         raise ValueError("inverse needs a square matrix")
-    n = a.rows
-    r, pivots = _rref(np.concatenate([a.data, np.identity(n, dtype=a.data.dtype)], axis=1), a.kind)
-    if pivots != list(range(n)):
-        raise SingularMatrixError(f"{n}x{n} matrix is singular")
-    return Mat(r[:, n:], a.kind)
+    return Mat(_solve(a.data, np.identity(a.rows, dtype=a.data.dtype), a.kind), a.kind)
 
 
 # -- rank and subspaces ---------------------------------------------------

@@ -9,9 +9,9 @@ words saturate, and its rank is the algebra's dimension.
 One builder, ``kron_square``, forms S and the integer B = ceil(sum of the
 squared Frobenius norms of the generators) + 1, which makes S/B a
 contraction, for every kind: on the kind's float dtype, and over Q on
-Python integers from the generators with denominators cleared per
-generator (the algebra does not change).  The scalar kind picks the series;
-no caller can choose another:
+Python integers from the generators, each scaled by its denominator lcm
+(``matrix._cleared``; the algebra does not change).  The scalar kind
+picks the series; no caller can choose another:
 
 * floats realign (I + S/B)^k at k = default_power_exponent(n), or
   S/B (I + S/B)^(k-1) for a non-unital set.  Its binomial weights keep every
@@ -41,7 +41,8 @@ no caller can choose another:
   span R is the algebra: ``colspace`` is R^T, with small entries, and
   ``pivots`` are R's pivot columns.  ``matrix`` is the realigned resolvent
   itself, B X^-1 (B X^-1 - I for a non-unital set) realigned, with
-  Fraction entries.  It is built only when read.
+  Fraction entries: B X^-1 is the solution Y of X Y = B I, found on X's
+  Python ints by ``matrix._solve``.  It is built only when read.
 * GF(p) reduces the same X mod p and inverts it there: the reduction of
   the rational (I - S/B)^-1 / B, defined also when p divides B.  The ranks
   of these images are the certificate of the ``modp`` module.  Rational
@@ -56,12 +57,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import (Mat, SingularMatrixError, _cleared, _fractions, _in_span, _realign, _residues, _rref,
+from .matrix import (Mat, SingularMatrixError, _cleared, _fractions, _in_span, _realign, _residues, _rref, _solve,
                      _spectral_rank, inverse, realign)
 from .primes import is_prime
 from .scalars import RATIONAL, gf
@@ -124,29 +125,19 @@ def default_power_exponent(n: int) -> int:
     return min(n * n, math.ceil(2 * n * math.log2(n) + 4 * n))
 
 
-def clear_denominators(gens: Sequence[Mat]) -> list[tuple[int, np.ndarray]]:
-    """Each rational generator g as (l, l g): l its denominator lcm, l g an
-    object array of Python ints.
-
-    Per-generator scaling leaves the generated algebra (and so its
-    dimension) unchanged, since every word just picks up a nonzero factor.
-    """
-    if any(g.kind.tag != "rational" for g in gens):
-        raise ValueError("clear_denominators expects rational-kind matrices")
-    return [_cleared(g.data) for g in gens]
-
-
 def kron_square(gs: GeneratorSet) -> tuple[np.ndarray, int]:
     """(S, B): S the sum of np.kron(conj g, g) over the generators g, B =
     ceil(sum of their squared Frobenius norms) + 1.
 
     The Frobenius norm of S is at most the sum of the squared norms, so S/B
-    is a contraction.  Over Q the generators are those of
-    ``clear_denominators`` and S and B hold Python ints, never int64, since
-    products of wide entries wrap; floats keep the kind's dtype.
+    is a contraction.  Over Q each generator g is first scaled to l g, l
+    its denominator lcm (``matrix._cleared``), which leaves the algebra
+    unchanged, since every word just picks up a nonzero factor; S and B
+    then hold Python ints, never int64, since products of wide entries
+    wrap.  Floats keep the kind's dtype.
     """
     if gs.kind.tag == "rational":
-        gens = [g for _, g in clear_denominators(gs.gens)]
+        gens = [_cleared(g.data)[1] for g in gs.gens]
     else:
         gens = [g.data for g in gs.gens]
     nn = gs.n * gs.n
@@ -394,13 +385,16 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
         raise ValueError("span matrices over GF(p) are built from a rational set in modp")
     s, b = kron_square(gs)
     if gs.kind.exact:
-        x = b * np.identity(s.shape[0], dtype=object) - s
-        gens = [g for _, g in clear_denominators(gs.gens)]
+        bi = b * np.identity(s.shape[0], dtype=object)
+        x = bi - s
+        # the integer generators of kron_square, which span the same algebra
+        gens = [_cleared(g.data)[1] for g in gs.gens]
         rows, d, pivots, primes = _lift(x, b, gens, gs.unital, _lift_primes())
 
         def realigned_resolvent() -> Mat:
-            # B X^-1 = (I - S/B)^-1, and B X^-1 - I = S/B (I - S/B)^-1
-            core = inverse(Mat(_fractions(x), RATIONAL)) * b
+            # Y = B X^-1 = (I - S/B)^-1 solves X Y = B I on X's Python ints,
+            # and Y - I = S/B (I - S/B)^-1
+            core = Mat(_solve(x, bi, RATIONAL), RATIONAL)
             if not gs.unital:
                 core = core - Mat.identity(core.rows, RATIONAL)
             return realign(core)

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _cleared, _fractions, _project_out, _rref, _solve_exact, vec
-from .resolvent import clear_denominators
+from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _cleared, _fractions, _project_out, _rref, _solve, vec
 from .scalars import ScalarKind
 
 
@@ -52,16 +51,17 @@ class WordBasis:
 def word_span(gs: GeneratorSet) -> WordBasis:
     """Breadth-first word basis of the algebra generated by ``gs``.
 
-    Over Q the products are taken of the integer generators l_i g_i of
-    ``clear_denominators``: a word of them is a nonzero multiple of the
-    word of the g_i, so the same words are kept, and only the kept ones
-    are divided back by their product of l_i into Fraction entries.
+    Over Q the products are taken of the integer generators l_i g_i, l_i
+    the denominator lcm of g_i (``matrix._cleared``): a word of them is a
+    nonzero multiple of the word of the g_i, so the same words are kept,
+    and only the kept ones are divided back by their product of l_i into
+    Fraction entries.
     """
     full = gs.n * gs.n
     gens, eye = gs.gens, Mat.identity(gs.n, gs.kind)
     if gs.kind.tag == "rational":
         # Python ints inside these Mats, until the kept words are divided back
-        cleared = clear_denominators(gs.gens)
+        cleared = [_cleared(g.data) for g in gs.gens]
         gens = [Mat(ints, gs.kind) for _, ints in cleared]
         lcms = [l for l, _ in cleared]
         eye = Mat(np.identity(gs.n, dtype=int).astype(object), gs.kind)
@@ -135,35 +135,37 @@ def express(wb: WordBasis, z: Mat):
 
     Returns a list of (word, coefficient) pairs with nonzero coefficients
     (empty for the zero matrix), or None when ``z`` is outside the span.  On
-    exact kinds the combination is multiplied out again, as one integer
-    product of the vectorized words and the coefficients with their
-    denominators cleared, and checked before being returned; on float kinds the least-squares residual is cut at
+    exact kinds [W | vec z], W the vectorized words, is cleared once to
+    Python ints, which multiply far faster than Fractions, and solved by
+    ``matrix._solve``; the combination is multiplied out again on those
+    ints before it is returned.  An ArithmeticError says that it missed,
+    a SingularMatrixError that the words are dependent (``word_span`` keeps
+    none such).  On float kinds the least-squares residual is cut at
     DEFAULT_RESIDUAL_RTOL * max(1, |z|), as in ``matrix.in_range``.
     """
     if z.rows != wb.n or z.cols != wb.n:
         raise ValueError(f"candidate must be {wb.n}x{wb.n}")
     if z.kind != wb.kind:
         raise ValueError("candidate kind differs from basis kind")
-    w = Mat.zeros(wb.n * wb.n, wb.dim, wb.kind)
-    for j, m in enumerate(wb.mats):
-        w.data[:, j] = vec(m).data[:, 0]
-    target = vec(z)
+    aug = np.concatenate([vec(m).data for m in wb.mats] + [vec(z).data], axis=1)
     if wb.kind.exact:
-        x = _solve_exact(w, target)
+        # one lcm l scales W and vec z alike, so x is unchanged (l = 1 over GF(p))
+        _, aug = _cleared(aug)
+        w, target = aug[:, :-1], aug[:, -1:]
+        x = _solve(w, target, wb.kind)
         if x is None:
             return None
-        # on Python ints, which multiply far faster than Fractions: w = W / l_w,
-        # x = X / l_x and target = T / l_t, each l 1 over GF(p)
-        (lw, wi), (lx, xi), (lt, ti) = (_cleared(a.data) for a in (w, x, target))
-        diff = wi.dot(xi) * lt - ti * (lw * lx)
+        lx, xi = _cleared(x)
+        diff = w.dot(xi) - target * lx
         p = wb.kind.modulus
         if (diff if p is None else diff % p).any():
-            raise AssertionError("certificate failed exact re-verification")
-        coeffs = list(x.data[:, 0])
+            raise ArithmeticError("certificate failed exact re-verification")
+        coeffs = list(x[:, 0])
     else:
-        sol, *_ = np.linalg.lstsq(w.data, target.data, rcond=None)
-        residual = float(np.linalg.norm(w.data.dot(sol) - target.data))
-        bound = DEFAULT_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(target.data)))
+        w, target = aug[:, :-1], aug[:, -1:]
+        sol, *_ = np.linalg.lstsq(w, target, rcond=None)
+        residual = float(np.linalg.norm(w.dot(sol) - target))
+        bound = DEFAULT_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(target)))
         if residual > bound:
             return None
         coeffs = list(sol[:, 0])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from algebragen import algebra, cli
@@ -82,6 +83,21 @@ def test_memory_error_exits_with_the_numeric_code(capsys, monkeypatch):
         monkeypatch.setattr(cli, "span_matrix", raise_it)
         code, _, err = run(capsys, "dim", TRIANGULAR)
         assert (code, err) == (want, "error: raised\n")
+
+
+def test_failed_certificate_check_exits_with_the_numeric_code(capsys, monkeypatch):
+    # a certificate that misses its own re-verification is a numeric failure,
+    # not the non-member code 1 an uncaught error would give
+    from algebragen import wordspan
+
+    def wrong(a, b, kind):
+        # the first word, the identity, alone
+        return np.array([[1]] + [[0]] * (a.shape[1] - 1), dtype=object)
+
+    monkeypatch.setattr(wordspan, "_solve", wrong)
+    code, _, err = run(capsys, "member", TRIANGULAR, MEMBER, "--certificate")
+    assert code == cli.EXIT_NUMERIC
+    assert err == "error: certificate failed exact re-verification\n"
 
 
 def test_prime_ceiling_beyond_primality_range_exits_5(capsys, monkeypatch):

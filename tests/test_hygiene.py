@@ -2,7 +2,8 @@
 
 Each module of ``algebragen`` is parsed with ``ast``: an import that its
 module never reads, or a module-level private name that nothing in the
-package reads, is a leftover of a deletion.
+package reads, is a leftover of a deletion.  No module asserts: ``python -O``
+strips an ``assert``, and the CLI's exit table maps no AssertionError.
 """
 
 import ast
@@ -41,6 +42,12 @@ def test_no_unused_imports(name):
             bound.update(alias.asname or alias.name for alias in node.names)
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(bound - loaded) == []
+
+
+def test_no_asserts():
+    found = [(name, node.lineno) for name, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "AssertionError"]
+    assert found == []
 
 
 def test_private_names_are_used():

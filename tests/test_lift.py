@@ -16,9 +16,9 @@ import pytest
 
 import algebragen as ag
 from algebragen import resolvent, wordspan
-from algebragen.matrix import INT64_MODULUS_LIMIT, rank
+from algebragen.matrix import INT64_MODULUS_LIMIT, _cleared, rank
 from algebragen.primes import is_prime
-from algebragen.resolvent import _lift, _lift_primes, _reconstruct, _spans_algebra, clear_denominators, kron_square
+from algebragen.resolvent import _lift, _lift_primes, _reconstruct, _spans_algebra, kron_square
 
 from linalg_helpers import echelon_reference, realigned_resolvent, square_bound
 
@@ -173,7 +173,7 @@ def test_lift_primes_are_fixed_int64_primes():
 def _lifted(gs, primes=None):
     s, b = kron_square(gs)
     x = b * np.identity(s.shape[0], dtype=object) - s
-    gens = [g for _, g in clear_denominators(gs.gens)]
+    gens = [_cleared(g.data)[1] for g in gs.gens]
     return _lift(x, b, gens, gs.unital, _lift_primes() if primes is None else primes), gens
 
 

@@ -171,8 +171,12 @@ def test_inverse_gfp_across_panels(p):
 
 
 def test_inverse_errors():
-    with pytest.raises(ag.SingularMatrixError):
-        ag.inverse(ag.Mat.zeros(2, 2, ag.RATIONAL))
+    # singular over Q, and mod 7 only: det 7, also on int64 residues
+    for a in (ag.Mat.zeros(2, 2, ag.RATIONAL), ag.Mat.from_rows([[1, 2], [2, 4]], ag.RATIONAL),
+              ag.Mat.from_rows([[1, 2], [3, 13]], ag.gf(7)),
+              ag.Mat(np.array([[1, 2], [3, 13]]) % 7, ag.gf(7))):
+        with pytest.raises(ag.SingularMatrixError):
+            ag.inverse(a)
     with pytest.raises(ValueError):
         ag.inverse(ag.Mat.identity(2, ag.F64))
     with pytest.raises(ValueError):
@@ -224,7 +228,7 @@ def test_rank_rational_vs_gfp_agreement():
     assert agree >= 190
 
 
-def test_rank_info_ill_conditioned_flag():
+def test_spectral_rank_ill_conditioned_flag():
     eps = np.finfo(np.float64).eps
     # clean cut: retained 1e-2 vs discarded 1e-16 is a huge gap
     assert _spectral_rank(np.array([1.0, 1e-2, 1e-16]), 3) == (2, 3 * eps, False)

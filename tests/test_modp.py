@@ -11,7 +11,8 @@ from algebragen import wordspan
 from algebragen.matrix import rank
 from algebragen.modp import per_prime_failure_bound, prime_ceiling, sample_prime
 from algebragen.primes import is_prime
-from algebragen.resolvent import clear_denominators, kron_square
+from algebragen.matrix import _cleared
+from algebragen.resolvent import kron_square
 
 from conftest import rand_int_generator_set, rand_mat
 from linalg_helpers import b_minus_s, det, square_bound, summed_kron_square
@@ -136,19 +137,19 @@ def test_sample_prime_stays_below_the_ceiling():
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6))
 @settings(max_examples=15, deadline=None)
-def test_clear_denominators_keeps_the_dimension(n, d, seed):
+def test_cleared_keeps_the_dimension(n, d, seed):
     rng = random.Random(seed)
     gens = tuple(rand_mat(rng, n, ag.RATIONAL, max_den=6) for _ in range(d))
     gs = ag.GeneratorSet(n=n, gens=gens, kind=ag.RATIONAL)
     dim, plan = ag.certified_dimension(list(gens), trials=2, seed=seed)
-    cleared = [ag.Mat.from_rows(ints.tolist(), ag.RATIONAL) for _, ints in clear_denominators(gens)]
+    cleared = [ag.Mat.from_rows(_cleared(g.data)[1].tolist(), ag.RATIONAL) for g in gens]
     assert (dim, plan) == ag.certified_dimension(cleared, trials=2, seed=seed)
     assert dim == ag.dimension(gs)
 
 
-def test_clear_denominators_gives_python_ints():
+def test_cleared_gives_python_ints():
     g = ag.Mat.from_rows([["1/3", "2/5"], ["-1", "0"]], ag.RATIONAL)
-    ((l, ints),) = clear_denominators([g])
+    l, ints = _cleared(g.data)
     assert l == 15 and ints.tolist() == [[5, 6], [-15, 0]]
     assert all(type(v) is int for v in ints.ravel())
 
@@ -159,8 +160,7 @@ def test_integer_b_minus_s_is_the_cleared_resolvent_matrix():
     gens = [ag.Mat.from_rows([[Fraction(rng.randint(-3, 3), rng.choice((1, den))) for _ in range(3)]
                               for _ in range(3)], ag.RATIONAL) for den in (3, 5, 7)]
     x, b = b_minus_s(ag.GeneratorSet.of(*gens))
-    cleared = ag.GeneratorSet.of(*(ag.Mat.from_rows(ints.tolist(), ag.RATIONAL)
-                                   for _, ints in clear_denominators(gens)))
+    cleared = ag.GeneratorSet.of(*(ag.Mat.from_rows(_cleared(g.data)[1].tolist(), ag.RATIONAL) for g in gens))
     assert b == square_bound(cleared.gens)
     assert ag.Mat.wrap(x, ag.RATIONAL) == ag.Mat.identity(9, ag.RATIONAL) * b - summed_kron_square(cleared)
     assert all(type(v) is int for v in x.ravel())

@@ -7,9 +7,8 @@ import pytest
 
 import algebragen as ag
 from algebragen import wordspan
-from algebragen.matrix import _realign, _rref, in_range, rank, vec
-from algebragen.resolvent import (_echelon_mod_p, _fold, _swap_pairs, clear_denominators, default_power_exponent,
-                                  kron_square)
+from algebragen.matrix import _cleared, _realign, _rref, in_range, rank, vec
+from algebragen.resolvent import _echelon_mod_p, _fold, _swap_pairs, default_power_exponent, kron_square
 
 from conftest import gaussian, hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal
 from linalg_helpers import (b_minus_s, echelon_reference, frobenius_sq, is_psd, plain_power, realigned_resolvent,
@@ -64,8 +63,7 @@ def _builder_cases():
     cases = []
     for _ in range(10):
         gs = _mixed_set(rng, rng.randint(2, 4), 3, True)
-        cleared = ag.GeneratorSet.of(*(ag.Mat.from_rows(ints.tolist(), ag.RATIONAL)
-                                       for _, ints in clear_denominators(gs.gens)))
+        cleared = ag.GeneratorSet.of(*(ag.Mat.from_rows(_cleared(g.data)[1].tolist(), ag.RATIONAL) for g in gs.gens))
         cases.append((gs, cleared))
         for kind in (ag.F64, ag.C64):
             fgs = ag.GeneratorSet(gs.n, tuple(rand_mat(rng, gs.n, kind) for _ in range(rng.randint(1, 3))), kind)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import algebragen as ag
 from algebragen import wordspan
-from algebragen.matrix import rank
-from algebragen.resolvent import clear_denominators
+from algebragen.matrix import _cleared, rank
 
 from conftest import gaussian, hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal, word_value
 
@@ -96,7 +95,7 @@ def test_float_backend(tri_gens):
 
 def test_gfp_backend(tri_gens):
     kind = ag.gf(101)
-    cleared = tuple(ag.Mat.wrap(ints, kind) for _, ints in clear_denominators(tri_gens.gens))
+    cleared = tuple(ag.Mat.wrap(_cleared(g.data)[1], kind) for g in tri_gens.gens)
     gs = ag.GeneratorSet(n=3, gens=cleared, kind=kind)
     assert wordspan.dimension(gs) == 5
 
@@ -116,11 +115,21 @@ def test_express_rejects_a_wrong_exact_solution(tri_gens, member_candidate, monk
     wb = wordspan.word_span(gs)
     right = wordspan.express(wb, z)
     assert right
-    wrong = ag.Mat.zeros(wb.dim, 1, kind)
-    wrong.data[0, 0] = kind.one()
-    monkeypatch.setattr(wordspan, "_solve_exact", lambda a, b: wrong)
-    with pytest.raises(AssertionError, match="re-verification"):
+    wrong = ag.Mat.zeros(wb.dim, 1, kind).data
+    wrong[0, 0] = kind.one()
+    monkeypatch.setattr(wordspan, "_solve", lambda a, b, kind: wrong)
+    with pytest.raises(ArithmeticError, match="re-verification"):
         wordspan.express(wb, z)
+
+
+@pytest.mark.parametrize("kind", [ag.RATIONAL, ag.gf(7)], ids=["rational", "gf7"])
+def test_express_refuses_dependent_words(tri_gens, member_candidate, kind):
+    # word_span keeps independent words only; a repeated word leaves the
+    # solve without a unique answer, and express does not pick one
+    wb = wordspan.word_span(tri_gens.convert(kind))
+    twice = wordspan.WordBasis(wb.n, kind, wb.unital, wb.words + wb.words[:1], wb.mats + wb.mats[:1])
+    with pytest.raises(ag.SingularMatrixError):
+        wordspan.express(twice, member_candidate.convert(kind))
 
 
 @pytest.mark.parametrize("kind", [ag.F64, ag.RATIONAL])
