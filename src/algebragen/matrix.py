@@ -11,8 +11,9 @@ projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.
 
 Every exact rank, solve, inverse and intersection, the GF(p) images of
 the span matrix and the word-span insertion of ``wordspan`` go through one
-elimination, ``_eliminate`` (``_rref`` for callers), which updates all
-affected rows of a pivot step in one numpy operation:
+elimination, ``_eliminate`` (``_rref`` for callers), which updates the
+rows below a pivot, and above it for a reduced form, in one numpy
+operation each:
 
 * over GF(p) on int64 rows while p < INT64_MODULUS_LIMIT (3 037 000 499,
   where (p - 1)^2 + p reaches 2^63), on Python-int rows above it.  The
@@ -21,7 +22,12 @@ affected rows of a pivot step in one numpy operation:
   columns right of the panel are brought up to date once per panel by one
   product mod p.  On int64 rows that product is two float64 BLAS products
   on the 16-bit halves of one factor, exact because every sum stays below
-  PANEL (p - 1) 2^16 < 2^53;
+  PANEL (p - 1) 2^16 < 2^53.  A pivot step subtracts f times the pivot row
+  and leaves the result unreduced (delayed reduction, as in FFLAS-FFPACK):
+  an int64 entry takes ``_slack(p)`` such updates, t with
+  t (p - 1)^2 + p <= 2^63, so for p <= 2^29 the panel is reduced once, at
+  its end, and at the Q lift's primes next to INT64_MODULUS_LIMIT, as on
+  Python-int rows, at every step;
 * over Q on primitive integer rows by fraction-free (Bareiss) elimination,
   from Fraction or Python-int entries, building Fractions only for the
   reduced rows a caller reads.
@@ -208,8 +214,9 @@ def _realign(data: np.ndarray) -> np.ndarray:
 
 # -- exact elimination ----------------------------------------------------
 
-# Largest modulus whose GF(p) elimination runs on int64 rows: one update
-# step computes (p - 1)^2 + p, which must stay below 2^63.
+# Largest modulus whose GF(p) elimination runs on int64 rows: one
+# unreduced update takes a residue down by up to (p - 1)^2, so
+# (p - 1)^2 + p must stay below 2^63 (``_slack``).
 INT64_MODULUS_LIMIT = 3_037_000_499
 
 # Columns per GF(p) panel: the largest power of two K with
@@ -261,6 +268,16 @@ def _residues(data: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(data, dtype=object) % p
 
 
+def _as_int64(data: np.ndarray) -> np.ndarray:
+    """Python ints as int64 when every one fits, else ``data`` itself: one
+    conversion for an integer array that ``_residues`` reduces mod many
+    primes, each reduction then runs on int64 alone."""
+    try:
+        return data.astype(np.int64)
+    except OverflowError:
+        return data
+
+
 def _mul_mod(f: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
     """f @ t mod p for residues of ``_residues``, with at most PANEL
     columns in f.  On int64 it is two float64 products, f @ (t >> 16) and
@@ -274,6 +291,14 @@ def _mul_mod(f: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
     return (hi % p * 65536 + lo) % p
 
 
+def _slack(p: int) -> int:
+    """Pivot updates that an int64 entry of a GF(p) panel takes unreduced:
+    the t with t (p - 1)^2 + p <= 2^63, since each update subtracts a
+    product f * piv of two residues from a residue.  1 on Python-int rows
+    (p >= INT64_MODULUS_LIMIT), which are reduced at every step."""
+    return 1 if p >= INT64_MODULUS_LIMIT else (2**63 - p) // (p - 1) ** 2
+
+
 def _eliminate(a: np.ndarray, p: int | None, reduced: bool) -> tuple[list[int], int]:
     """Bring ``a`` to row echelon form in place: residues of ``_residues``
     over GF(p), primitive integer rows over Q (p None).  Returns the pivot
@@ -285,6 +310,7 @@ def _eliminate(a: np.ndarray, p: int | None, reduced: bool) -> tuple[list[int], 
     prev = 1
     # Bareiss rows change as a whole, so Q takes all columns in one panel
     width = PANEL if p is not None else max(cols, 1)
+    slack = _slack(p) if p is not None else 0
     for c0 in range(0, cols, width):
         r0 = len(pivots)
         if r0 == rows:
@@ -295,36 +321,53 @@ def _eliminate(a: np.ndarray, p: int | None, reduced: bool) -> tuple[list[int], 
         # coefficients with which its pivot rows' trailing parts enter
         # each row
         w = np.concatenate((a[:, c0:c1], np.zeros((rows, width), a.dtype)), axis=1) if trailing else a[:, c0:]
+        # GF(p) updates since the panel's entries right of the pivot column
+        # were last reduced
+        pending = 0
         for c in range(min(width, cols - c0)):
             r = len(pivots)
             if r == rows:
                 break
-            nz = np.flatnonzero(w[r:, c] != 0)
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
+            if p is not None and pending:
+                # the pivot column is what this step reads
+                w[0 if reduced else r :, c] %= p
+            if w[r, c] == 0:
+                nz = np.flatnonzero(w[r + 1 :, c])
+                if nz.size == 0:
+                    continue
+                pr = r + 1 + int(nz[0])
                 w[[r, pr]] = w[[pr, r]]
                 if trailing:
                     a[[r, pr], c1:] = a[[pr, r], c1:]
-            rest = np.concatenate((order[0 if reduced else r : r], order[r + 1 :]))
-            f = w[rest, c]
             if p is not None:
                 # the columns that can be nonzero in row r: the panel's
                 # from c on and the coefficients of the pivots so far
                 e = width + r - r0 + 1 if trailing else w.shape[1]
                 if trailing:
                     w[r, e - 1] = 1
-                w[r, c:e] = w[r, c:e] * pow(int(w[r, c]), -1, p) % p
-                hit = f != 0
-                rest, f = rest[hit], f[hit]
-                w[rest, c:e] = (w[rest, c:e] + (p - f)[:, None] * w[r, c:e]) % p
+                piv = w[r, c:e]
+                if pending:
+                    piv %= p
+                piv *= pow(int(piv[0]), -1, p)
+                piv %= p
+                # f * piv zeroes column c of each block and is at most (p - 1)^2
+                blocks = (w[r + 1 :, c:e], w[:r, c:e]) if reduced else (w[r + 1 :, c:e],)
+                pending += 1
+                for blk in blocks:
+                    blk -= blk[:, :1] * piv
+                    if pending == slack:
+                        blk %= p
+                pending %= slack
             else:
-                # every row in rest changes, even where f is 0
+                # every other row changes, even where f is 0
+                rest = np.concatenate((order[0 if reduced else r : r], order[r + 1 :]))
+                f = w[rest, c]
                 d = w[r, c]
                 w[rest] = (d * w[rest] - f[:, None] * w[r]) // prev
                 prev = d
             pivots.append(c0 + c)
+        if pending:
+            w %= p
         if trailing and len(pivots) > r0:
             # each row's trailing part, with the pivot rows' own parts
             # moved into their coefficients: one product for the panel (a
@@ -351,8 +394,15 @@ def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
 
     Over GF(p) the rows are the residues of ``_residues`` and the columns
     are taken in panels of PANEL.  Within a panel the pivot row is
-    normalized and ``A[m] = (A[m] + (p - f) * A[r]) % p`` on the panel's
-    columns only, below (p - 1)^2 + p on int64 rows.  Beside them PANEL coefficient columns track each row as
+    normalized and ``A[m] -= f * A[r]`` on the panel's columns only, in
+    place on the slices of rows below r (and above it with ``reduced``).
+    The update is left unreduced: each step reduces only what it reads, the
+    pivot column and the pivot row, and the panel is reduced after
+    ``_slack(p)`` steps and at its end.  Each update subtracts a product of
+    two residues, at most (p - 1)^2, so an int64 entry that was a residue
+    stays above -2^63 for t (p - 1)^2 + p <= 2^63 updates; the slack is 1,
+    a reduction at every step, at p = 3037000493 and on Python-int rows.
+    Beside the panel's columns PANEL coefficient columns track each row as
     its own trailing part (the columns right of the panel) plus a
     combination of the trailing parts the panel's pivot rows had on
     entry; a pivot row takes its own part into its coefficient 1 before

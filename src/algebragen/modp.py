@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import Mat
+from .matrix import Mat, _as_int64
 from .primes import DETERMINISTIC_LIMIT, is_prime
 from .resolvent import _echelon_mod_p, kron_square
 from .scalars import RATIONAL
@@ -150,7 +150,9 @@ def certified_dimension(
             raise ValueError("pass n explicitly for an empty generator list")
         n = gens[0].rows
     s, b = kron_square(GeneratorSet(n, tuple(gens), RATIONAL))
-    x = b * np.identity(n * n, dtype=object) - s
+    # int64 when it fits: every prime's image reduces it without a pass
+    # over Python ints
+    x = _as_int64(b * np.identity(n * n, dtype=object) - s)
     bound = bad_prime_bound(n, b)
     ceiling = prime_ceiling(bound)
     per_prime = per_prime_failure_bound(bound, ceiling)

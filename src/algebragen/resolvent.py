@@ -62,8 +62,8 @@ from typing import Callable
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import (Mat, SingularMatrixError, _cleared, _fractions, _in_span, _realign, _residues, _rref, _solve,
-                     _spectral_rank, inverse, realign)
+from .matrix import (Mat, SingularMatrixError, _as_int64, _cleared, _fractions, _in_span, _realign, _residues, _rref,
+                     _solve, _spectral_rank, inverse, realign)
 from .primes import is_prime
 from .scalars import RATIONAL, gf
 
@@ -389,7 +389,7 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
         x = bi - s
         # the integer generators of kron_square, which span the same algebra
         gens = [_cleared(g.data)[1] for g in gs.gens]
-        rows, d, pivots, primes = _lift(x, b, gens, gs.unital, _lift_primes())
+        rows, d, pivots, primes = _lift(_as_int64(x), b, gens, gs.unital, _lift_primes())
 
         def realigned_resolvent() -> Mat:
             # Y = B X^-1 = (I - S/B)^-1 solves X Y = B I on X's Python ints,

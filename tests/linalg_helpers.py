@@ -8,9 +8,10 @@ matrix (it is PSD, and over Q it is the Fraction resolvent of the
 generators as given, with the exact form that ``echelon_reference`` reads
 off it by elimination), on the mod-p certificate (a singular skip means p
 divides det(B*I - S)) and on the builder (entry by entry, on the Fraction
-or complex entries of the generators as given), and on the float power,
+or complex entries of the generators as given), on the float power,
 which the span matrix takes on S folded by the swap symmetry
-(``plain_power`` takes it at side n^2).
+(``plain_power`` takes it at side n^2), and on the exact elimination
+(``reference_rref``, Gauss-Jordan one row at a time on Python scalars).
 """
 
 import math
@@ -74,6 +75,30 @@ def echelon_reference(m: Mat):
     _, pivots = _rref(m.data, m.kind, reduced=False)
     r, rows = _rref(m.data[:, pivots].T, m.kind)
     return len(pivots), tuple(pivots), Mat(r[: len(rows)].T, m.kind)
+
+
+def reference_rref(rows, kind):
+    """Gauss-Jordan on lists of Python scalars, one row at a time."""
+    p = kind.modulus
+    a = [[kind.coerce(x) for x in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p) if p else 1 / a[r][c]
+        a[r] = [x * inv % p if p else x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
 
 
 def b_minus_s(gs: GeneratorSet):

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _mul_mod, _rref, _spectral_rank, rank
+from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _mul_mod, _rref, _slack, _spectral_rank, rank
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
-from linalg_helpers import det, frobenius_sq, is_psd
+from linalg_helpers import det, frobenius_sq, is_psd, reference_rref
 
 ALL_KINDS = (ag.RATIONAL, ag.gf(1048583), ag.F64, ag.C64)
 EXACT_KINDS = ALL_KINDS[:2]
@@ -396,32 +396,11 @@ def test_rref_pivots_gfp_and_rational():
 # -- vectorized elimination against a textbook Gauss-Jordan ------------------
 
 # GF(p) moduli on both sides of the int64 limit: 3037000493 is the largest
-# prime with (p - 1)^2 + p < 2^63, 4294967311 runs on Python-int rows.
-GF_PRIMES = (2, 7, 2**31 - 1, 3037000493, 4294967311)
-
-
-def reference_rref(rows, kind):
-    """Gauss-Jordan on lists of Python scalars, one row at a time."""
-    p = kind.modulus
-    a = [[kind.coerce(x) for x in row] for row in rows]
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(a):
-            break
-        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][c], -1, p) if p else 1 / a[r][c]
-        a[r] = [x * inv % p if p else x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
+# prime with (p - 1)^2 + p < 2^63, 4294967311 runs on Python-int rows.  The
+# int64 rows of a panel are reduced after _slack(p) steps: 1073741789 (8)
+# and 2^31 - 1 (2) reduce within a panel, 134217689 (512) and the small
+# primes only at its end, 3037000493 (1) at every step.
+GF_PRIMES = (2, 7, 134217689, 1073741789, 2**31 - 1, 3037000493, 4294967311)
 
 
 def low_rank_rows(rng, kind, rows, cols, rank, zero_rows, zero_cols=()):
@@ -490,9 +469,10 @@ def test_rref_rational_matches_reference(rows, cols, rank, zero_rows, seed):
 
 def test_rref_gfp_int64_edge_entries():
     # every entry p - 1: each product in the update is the largest int64
-    # sees; 3037000493 is also the worst case of the split float64 products
+    # sees, 8 of them unreduced at 1073741789; 3037000493 is also the worst
+    # case of the split float64 products
     rng = np.random.default_rng(17)
-    for p in (3037000493, 4294967311):
+    for p in (1073741789, 3037000493, 4294967311):
         kind = ag.gf(p)
         rows = [[p - 1, p - 1, 1], [p - 1, 1, p - 1], [1, p - 1, p - 1]]
         check_rref(rows, kind, 3)
@@ -501,6 +481,22 @@ def test_rref_gfp_int64_edge_entries():
         check_rref((rng.integers(0, 2, (40, 2 * PANEL + 8)) * (p - 1)).tolist(), kind, 2 * PANEL + 8)
         # entries beyond int64 are reduced through Python ints
         check_rref([[2**64 + 3, -(2**70), 1], [5, 2**63, -4], [-1, 0, 2**62]], kind, 3)
+
+
+def test_slack_keeps_unreduced_updates_in_int64():
+    # _slack(p) updates of at most (p - 1)^2 each, from a residue, stay in
+    # int64 and one more could leave it, for p spread over every bit length
+    # below INT64_MODULUS_LIMIT and at both of its ends
+    rng = random.Random(23)
+    sampled = [min(int(2 ** rng.uniform(1, 31.5)), INT64_MODULUS_LIMIT - 1) for _ in range(2000)]
+    for p in [2, 3, INT64_MODULUS_LIMIT - 1] + sampled:
+        t = _slack(p)
+        assert t >= 1
+        assert t * (p - 1) ** 2 + (p - 1) < 2**63 <= (t + 1) * (p - 1) ** 2 + p
+    assert _slack(3037000493) == 1 and _slack(4294967311) == 1
+    assert _slack(1073741789) == 8 and _slack(134217689) == 512
+    # up to 2^29 a panel's PANEL steps fit, and it is reduced at its end only
+    assert _slack(2**29) >= PANEL > _slack(2**29 + 1)
 
 
 def test_panel_products_are_exact_in_float64():

@@ -11,11 +11,11 @@ from algebragen import wordspan
 from algebragen.matrix import rank
 from algebragen.modp import per_prime_failure_bound, prime_ceiling, sample_prime
 from algebragen.primes import is_prime
-from algebragen.matrix import _cleared
-from algebragen.resolvent import kron_square
+from algebragen.matrix import _cleared, _realign
+from algebragen.resolvent import _echelon_mod_p, kron_square
 
 from conftest import rand_int_generator_set, rand_mat
-from linalg_helpers import b_minus_s, det, square_bound, summed_kron_square
+from linalg_helpers import b_minus_s, det, reference_rref, square_bound, summed_kron_square
 
 
 def b_minus_s_det(gs: ag.GeneratorSet) -> Fraction:
@@ -96,6 +96,33 @@ def test_dimension_mod_p_matches_reference():
             divides_b += b % p == 0
             singular += outcome.singular
     assert divides_b > 20 and singular > 20
+
+
+def test_multi_panel_images_match_python_gauss_jordan():
+    # sides 36-64 take two panels, and so do the folded blocks beside their
+    # identity; 1073741789 reduces a panel every 8 steps, 134217689 at its
+    # end.  The reference inverts X and reduces realign(X^-1) by Gauss-Jordan
+    # on Python ints, with no call into the elimination under test.
+    rng = random.Random(11)
+    for n in (6, 7, 8):
+        side = n * n
+        eye = [[int(i == j) for j in range(side)] for i in range(side)]
+        full = rand_int_generator_set(rng, n, 2, True, lo=-2, hi=2)
+        upper = ag.GeneratorSet(n, tuple(ag.Mat.wrap(np.triu(g.data), ag.RATIONAL) for g in full.gens), ag.RATIONAL)
+        for gs in (full, upper):
+            x, _ = b_minus_s(gs)
+            for p in (1073741789, 134217689):
+                kind = ag.gf(p)
+                left, pivots = reference_rref([row + e for row, e in zip(x.tolist(), eye)], kind)
+                assert pivots == list(range(side))
+                inv = np.array([row[side:] for row in left], dtype=object)
+                want, want_pivots = reference_rref(_realign(inv).tolist(), kind)
+                r, pivots = _echelon_mod_p(x, p)
+                assert pivots == want_pivots and r.tolist() == want
+                assert ag.dimension_mod_p(x, p) == ag.PrimeOutcome(p=p, rank=len(pivots))
+                # a generic pair spans every matrix, a triangular one at most
+                # the n(n + 1)/2 triangular ones, so its images skip columns
+                assert len(pivots) == side if gs is full else len(pivots) <= n * (n + 1) // 2
 
 
 def test_dimension_mod_p_refuses_an_x_that_does_not_commute_with_the_swap():

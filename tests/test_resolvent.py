@@ -17,7 +17,7 @@ from linalg_helpers import (b_minus_s, echelon_reference, frobenius_sq, is_psd, 
 GF_PRIME = 2_147_483_647  # 2^31 - 1
 
 
-def test_sum_kron_golden(tri_gens):
+def test_kron_square_golden(tri_gens):
     # over Q the builder clears the denominators 3 of the pair first
     s, b = kron_square(tri_gens)
     hot = {(0, 0), (0, 4), (1, 5), (3, 7), (4, 8)}
@@ -30,7 +30,7 @@ def test_sum_kron_golden(tri_gens):
     assert np.allclose(s, [[1 / 9 if (i, j) in hot else 0 for j in range(9)] for i in range(9)])
 
 
-def test_sum_kron_edges():
+def test_kron_square_edges():
     for kind in (ag.RATIONAL, ag.F64, ag.C64):
         s, b = kron_square(ag.GeneratorSet(n=3, gens=(), kind=kind))
         assert b == 1 and s.shape == (9, 9) and not s.any()
@@ -38,7 +38,7 @@ def test_sum_kron_edges():
         assert b == 4 and ag.Mat.wrap(s, kind) == ag.Mat.identity(9, kind)
 
 
-def test_sum_kron_conjugate():
+def test_kron_square_conjugate():
     x = ag.Mat.wrap(np.array([[0, 1j], [0, 0]]), ag.C64)
     s, _ = kron_square(ag.GeneratorSet.of(x))
     plain = np.kron(x.data, x.data)
@@ -48,7 +48,7 @@ def test_sum_kron_conjugate():
     assert not np.allclose(s, plain)
 
 
-def test_scale_bound_examples(tri_gens):
+def test_kron_square_scale_examples(tri_gens):
     assert kron_square(tri_gens)[1] == 4  # 1 + 2 + 1 on the pair cleared to x1 = E11, x2 = E12 + E23
     assert kron_square(tri_gens.convert(ag.F64))[1] == 2  # ceil(3 / 9) + 1
     assert kron_square(ag.GeneratorSet(n=3, gens=(), kind=ag.RATIONAL))[1] == 1
@@ -71,7 +71,7 @@ def _builder_cases():
     return cases
 
 
-def test_scale_bound_guarantees_contraction():
+def test_kron_square_scale_guarantees_contraction():
     for gs, ref in _builder_cases():
         s, b = kron_square(gs)
         want = summed_kron_square(ref)
