@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 import time
@@ -276,7 +277,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads every argv with, built once per process."""
     parser = argparse.ArgumentParser(
         prog="algebragen",
         description="Dimension, membership and bases of matrix algebras given generators.",

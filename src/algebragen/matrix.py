@@ -12,25 +12,10 @@ projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.
 Every exact rank, solve, inverse and intersection, the GF(p) images of
 the span matrix and the word-span insertion of ``wordspan`` go through one
 elimination, ``_eliminate`` (``_rref`` for callers), which updates the
-rows below a pivot, and above it for a reduced form, in one numpy
-operation each:
-
-* over GF(p) on int64 rows while p < INT64_MODULUS_LIMIT (3 037 000 499,
-  where (p - 1)^2 + p reaches 2^63), on Python-int rows above it.  The
-  columns go in panels of PANEL = 32: a pivot step touches only its
-  panel's columns and PANEL coefficient columns beside them, and the
-  columns right of the panel are brought up to date once per panel by one
-  product mod p.  On int64 rows that product is two float64 BLAS products
-  on the 16-bit halves of one factor, exact because every sum stays below
-  PANEL (p - 1) 2^16 < 2^53.  A pivot step subtracts f times the pivot row
-  and leaves the result unreduced (delayed reduction, as in FFLAS-FFPACK):
-  an int64 entry takes ``_slack(p)`` such updates, t with
-  t (p - 1)^2 + p <= 2^63, so for p <= 2^29 the panel is reduced once, at
-  its end, and at the Q lift's primes next to INT64_MODULUS_LIMIT, as on
-  Python-int rows, at every step;
-* over Q on primitive integer rows by fraction-free (Bareiss) elimination,
-  from Fraction or Python-int entries, building Fractions only for the
-  reduced rows a caller reads.
+rows below a pivot, and above it for a reduced form, in place on row
+slices: over GF(p) on residues, in panels of PANEL columns with delayed
+reduction, and over Q on the integer rows of ``_cleared`` by
+fraction-free (Bareiss) elimination.  ``_rref`` describes both.
 
 Every exact column space has one form q, a transposed reduced echelon
 basis: q[P, :] is the identity on its pivot rows P, and v lies in it
@@ -214,9 +199,8 @@ def _realign(data: np.ndarray) -> np.ndarray:
 
 # -- exact elimination ----------------------------------------------------
 
-# Largest modulus whose GF(p) elimination runs on int64 rows: one
-# unreduced update takes a residue down by up to (p - 1)^2, so
-# (p - 1)^2 + p must stay below 2^63 (``_slack``).
+# Largest modulus whose GF(p) elimination runs on int64 rows, those with
+# (p - 1)^2 + p < 2^63: one unreduced update fits (see ``_rref``).
 INT64_MODULUS_LIMIT = 3_037_000_499
 
 # Columns per GF(p) panel: the largest power of two K with
@@ -233,20 +217,6 @@ def _cleared(data: np.ndarray) -> tuple[int, np.ndarray]:
     l = math.lcm(*dens)
     ints = [x.numerator * (l // den) for x, den in zip(flat, dens)]
     return l, np.array(ints, dtype=object).reshape(data.shape)
-
-
-def _integer_rows(data: np.ndarray) -> np.ndarray:
-    """Scale each row of rationals or Python ints by its denominator lcm and
-    divide out the content: a primitive integer row (Python ints) spanning
-    the same line."""
-    out = np.empty(data.shape, dtype=object)
-    for i, row in enumerate(data):
-        dens = [int(x.denominator) for x in row]
-        lcm = math.lcm(*dens)
-        ints = [int(x.numerator) * (lcm // d) for x, d in zip(row, dens)]
-        g = math.gcd(*ints)
-        out[i] = [v // g for v in ints] if g > 1 else ints
-    return out
 
 
 def _fractions(ints: np.ndarray, den: int = 1) -> np.ndarray:
@@ -293,19 +263,18 @@ def _mul_mod(f: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
 
 def _slack(p: int) -> int:
     """Pivot updates that an int64 entry of a GF(p) panel takes unreduced:
-    the t with t (p - 1)^2 + p <= 2^63, since each update subtracts a
-    product f * piv of two residues from a residue.  1 on Python-int rows
-    (p >= INT64_MODULUS_LIMIT), which are reduced at every step."""
+    the largest t with t (p - 1)^2 + p <= 2^63 (see ``_rref``), and 1 on
+    Python-int rows (p >= INT64_MODULUS_LIMIT)."""
     return 1 if p >= INT64_MODULUS_LIMIT else (2**63 - p) // (p - 1) ** 2
 
 
 def _eliminate(a: np.ndarray, p: int | None, reduced: bool) -> tuple[list[int], int]:
     """Bring ``a`` to row echelon form in place: residues of ``_residues``
-    over GF(p), primitive integer rows over Q (p None).  Returns the pivot
-    columns and the last pivot d over Q (1 over GF(p)).  See ``_rref``.
+    over GF(p), the integer rows of ``_cleared`` over Q (p None).  Returns
+    the pivot columns and the last pivot d over Q (1 over GF(p)).  See
+    ``_rref``.
     """
     rows, cols = a.shape
-    order = np.arange(rows)
     pivots: list[int] = []
     prev = 1
     # Bareiss rows change as a whole, so Q takes all columns in one panel
@@ -339,6 +308,9 @@ def _eliminate(a: np.ndarray, p: int | None, reduced: bool) -> tuple[list[int], 
                 w[[r, pr]] = w[[pr, r]]
                 if trailing:
                     a[[r, pr], c1:] = a[[pr, r], c1:]
+            # the rows the step changes: below r, and above it for a
+            # reduced form
+            blocks = (w[r + 1 :], w[:r]) if reduced else (w[r + 1 :],)
             if p is not None:
                 # the columns that can be nonzero in row r: the panel's
                 # from c on and the coefficients of the pivots so far
@@ -351,19 +323,18 @@ def _eliminate(a: np.ndarray, p: int | None, reduced: bool) -> tuple[list[int], 
                 piv *= pow(int(piv[0]), -1, p)
                 piv %= p
                 # f * piv zeroes column c of each block and is at most (p - 1)^2
-                blocks = (w[r + 1 :, c:e], w[:r, c:e]) if reduced else (w[r + 1 :, c:e],)
                 pending += 1
-                for blk in blocks:
+                for part in blocks:
+                    blk = part[:, c:e]
                     blk -= blk[:, :1] * piv
                     if pending == slack:
                         blk %= p
                 pending %= slack
             else:
                 # every other row changes, even where f is 0
-                rest = np.concatenate((order[0 if reduced else r : r], order[r + 1 :]))
-                f = w[rest, c]
                 d = w[r, c]
-                w[rest] = (d * w[rest] - f[:, None] * w[r]) // prev
+                for blk in blocks:
+                    blk[...] = (d * blk - blk[:, c : c + 1] * w[r]) // prev
                 prev = d
             pivots.append(c0 + c)
         if pending:
@@ -388,38 +359,40 @@ def _rref(data: np.ndarray, kind: ScalarKind, reduced: bool = True):
     ``data`` may hold Fractions or Python ints over Q.  Without it only the
     pivot columns are meaningful and R is None: rank and range need no more.
 
-    Each pivot step on row r, column c updates the rows m it touches in one
-    numpy operation, with f = A[m, c]: those below r, and with ``reduced``
-    those above it too.
+    Each pivot step on row r, column c updates, in place, the slice of rows
+    below r and with ``reduced`` the slice above it, with f = A[m, c] for
+    each row m of a slice.
 
-    Over GF(p) the rows are the residues of ``_residues`` and the columns
-    are taken in panels of PANEL.  Within a panel the pivot row is
-    normalized and ``A[m] -= f * A[r]`` on the panel's columns only, in
-    place on the slices of rows below r (and above it with ``reduced``).
-    The update is left unreduced: each step reduces only what it reads, the
-    pivot column and the pivot row, and the panel is reduced after
-    ``_slack(p)`` steps and at its end.  Each update subtracts a product of
-    two residues, at most (p - 1)^2, so an int64 entry that was a residue
-    stays above -2^63 for t (p - 1)^2 + p <= 2^63 updates; the slack is 1,
-    a reduction at every step, at p = 3037000493 and on Python-int rows.
-    Beside the panel's columns PANEL coefficient columns track each row as
-    its own trailing part (the columns right of the panel) plus a
-    combination of the trailing parts the panel's pivot rows had on
-    entry; a pivot row takes its own part into its coefficient 1 before
-    it is normalized.  After the panel every trailing part is brought up to
+    Over GF(p) the rows are the residues of ``_residues``: int64 while
+    p < INT64_MODULUS_LIMIT, Python ints above it.  The columns are taken
+    in panels of PANEL.  Within a panel the pivot row is normalized and
+    ``A[m] -= f * A[r]`` on the panel's columns only.  The update is left
+    unreduced (delayed reduction, as in FFLAS-FFPACK): each step reduces
+    only what it reads, the pivot column and the pivot row, and the panel
+    is reduced after ``_slack(p)`` steps and at its end.  Each update
+    subtracts a product of two residues, at most (p - 1)^2, so an int64
+    entry that was a residue stays above -2^63 for t (p - 1)^2 + p <= 2^63
+    updates: for p <= 2^29 a panel is reduced once, at its end, and at the
+    Q lift's primes next to INT64_MODULUS_LIMIT, as on Python-int rows, at
+    every step.  Beside the panel's columns PANEL coefficient columns track
+    each row as its own trailing part (the columns right of the panel) plus
+    a combination of the trailing parts the panel's pivot rows had on
+    entry; a pivot row takes its own part into its coefficient 1 before it
+    is normalized.  After the panel every trailing part is brought up to
     date by one product of the coefficients and the pivot rows' trailing
     parts, mod p (``_mul_mod``: exact float64 BLAS on int64 rows).  A
     panel with no columns right of it, as every one of a matrix of at most
     PANEL columns, is eliminated in place with no coefficients.
 
-    Over Q the rows are primitive integer rows reduced by fraction-free
-    (Bareiss) elimination, ``A[m] = (d * A[m] - f * A[r]) // d_prev`` with
-    d the pivot and d_prev the one before, where the division is exact;
-    with ``reduced`` every pivot row then ends with the last pivot d on its
-    pivot column, and R is A / d.
+    Over Q the rows are those of ``_cleared(data)``, the array times the lcm
+    of all its denominators, reduced by fraction-free (Bareiss)
+    elimination, ``A[m] = (d * A[m] - f * A[r]) // d_prev`` with d the
+    pivot and d_prev the one before: the division is exact on any integer
+    rows (Sylvester's identity).  With ``reduced`` every pivot row then
+    ends with the last pivot d on its pivot column, and R is A / d.
     """
     p = kind.modulus
-    a = _integer_rows(data) if p is None else _residues(data, p)
+    a = _cleared(data)[1] if p is None else _residues(data, p)
     pivots, d = _eliminate(a, p, reduced)
     if not reduced:
         return None, pivots

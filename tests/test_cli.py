@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -212,6 +213,27 @@ def test_nonunital_dim_and_basis(capsys):
     report = json.loads(out)
     assert code == cli.EXIT_OK
     assert (report["dimension"], report["source"], len(report["basis"])) == (4, "resolvent_nonunital", 4)
+
+
+def test_calls_in_one_process_build_the_parser_once(capsys, monkeypatch):
+    # argv is parsed per call, into a fresh namespace; the argparse tree of
+    # the subcommands is built by the first call of the process at most
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run(capsys, "dim", TRIANGULAR, "--nonunital")
+    assert code == cli.EXIT_OK and json.loads(out)["unital"] is False
+    assert built.count("algebragen") <= 1
+    built.clear()
+    code, out, _ = run(capsys, "dim", TRIANGULAR)
+    assert code == cli.EXIT_OK and json.loads(out)["unital"] is True
+    assert run(capsys, "dim")[0] == cli.EXIT_PARSE
+    assert built == []
 
 
 def test_nonunital_member_needs_the_identity(capsys):

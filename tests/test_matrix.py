@@ -467,6 +467,24 @@ def test_rref_rational_matches_reference(rows, cols, rank, zero_rows, seed):
     check_rref(low_rank_rows(rng, ag.RATIONAL, rows, cols, min(rank, rows, cols), zero_rows), ag.RATIONAL, cols)
 
 
+def test_rref_rational_far_apart_denominators():
+    # one lcm clears the whole array, so a row of 2^70-sized integers is
+    # scaled by the 10^40 of another row's denominators; the first row
+    # needs a swap and the last is dependent
+    tiny = Fraction(1, 10**40)
+    rows = [
+        [0, Fraction(3, 7), 2**70, -1],
+        [tiny, Fraction(-5, 3), 1, Fraction(1, 10**40 + 1)],
+        [2**70, 0, Fraction(1, 3), -(2**65)],
+    ]
+    rows.append([10**40 * x - 3 * y + Fraction(2, 11) * z for x, y, z in zip(*rows[::-1])])
+    check_rref(rows, ag.RATIONAL, 4)
+    check_rref(rows[::-1], ag.RATIONAL, 4)
+    check_rref([[x * tiny for x in rows[2]], rows[0], [Fraction(0)] * 4, rows[1]], ag.RATIONAL, 4)
+    # the rows as columns: rank 3 of 4 columns
+    check_rref([list(col) for col in zip(*rows)], ag.RATIONAL, 4)
+
+
 def test_rref_gfp_int64_edge_entries():
     # every entry p - 1: each product in the update is the largest int64
     # sees, 8 of them unreduced at 1073741789; 3037000493 is also the worst
