@@ -294,25 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="dimension of the generated algebra")
     p.add_argument("instance")
     common(p, unital=True)
-    p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("member", help="is a candidate matrix in the algebra?")
     p.add_argument("generators")
     p.add_argument("candidate")
     common(p, unital=True)
     p.add_argument("--certificate", action="store_true", help="also produce a word combination")
-    p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("basis", help="basis matrices of the generated algebra")
     p.add_argument("instance")
     common(p, unital=True)
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("intersect", help="basis of the intersection of two algebras")
     p.add_argument("instance_a")
     p.add_argument("instance_b")
     common(p)
-    p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("modp-dim", help="certified dimension via random primes (integer data)")
     p.add_argument("instance")
@@ -321,14 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--prime", type=int, default=None,
                    help="also try this prime: its rank joins the maximum, not the failure bound")
-    p.set_defaults(func=cmd_modp_dim)
 
     p = sub.add_parser("bench", help="compare the span-matrix dimension against the word-span baseline")
     p.add_argument("instance", nargs="?", default=None)
     p.add_argument("--random", nargs=3, type=int, metavar=("N", "D", "COUNT"), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--csv", default=None, help="write rows to this CSV file")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -340,8 +334,10 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse exits on bad usage and on --help
         return e.code
     args._argv = list(sys.argv[1:] if argv is None else argv)
+    # looked up per call, so that the parser built once holds no command
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except tuple(cls for cls, _ in _ERROR_EXITS) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS if isinstance(e, cls))

@@ -230,8 +230,13 @@ def test_calls_in_one_process_build_the_parser_once(capsys, monkeypatch):
     assert code == cli.EXIT_OK and json.loads(out)["unital"] is False
     assert built.count("algebragen") <= 1
     built.clear()
+    # a command is looked up when it runs: the parser holds no reference
+    ran = []
+    cmd_dim = cli.cmd_dim
+    monkeypatch.setattr(cli, "cmd_dim", lambda args: ran.append(args.instance) or cmd_dim(args))
     code, out, _ = run(capsys, "dim", TRIANGULAR)
     assert code == cli.EXIT_OK and json.loads(out)["unital"] is True
+    assert ran == [TRIANGULAR]
     assert run(capsys, "dim")[0] == cli.EXIT_PARSE
     assert built == []
 
