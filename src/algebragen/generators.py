@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .matrix import Mat
 from .scalars import ScalarKind
@@ -32,18 +32,6 @@ class GeneratorSet:
             if g.kind != self.kind:
                 raise ValueError(f"generator kind {g.kind} != declared kind {self.kind}")
 
-    @classmethod
-    def of(cls, *gens: Mat, unital: bool = True) -> "GeneratorSet":
-        if not gens:
-            raise ValueError("use the explicit constructor for zero generators")
-        return cls(gens[0].rows, tuple(gens), gens[0].kind, unital)
-
     @property
     def d(self) -> int:
         return len(self.gens)
-
-    def with_unital(self, unital: bool) -> "GeneratorSet":
-        return replace(self, unital=unital)
-
-    def convert(self, kind: ScalarKind) -> "GeneratorSet":
-        return GeneratorSet(self.n, tuple(g.convert(kind) for g in self.gens), kind, self.unital)

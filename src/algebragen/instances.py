@@ -170,7 +170,8 @@ def load_instance(path: str, field: str | None = None, unital: bool | None = Non
             doc = json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # bad JSON, bytes that are not UTF-8, or arrays nested too deep
         raise ParseError(f"{path} is not valid JSON: {e}") from None
     return instance_from_dict(doc, field=field, unital=unital, path=path)
 

@@ -63,7 +63,12 @@ class SingularMatrixError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class Mat:
-    """Immutable dense matrix; ``data`` is 2-D with dtype fixed by ``kind``."""
+    """Immutable dense matrix; ``data`` is 2-D with dtype fixed by ``kind``.
+
+    The data carrier of every public call: it pairs an array with its
+    field and compares by value.  Arithmetic is numpy on ``.data``, and
+    ``wrap`` adopts the result (reducing it mod p over GF(p)).
+    """
 
     data: np.ndarray
     kind: ScalarKind
@@ -116,45 +121,14 @@ class Mat:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def T(self) -> "Mat":
-        return Mat(self.data.T, self.kind)
-
     def col(self, j: int) -> "Mat":
         return Mat(self.data[:, j : j + 1], self.kind)
 
-    def convert(self, kind: ScalarKind) -> "Mat":
-        """Re-coerce every entry into another scalar kind."""
-        if kind == self.kind:
-            return self
-        if self.kind.tag == "c64" and kind.tag != "c64":
-            raise TypeError("cannot convert complex matrices to a real kind")
-        return Mat.from_rows(self.data.tolist(), kind)
-
-    # -- arithmetic ----------------------------------------------------
+    # -- comparison ----------------------------------------------------
 
     def _check_kind(self, other: "Mat"):
         if self.kind != other.kind:
             raise ValueError(f"scalar kind mismatch: {self.kind} vs {other.kind}")
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check_kind(other)
-        return Mat.wrap(self.data + other.data, self.kind)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check_kind(other)
-        return Mat.wrap(self.data - other.data, self.kind)
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        self._check_kind(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.data.shape} @ {other.data.shape}")
-        return Mat.wrap(self.data.dot(other.data), self.kind)
-
-    def __mul__(self, s) -> "Mat":
-        return Mat.wrap(self.data * self.kind.coerce(s), self.kind)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):

@@ -394,10 +394,10 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
         def realigned_resolvent() -> Mat:
             # Y = B X^-1 = (I - S/B)^-1 solves X Y = B I on X's Python ints,
             # and Y - I = S/B (I - S/B)^-1
-            core = Mat(_solve(x, bi, RATIONAL), RATIONAL)
+            core = _solve(x, bi, RATIONAL)
             if not gs.unital:
-                core = core - Mat.identity(core.rows, RATIONAL)
-            return realign(core)
+                core = core - np.identity(len(core), dtype=object)
+            return realign(Mat(core, RATIONAL))
 
         return SpanMatrixReport(rank=len(pivots), tol=None, ill_conditioned=False, singular_values=None,
                                 pivots=tuple(pivots), variant="resolvent" if gs.unital else "resolvent_nonunital",

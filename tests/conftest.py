@@ -33,7 +33,7 @@ GOLDEN_SPAN_ROWS = [
 def tri_gens() -> ag.GeneratorSet:
     x1 = ag.Mat.from_rows(TRI_X1_ROWS, ag.RATIONAL)
     x2 = ag.Mat.from_rows(TRI_X2_ROWS, ag.RATIONAL)
-    return ag.GeneratorSet.of(x1, x2)
+    return ag.GeneratorSet(n=3, gens=(x1, x2), kind=ag.RATIONAL)
 
 
 @pytest.fixture
@@ -81,10 +81,10 @@ def rand_int_generator_set(rng: random.Random, n: int, d: int, unital: bool, lo=
 
 
 def word_value(gs: ag.GeneratorSet, word: tuple) -> ag.Mat:
-    m = ag.Mat.identity(gs.n, gs.kind)
+    m = ag.Mat.identity(gs.n, gs.kind).data
     for i in word:
-        m = m @ gs.gens[i]
-    return m
+        m = m @ gs.gens[i].data
+    return ag.Mat.wrap(m, gs.kind)
 
 
 def gaussian(rng: np.random.Generator, n: int, kind: ag.ScalarKind = ag.F64) -> ag.Mat:

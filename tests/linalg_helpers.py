@@ -12,6 +12,12 @@ or complex entries of the generators as given), on the float power,
 which the span matrix takes on S folded by the swap symmetry
 (``plain_power`` takes it at side n^2), and on the exact elimination
 (``reference_rref``, Gauss-Jordan one row at a time on Python scalars).
+
+``generator_set`` and ``convert`` build test inputs.  They were
+``GeneratorSet.of`` and ``Mat.convert`` / ``GeneratorSet.convert``, which
+only tests called: the library reads generator sets from instance files
+and keeps ``Mat`` a data carrier, doing its arithmetic with numpy on
+``.data``, as the tests do.
 """
 
 import math
@@ -24,6 +30,19 @@ from algebragen.matrix import Mat, _rref, inverse, realign
 from algebragen.resolvent import default_power_exponent, kron_square
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def generator_set(*gens: Mat, unital: bool = True) -> GeneratorSet:
+    """The set of one or more generators, of their side and kind."""
+    return GeneratorSet(gens[0].rows, gens, gens[0].kind, unital)
+
+
+def convert(x, kind):
+    """A Mat, or every generator of a GeneratorSet, with its entries
+    re-coerced into ``kind``."""
+    if isinstance(x, GeneratorSet):
+        return GeneratorSet(x.n, tuple(convert(g, kind) for g in x.gens), kind, x.unital)
+    return Mat.from_rows(x.data.tolist(), kind)
 
 
 def frobenius_sq(a: Mat):
@@ -52,9 +71,9 @@ def square_bound(gens) -> int:
 def realigned_resolvent(gs: GeneratorSet, b) -> Mat:
     """Realigned Fraction resolvent (I - S/B)^-1 of ``gs`` as given, or
     S/B (I - S/B)^-1 for a non-unital set."""
-    s = summed_kron_square(gs) * Fraction(1, b)
-    core = inverse(Mat.identity(gs.n * gs.n, gs.kind) - s)
-    return realign(core if gs.unital else s @ core)
+    s = summed_kron_square(gs).data * Fraction(1, b)
+    core = inverse(Mat.wrap(Mat.identity(len(s), gs.kind).data - s, gs.kind)).data
+    return realign(Mat.wrap(core if gs.unital else s @ core, gs.kind))
 
 
 def plain_power(gs: GeneratorSet) -> np.ndarray:

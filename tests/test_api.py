@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import algebragen as ag
@@ -13,7 +14,28 @@ PUBLIC = {
     "unvec", "vec", "word_span",
 }
 
+# What the bodies of the two data carriers define, operators included:
+# arithmetic is numpy on ``.data``.  ``__hash__`` is None beside a hand-written
+# ``__eq__``, and ``unital`` is the default of that field.
+MAT = {"__eq__", "__hash__", "__repr__", "_check_kind", "col", "cols", "from_rows", "identity", "rows", "wrap", "zeros"}
+GENERATOR_SET = {"__eq__", "__hash__", "__post_init__", "__repr__", "d", "unital"}
+
+
+@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+class _Bare:
+    """Holds only what every frozen dataclass defines."""
+
+    x: int
+
 
 def test_public_names_are_pinned():
     names = {name for name in ag.__all__ if not isinstance(getattr(ag, name), types.ModuleType)}
     assert names == PUBLIC
+
+
+def test_data_carrier_attributes_are_pinned():
+    def defined(cls):
+        return set(vars(cls)) - set(vars(_Bare))
+
+    assert defined(ag.Mat) == MAT
+    assert defined(ag.GeneratorSet) == GENERATOR_SET

@@ -190,6 +190,19 @@ def test_malformed_grid_without_field_is_a_usage_error(capsys, tmp_path, generat
     assert err.startswith("error: ") and "not an 2x2 grid" in err
 
 
+@pytest.mark.parametrize("content", [b'\xff\xfe{"n":1}', b"[" * 100_000], ids=["not-utf8", "nested-too-deep"])
+@pytest.mark.parametrize("command", [["dim", "{a}"], ["member", "{a}", TRIANGULAR], ["member", TRIANGULAR, "{a}"],
+                                     ["modp-dim", "{a}", "--seed", "1"]],
+                         ids=["dim", "member-generators", "member-candidate", "modp-dim"])
+def test_unreadable_json_is_a_usage_error(capsys, tmp_path, content, command):
+    # not the numeric-failure code, nor 1, which member reports for a non-member
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *[arg.format(a=path) for arg in command])
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and "is not valid JSON" in err
+
+
 @pytest.mark.parametrize("target", ["missing/bench.csv", "."], ids=["missing-directory", "directory"])
 def test_bench_csv_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, target):
     code, out, err = run(capsys, "bench", TRIANGULAR, "--seed", "1", "--csv", str(tmp_path / target))

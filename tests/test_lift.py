@@ -7,6 +7,7 @@ an exact check.  The reference is the exact rank of the realigned Fraction
 resolvent of the generators as given, by Bareiss elimination.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from algebragen.matrix import INT64_MODULUS_LIMIT, _cleared, rank
 from algebragen.primes import is_prime
 from algebragen.resolvent import _lift, _lift_primes, _reconstruct, _spans_algebra, kron_square
 
-from linalg_helpers import echelon_reference, realigned_resolvent, square_bound
+from linalg_helpers import echelon_reference, generator_set, realigned_resolvent, square_bound
 
 
 def _unimodular(rng, n):
@@ -58,10 +59,10 @@ def _candidates(rng, gs, count):
     words = wordspan.word_span(gs).mats
     zs = []
     for _ in range(count):
-        z = ag.Mat.zeros(gs.n, gs.n, ag.RATIONAL)
+        z = ag.Mat.zeros(gs.n, gs.n, ag.RATIONAL).data
         for w in words:
-            z = z + w * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        zs.append(z)
+            z = z + w.data * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        zs.append(ag.Mat.wrap(z, ag.RATIONAL))
     zs += [ag.Mat.wrap(np.array([[Fraction(rng.randint(-3, 3)) for _ in range(gs.n)] for _ in range(gs.n)],
                                 dtype=object), ag.RATIONAL) for _ in range(count)]
     return zs
@@ -126,13 +127,14 @@ def test_a_wide_denominator_needs_two_primes(unital):
     # combined by CRT up to 2.1e9
     big = 10**6
     g = ag.Mat.from_rows([[1, -big], [0, 0]], ag.RATIONAL)
-    gs = ag.GeneratorSet.of(g, unital=unital)
+    gs = generator_set(g, unital=unital)
     rep = ag.span_matrix(gs)
     assert rep.primes == resolvent.LIFT_PRIMES[:2]
     want = [[1, 0, 0, 1], [0, 0, 1, Fraction(1, big)]] if unital else [[1, 0, -big, 0]]
+    want_cols = ag.Mat.wrap(ag.Mat.from_rows(want, ag.RATIONAL).data.T, ag.RATIONAL)
     assert rep.rank == len(want)
-    assert rep.colspace == ag.Mat.from_rows(want, ag.RATIONAL).T
-    assert ag.basis(gs).mats[-1] == ag.unvec(ag.Mat.from_rows(want, ag.RATIONAL).T.col(len(want) - 1), 2, 2)
+    assert rep.colspace == want_cols
+    assert ag.basis(gs).mats[-1] == ag.unvec(want_cols.col(len(want) - 1), 2, 2)
 
 
 def test_bad_primes_are_passed_over():
@@ -140,7 +142,7 @@ def test_bad_primes_are_passed_over():
     # them: their images have rank 1, their lifts miss the generator and
     # are rejected, and the next prime below them gives 2
     g = ag.Mat.from_rows([[1, 0], [0, 1 + math.prod(resolvent.LIFT_PRIMES)]], ag.RATIONAL)
-    gs = ag.GeneratorSet.of(g)
+    gs = generator_set(g)
     rep = ag.span_matrix(gs)
     assert rep.rank == 2 and rep.pivots == (0, 3) and rep.primes == (3_037_000_399,)
     assert ag.membership(gs, g, report=rep).member
@@ -150,7 +152,7 @@ def test_bad_primes_are_passed_over():
 def test_a_bad_prime_list_falls_back():
     # diag(1, 6) is I mod 5: the lift over 5 alone misses the generator
     # and ends with the primes, and 7 after it gives 2
-    gs = ag.GeneratorSet.of(ag.Mat.from_rows([[1, 0], [0, 6]], ag.RATIONAL))
+    gs = generator_set(ag.Mat.from_rows([[1, 0], [0, 6]], ag.RATIONAL))
     assert _lifted(gs, (5,))[0] is None
     (rows, d, pivots, used), _ = _lifted(gs, (5, 7))
     assert used == (7,) and pivots == [0, 3]
@@ -179,7 +181,7 @@ def _lifted(gs, primes=None):
 
 @pytest.mark.parametrize("unital", [True, False], ids=["unital", "nonunital"])
 def test_the_check_rejects_a_truncated_or_perturbed_basis(tri_gens, unital):
-    gs = tri_gens.with_unital(unital)
+    gs = dataclasses.replace(tri_gens, unital=unital)
     (rows, d, pivots, _), gens = _lifted(gs)
     assert _spans_algebra(rows, d, pivots, gens, unital)
     # one row short: a span one smaller cannot hold the algebra

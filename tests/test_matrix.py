@@ -11,7 +11,7 @@ from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _mul_mod, _rref, _slac
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
-from linalg_helpers import det, frobenius_sq, is_psd, reference_rref
+from linalg_helpers import convert, det, frobenius_sq, is_psd, reference_rref
 
 ALL_KINDS = (ag.RATIONAL, ag.gf(1048583), ag.F64, ag.C64)
 EXACT_KINDS = ALL_KINDS[:2]
@@ -92,7 +92,7 @@ def kron(b: ag.Mat, a: ag.Mat) -> ag.Mat:
 def test_kron_identity():
     i2 = ag.Mat.identity(2, ag.RATIONAL)
     assert kron(i2, i2) == ag.Mat.identity(4, ag.RATIONAL)
-    assert ag.realign(kron(i2, i2)) == ag.vec(i2) @ ag.vec(i2).T
+    assert ag.realign(kron(i2, i2)) == ag.Mat.wrap(ag.vec(i2).data @ ag.vec(i2).data.T, ag.RATIONAL)
 
 
 def test_kron_block_layout():
@@ -111,8 +111,8 @@ def test_mixed_product_rule_all_kinds():
         for _ in range(15):
             n = rng.randint(2, 4)
             a, b, c, d = (rand_mat(rng, n, kind, max_den=2) for _ in range(4))
-            lhs = kron(b, a) @ kron(d, c)
-            rhs = kron(b @ d, a @ c)
+            lhs = ag.Mat.wrap(kron(b, a).data @ kron(d, c).data, kind)
+            rhs = kron(ag.Mat.wrap(b.data @ d.data, kind), ag.Mat.wrap(a.data @ c.data, kind))
             assert close(lhs, rhs, tol=1e-9)
 
 
@@ -124,7 +124,7 @@ def test_realigned_kron_is_outer_product_all_kinds():
             n = rng.randint(2, 5)
             a, b = rand_mat(rng, n, kind, max_den=3), rand_mat(rng, n, kind, max_den=3)
             lhs = ag.realign(kron(b, a))
-            rhs = ag.vec(a) @ ag.vec(b).T
+            rhs = ag.Mat.wrap(ag.vec(a).data @ ag.vec(b).data.T, kind)
             assert close(lhs, rhs)
 
 
@@ -143,8 +143,8 @@ def test_frobenius_multiplicative_over_kron(seed):
 def test_inverse_identity_and_gfp():
     i3 = ag.Mat.identity(3, ag.RATIONAL)
     assert ag.inverse(i3) == i3
-    two = ag.Mat.identity(3, ag.gf(5)) * 2
-    assert ag.inverse(two) == ag.Mat.identity(3, ag.gf(5)) * 3
+    two = ag.Mat.wrap(ag.Mat.identity(3, ag.gf(5)).data * 2, ag.gf(5))
+    assert ag.inverse(two) == ag.Mat.wrap(ag.Mat.identity(3, ag.gf(5)).data * 3, ag.gf(5))
 
 
 def test_inverse_random_exact_roundtrip():
@@ -158,7 +158,7 @@ def test_inverse_random_exact_roundtrip():
             except ag.SingularMatrixError:
                 assert rank(m) < n
                 continue
-            assert m @ inv == ag.Mat.identity(n, kind)
+            assert ag.Mat.wrap(m.data @ inv.data, kind) == ag.Mat.identity(n, kind)
 
 
 @pytest.mark.parametrize("p", (3037000493, 4294967311))
@@ -167,7 +167,7 @@ def test_inverse_gfp_across_panels(p):
     kind = ag.gf(p)
     rng = np.random.default_rng(72)
     a = ag.Mat.wrap(rng.integers(0, 2**62, (72, 72)).astype(object), kind)
-    assert a @ ag.inverse(a) == ag.Mat.identity(72, kind)
+    assert ag.Mat.wrap(a.data @ ag.inverse(a).data, kind) == ag.Mat.identity(72, kind)
 
 
 def test_inverse_errors():
@@ -205,7 +205,7 @@ def test_rank_basics():
     rng = random.Random(9)
     for kind in ALL_KINDS:
         a, b = rand_mat(rng, 3, kind, max_den=2), rand_mat(rng, 3, kind, max_den=2)
-        outer = ag.vec(a) @ ag.vec(b).T
+        outer = ag.Mat.wrap(ag.vec(a).data @ ag.vec(b).data.T, kind)
         assert rank(outer) == 1
 
 
@@ -259,7 +259,7 @@ def test_in_range_consistent_systems():
             else:
                 spans = (ag.Mat(np.linalg.svd(a.data)[0][:, : rank(a)], kind),)
             for q in spans:
-                ok, residual = ag.in_range(q, a @ x)
+                ok, residual = ag.in_range(q, ag.Mat.wrap(a.data @ x.data, kind))
                 assert ok
                 if kind.exact:
                     assert residual == 0
@@ -327,7 +327,7 @@ def test_subspace_intersect_random_spanning_columns(kind):
         u = ag.Mat.from_rows(low_rank_rows(rng, kind, 5, 4, rng.randint(1, 4), 0), kind)
         x = ag.Mat.from_rows(low_rank_rows(rng, kind, 4, 2, 2, 0), kind)
         extra = ag.Mat.from_rows(low_rank_rows(rng, kind, 5, 2, 1, 0), kind)
-        v = ag.Mat.wrap(np.concatenate([(u @ x).data, extra.data], axis=1), kind)
+        v = ag.Mat.wrap(np.concatenate([u.data @ x.data, extra.data], axis=1), kind)
         w = ag.subspace_intersect(u, v)
         assert_exact_form(w)
         both = ag.Mat.wrap(np.concatenate([u.data, v.data], axis=1), kind)
@@ -373,9 +373,9 @@ def test_is_psd_gram_matrices():
     rng = random.Random(6)
     for _ in range(10):
         m = rand_mat(rng, 3, ag.RATIONAL, max_den=3)
-        assert is_psd(m.T @ m)
-        f = m.convert(ag.F64)
-        assert is_psd(f.T @ f)
+        assert is_psd(ag.Mat.wrap(m.data.T @ m.data, ag.RATIONAL))
+        f = convert(m, ag.F64)
+        assert is_psd(ag.Mat.wrap(f.data.T @ f.data, ag.F64))
 
 
 def test_is_psd_gfp_rejected():
@@ -540,7 +540,7 @@ def test_exact_outputs_are_python_scalars():
 
 def test_rank_agrees_on_q_gf5_and_f64():
     m = ag.Mat.from_rows([[0, 1, 2], [0, 2, 4], [1, 0, 0]], ag.RATIONAL)
-    assert [rank(m.convert(kind)) for kind in (ag.RATIONAL, ag.gf(5), ag.F64)] == [2, 2, 2]
+    assert [rank(convert(m, kind)) for kind in (ag.RATIONAL, ag.gf(5), ag.F64)] == [2, 2, 2]
 
 
 @pytest.mark.parametrize("kind", [ag.RATIONAL, ag.gf(1048583), ag.gf(4294967311)], ids=str)
@@ -559,15 +559,15 @@ def test_in_range_nonmember_residual_is_a_functional_vanishing_on_the_span(kind)
             continue
         r, pivots = _rref(a.data.T, kind)
         q = ag.Mat(r[: len(pivots)].T.copy(), kind)
-        diff = (v - q @ ag.Mat(v.data[pivots], kind)).data[:, 0].tolist()
+        diff = ag.Mat.wrap(v.data - q.data @ v.data[pivots], kind).data[:, 0].tolist()
         c = next(i for i, x in enumerate(diff) if x != 0)
         assert residual == diff[c] != 0
         f = ag.Mat.zeros(1, n, kind).data
         f[0, pivots] = [-x for x in q.data[c]]
         f[0, c] = kind.one()
         f = ag.Mat.wrap(f, kind)
-        assert f @ a == ag.Mat.zeros(1, n, kind)
-        assert (f @ v).data[0, 0] == residual
+        assert ag.Mat.wrap(f.data @ a.data, kind) == ag.Mat.zeros(1, n, kind)
+        assert ag.Mat.wrap(f.data @ v.data, kind).data[0, 0] == residual
         # a in the exact form q gives the same witness with no elimination
         assert ag.in_range(q, v) == (False, residual)
         checked += 1

@@ -15,12 +15,12 @@ from algebragen.matrix import _cleared, _realign
 from algebragen.resolvent import _echelon_mod_p, kron_square
 
 from conftest import rand_int_generator_set, rand_mat
-from linalg_helpers import b_minus_s, det, reference_rref, square_bound, summed_kron_square
+from linalg_helpers import b_minus_s, convert, det, generator_set, reference_rref, square_bound, summed_kron_square
 
 
 def b_minus_s_det(gs: ag.GeneratorSet) -> Fraction:
     b = square_bound(gs.gens)
-    return det(ag.Mat.identity(gs.n * gs.n, gs.kind) * b - summed_kron_square(gs))
+    return det(ag.Mat.wrap(ag.Mat.identity(gs.n * gs.n, gs.kind).data * b - summed_kron_square(gs).data, gs.kind))
 
 
 def test_forced_prime_dividing_det_is_a_singular_skip():
@@ -74,9 +74,9 @@ def reference_mod_p(gs: ag.GeneratorSet, p: int):
     public pieces; None when B I - S is singular mod p."""
     b = sum(x * x for g in gs.gens for x in g.data.ravel()) + 1
     kind = ag.gf(p)
-    s = summed_kron_square(gs.convert(kind))
+    s = summed_kron_square(convert(gs, kind))
     try:
-        core = ag.inverse(ag.Mat.identity(gs.n * gs.n, kind) * b - s)
+        core = ag.inverse(ag.Mat.wrap(ag.Mat.identity(gs.n * gs.n, kind).data * kind.coerce(b) - s.data, kind))
     except ag.SingularMatrixError:
         return None
     return rank(ag.realign(core))
@@ -186,10 +186,11 @@ def test_integer_b_minus_s_is_the_cleared_resolvent_matrix():
     rng = random.Random(11)
     gens = [ag.Mat.from_rows([[Fraction(rng.randint(-3, 3), rng.choice((1, den))) for _ in range(3)]
                               for _ in range(3)], ag.RATIONAL) for den in (3, 5, 7)]
-    x, b = b_minus_s(ag.GeneratorSet.of(*gens))
-    cleared = ag.GeneratorSet.of(*(ag.Mat.from_rows(_cleared(g.data)[1].tolist(), ag.RATIONAL) for g in gens))
+    x, b = b_minus_s(generator_set(*gens))
+    cleared = generator_set(*(ag.Mat.from_rows(_cleared(g.data)[1].tolist(), ag.RATIONAL) for g in gens))
     assert b == square_bound(cleared.gens)
-    assert ag.Mat.wrap(x, ag.RATIONAL) == ag.Mat.identity(9, ag.RATIONAL) * b - summed_kron_square(cleared)
+    want = ag.Mat.identity(9, ag.RATIONAL).data * b - summed_kron_square(cleared).data
+    assert ag.Mat.wrap(x, ag.RATIONAL) == ag.Mat.wrap(want, ag.RATIONAL)
     assert all(type(v) is int for v in x.ravel())
     empty, b0 = kron_square(ag.GeneratorSet(2, (), ag.RATIONAL))
     assert b0 == 1 and empty.tolist() == np.zeros((4, 4), dtype=int).tolist()
@@ -203,10 +204,10 @@ def test_certified_dimension_with_wide_entries():
         base = 1 << 40
         gens = [ag.Mat.from_rows([[Fraction(base + rng.randint(0, 9), den) if j >= i else 0 for j in range(3)]
                                   for i in range(3)], ag.RATIONAL) for den in (3, 5, 7)[: k + 1]]
-        x, _ = b_minus_s(ag.GeneratorSet.of(*gens))
+        x, _ = b_minus_s(generator_set(*gens))
         assert max(abs(v) for v in x.ravel()) > 1 << 80
         dim, plan = ag.certified_dimension(gens, trials=2, seed=k)
-        assert dim == ag.dimension(ag.GeneratorSet.of(*gens)) == wordspan.dimension(ag.GeneratorSet.of(*gens))
+        assert dim == ag.dimension(generator_set(*gens)) == wordspan.dimension(generator_set(*gens))
 
 
 def test_certified_dimension_refuses_float_generators():

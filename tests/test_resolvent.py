@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,8 +12,8 @@ from algebragen.matrix import _cleared, _realign, _rref, in_range, rank, vec
 from algebragen.resolvent import _echelon_mod_p, _fold, _swap_pairs, default_power_exponent, kron_square
 
 from conftest import gaussian, hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal
-from linalg_helpers import (b_minus_s, echelon_reference, frobenius_sq, is_psd, plain_power, realigned_resolvent,
-                            square_bound, summed_kron_square)
+from linalg_helpers import (b_minus_s, convert, echelon_reference, frobenius_sq, generator_set, is_psd, plain_power,
+                            realigned_resolvent, square_bound, summed_kron_square)
 
 GF_PRIME = 2_147_483_647  # 2^31 - 1
 
@@ -25,7 +26,7 @@ def test_kron_square_golden(tri_gens):
         for j in range(9):
             assert s[i, j] == (1 if (i, j) in hot else 0) and type(s[i, j]) is int
     assert b == 4
-    s, b = kron_square(tri_gens.convert(ag.F64))
+    s, b = kron_square(convert(tri_gens, ag.F64))
     assert s.dtype == np.float64 and b == 2
     assert np.allclose(s, [[1 / 9 if (i, j) in hot else 0 for j in range(9)] for i in range(9)])
 
@@ -34,25 +35,25 @@ def test_kron_square_edges():
     for kind in (ag.RATIONAL, ag.F64, ag.C64):
         s, b = kron_square(ag.GeneratorSet(n=3, gens=(), kind=kind))
         assert b == 1 and s.shape == (9, 9) and not s.any()
-        s, b = kron_square(ag.GeneratorSet.of(ag.Mat.identity(3, kind)))
+        s, b = kron_square(generator_set(ag.Mat.identity(3, kind)))
         assert b == 4 and ag.Mat.wrap(s, kind) == ag.Mat.identity(9, kind)
 
 
 def test_kron_square_conjugate():
     x = ag.Mat.wrap(np.array([[0, 1j], [0, 0]]), ag.C64)
-    s, _ = kron_square(ag.GeneratorSet.of(x))
+    s, _ = kron_square(generator_set(x))
     plain = np.kron(x.data, x.data)
     # realigning turns the sums into vec outer products
-    assert np.allclose(ag.realign(ag.Mat(s, ag.C64)).data, (ag.vec(x) @ ag.vec(ag.Mat(x.data.conj(), ag.C64)).T).data)
-    assert np.allclose(ag.realign(ag.Mat(plain, ag.C64)).data, (ag.vec(x) @ ag.vec(x).T).data)
+    assert np.allclose(ag.realign(ag.Mat(s, ag.C64)).data, ag.vec(x).data @ ag.vec(ag.Mat(x.data.conj(), ag.C64)).data.T)
+    assert np.allclose(ag.realign(ag.Mat(plain, ag.C64)).data, ag.vec(x).data @ ag.vec(x).data.T)
     assert not np.allclose(s, plain)
 
 
 def test_kron_square_scale_examples(tri_gens):
     assert kron_square(tri_gens)[1] == 4  # 1 + 2 + 1 on the pair cleared to x1 = E11, x2 = E12 + E23
-    assert kron_square(tri_gens.convert(ag.F64))[1] == 2  # ceil(3 / 9) + 1
+    assert kron_square(convert(tri_gens, ag.F64))[1] == 2  # ceil(3 / 9) + 1
     assert kron_square(ag.GeneratorSet(n=3, gens=(), kind=ag.RATIONAL))[1] == 1
-    assert kron_square(ag.GeneratorSet.of(ag.Mat.identity(3, ag.RATIONAL) * 3))[1] == 28
+    assert kron_square(generator_set(ag.Mat.wrap(ag.Mat.identity(3, ag.RATIONAL).data * 3, ag.RATIONAL)))[1] == 28
 
 
 def _builder_cases():
@@ -63,7 +64,7 @@ def _builder_cases():
     cases = []
     for _ in range(10):
         gs = _mixed_set(rng, rng.randint(2, 4), 3, True)
-        cleared = ag.GeneratorSet.of(*(ag.Mat.from_rows(_cleared(g.data)[1].tolist(), ag.RATIONAL) for g in gs.gens))
+        cleared = generator_set(*(ag.Mat.from_rows(_cleared(g.data)[1].tolist(), ag.RATIONAL) for g in gs.gens))
         cases.append((gs, cleared))
         for kind in (ag.F64, ag.C64):
             fgs = ag.GeneratorSet(gs.n, tuple(rand_mat(rng, gs.n, kind) for _ in range(rng.randint(1, 3))), kind)
@@ -125,11 +126,11 @@ def test_golden_span_matrix(tri_gens, golden_span):
     assert is_psd(rep.matrix)
     # the cleared pair's realigned resolvent itself, with the column space
     # of the golden resolvent of the pair as given
-    cleared = ag.GeneratorSet.of(*(g * 3 for g in tri_gens.gens))
+    cleared = generator_set(*(ag.Mat.wrap(g.data * 3, ag.RATIONAL) for g in tri_gens.gens))
     assert rep.matrix == realigned_resolvent(cleared, 4)
     _assert_same_colspace(rep.colspace, golden_span)
-    nonunital = ag.span_matrix(tri_gens.with_unital(False))
-    assert nonunital.matrix == realigned_resolvent(cleared.with_unital(False), 4)
+    nonunital = ag.span_matrix(dataclasses.replace(tri_gens, unital=False))
+    assert nonunital.matrix == realigned_resolvent(dataclasses.replace(cleared, unital=False), 4)
     assert nonunital.rank == 4 and is_psd(nonunital.matrix)
 
 
@@ -137,7 +138,7 @@ def test_empty_generators_unital():
     gs0 = ag.GeneratorSet(n=2, gens=(), kind=ag.RATIONAL)
     rep = ag.span_matrix(gs0)
     i2 = ag.Mat.identity(2, ag.RATIONAL)
-    assert rep.matrix == ag.vec(i2) @ ag.vec(i2).T
+    assert rep.matrix == ag.Mat.wrap(ag.vec(i2).data @ ag.vec(i2).data.T, ag.RATIONAL)
     assert rep.rank == 1
 
 
@@ -148,7 +149,7 @@ def test_empty_generators_nonunital():
 
 def test_nilpotent_nonunital_rank(tri_gens):
     x2 = tri_gens.gens[1]
-    gs = ag.GeneratorSet.of(x2, unital=False)
+    gs = generator_set(x2, unital=False)
     rep = ag.span_matrix(gs)
     assert rep.variant == "resolvent_nonunital"
     assert rep.rank == 2  # x2 and x2^2 span; x2^3 = 0
@@ -159,34 +160,34 @@ def test_variant_validation(tri_gens):
     # itself on floats; GF(p) sets are refused (test_gfp_rejected)
     assert ag.span_matrix(tri_gens).scale == kron_square(tri_gens)[1] == 4
     for kind in (ag.F64, ag.C64):
-        gs = tri_gens.convert(kind)
+        gs = convert(tri_gens, kind)
         assert ag.span_matrix(gs).scale == kron_square(gs)[1] == 2
 
 
 def test_variant_names(tri_gens):
     assert ag.span_matrix(tri_gens).variant == "resolvent"
-    assert ag.span_matrix(tri_gens.with_unital(False)).variant == "resolvent_nonunital"
+    assert ag.span_matrix(dataclasses.replace(tri_gens, unital=False)).variant == "resolvent_nonunital"
     for kind in (ag.F64, ag.C64):
-        gs = tri_gens.convert(kind)
+        gs = convert(tri_gens, kind)
         assert ag.span_matrix(gs).variant == "power:9"  # default_power_exponent(3)
-        assert ag.span_matrix(gs.with_unital(False)).variant == "power_nonunital:9"
+        assert ag.span_matrix(dataclasses.replace(gs, unital=False)).variant == "power_nonunital:9"
 
 
 def test_gfp_rejected():
-    gs = ag.GeneratorSet.of(ag.Mat.identity(2, ag.gf(7)))
+    gs = generator_set(ag.Mat.identity(2, ag.gf(7)))
     with pytest.raises(ValueError):
         ag.span_matrix(gs)
 
 
 def test_explicit_scale_checked():
     # the B of the one integer builder, over Q and over GF(p)
-    gs = ag.GeneratorSet.of(ag.Mat.identity(3, ag.RATIONAL) * 4)
+    gs = generator_set(ag.Mat.wrap(ag.Mat.identity(3, ag.RATIONAL).data * 4, ag.RATIONAL))
     assert ag.span_matrix(gs).scale == 49  # 3 * 4^2 + 1
     x, b = b_minus_s(gs)
     assert b == 49
     assert ag.dimension_mod_p(x, GF_PRIME).rank == 1
     with pytest.raises(ValueError):
-        ag.span_matrix(gs.convert(ag.gf(GF_PRIME)))
+        ag.span_matrix(convert(gs, ag.gf(GF_PRIME)))
 
 
 def test_scale_invariance_rank_and_range():
@@ -224,11 +225,11 @@ def _builder_sets():
         for n, d in ((2, 1), (2, 3), (3, 1), (3, 2), (4, 2)):
             sets.append(_mixed_set(rng, n, d, unital))
         # block upper triangular for (1, 2): a proper subalgebra
-        tri = [ag.Mat.from_rows(np.triu(np_rng.integers(-3, 4, (3, 3))).tolist(), ag.RATIONAL) * Fraction(1, den)
-               for den in (3, 5, 7)]
+        tri = [ag.Mat.wrap(ag.Mat.from_rows(np.triu(np_rng.integers(-3, 4, (3, 3))).tolist(), ag.RATIONAL).data
+                           * Fraction(1, den), ag.RATIONAL) for den in (3, 5, 7)]
         sets.append(ag.GeneratorSet(3, tuple(tri), ag.RATIONAL, unital))
         sets.append(ag.GeneratorSet(3, (), ag.RATIONAL, unital))  # the empty set
-        sets.append(ag.GeneratorSet.of(ag.Mat.zeros(3, 3, ag.RATIONAL), unital=unital))  # the zero algebra
+        sets.append(generator_set(ag.Mat.zeros(3, 3, ag.RATIONAL), unital=unital))  # the zero algebra
     return sets
 
 
@@ -274,7 +275,7 @@ def test_power_agrees_with_resolvent():
     for _ in range(15):
         n = rng.randint(2, 4)
         gs = rand_int_generator_set(rng, n, rng.randint(1, 3), True)
-        power = ag.span_matrix(gs.convert(ag.F64))
+        power = ag.span_matrix(convert(gs, ag.F64))
         assert power.variant.startswith("power:")
         assert power.rank == ag.span_matrix(gs).rank
 
@@ -282,8 +283,8 @@ def test_power_agrees_with_resolvent():
 def test_power_rank_monotone_saturating():
     rng = random.Random(37)
     gs = rand_int_generator_set(rng, 3, 2, True)
-    step = ag.Mat.identity(9, ag.RATIONAL) + summed_kron_square(gs)
-    ranks = [rank(ag.realign(ag.Mat(np.linalg.matrix_power(step.data, k), ag.RATIONAL))) for k in range(1, 12)]
+    step = ag.Mat.identity(9, ag.RATIONAL).data + summed_kron_square(gs).data
+    ranks = [rank(ag.realign(ag.Mat(np.linalg.matrix_power(step, k), ag.RATIONAL))) for k in range(1, 12)]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
     assert len(set(ranks[8:])) == 1  # constant at and beyond k = n^2
 
@@ -293,7 +294,7 @@ def test_power_capped_at_the_saturation_exponent():
     # for k in the hundreds; the span matrix stops at
     # default_power_exponent(3) = 9, where the words already saturate
     x = ag.Mat.wrap(np.array([[0.5, 1.25, 0], [0, -2, 1e-3], [3, 0, 0.1]]), ag.F64)
-    rep = ag.span_matrix(ag.GeneratorSet.of(x))
+    rep = ag.span_matrix(generator_set(x))
     assert rep.rank == 3 and rep.variant == "power:9"
 
 
@@ -303,17 +304,17 @@ def test_resolvent_matches_geometric_series_exactly():
     rng = random.Random(41)
     for _ in range(5):
         gs = rand_int_generator_set(rng, 2, 2, True)
-        s = summed_kron_square(gs) * Fraction(1, 4 * square_bound(gs.gens))
+        s = ag.Mat.wrap(summed_kron_square(gs).data * Fraction(1, 4 * square_bound(gs.gens)), ag.RATIONAL)
         assert frobenius_sq(s) <= Fraction(1, 4)  # squared <= 1/4 => norm <= 1/2
-        inv = ag.inverse(ag.Mat.identity(4, ag.RATIONAL) - s)
-        partial = ag.Mat.zeros(4, 4, ag.RATIONAL)
-        term = ag.Mat.identity(4, ag.RATIONAL)
+        inv = ag.inverse(ag.Mat.wrap(ag.Mat.identity(4, ag.RATIONAL).data - s.data, ag.RATIONAL))
+        partial = ag.Mat.zeros(4, 4, ag.RATIONAL).data
+        term = ag.Mat.identity(4, ag.RATIONAL).data
         for _k in range(51):
             partial = partial + term
-            term = term @ s
-        diff = inv - partial
+            term = term @ s.data
+        diff = inv.data - partial
         bound = Fraction(1, 2**49)
-        assert all(abs(x) <= bound for x in diff.data.ravel())
+        assert all(abs(x) <= bound for x in diff.ravel())
 
 
 FLOAT_CASES = [(ag.F64, True), (ag.F64, False), (ag.C64, True), (ag.C64, False)]
@@ -328,7 +329,7 @@ def test_report_fields_float_backend(kind, unital):
     # (2, 2), hidden: 4 + 4 + 4 of 16 dimensions
     rng = np.random.default_rng(5)
     q = random_orthogonal(rng, 4)
-    gs = ag.GeneratorSet.of(*(hidden_block_upper(rng, q, 2, kind) for _ in range(2)), unital=unital)
+    gs = generator_set(*(hidden_block_upper(rng, q, 2, kind) for _ in range(2)), unital=unital)
     rep = ag.span_matrix(gs)
     assert rep.rank == 12 and rep.tol is not None and rep.tol > 0
     sv = np.array(rep.singular_values)
@@ -352,10 +353,10 @@ def test_folded_power_matches_the_plain_power(kind, unital):
     # of 16
     rng = np.random.default_rng(11)
     q = random_orthogonal(rng, 4)
-    sets = [ag.GeneratorSet.of(gaussian(rng, 1, kind), gaussian(rng, 1, kind), unital=unital),
-            ag.GeneratorSet.of(gaussian(rng, 2, kind), unital=unital),
+    sets = [generator_set(gaussian(rng, 1, kind), gaussian(rng, 1, kind), unital=unital),
+            generator_set(gaussian(rng, 2, kind), unital=unital),
             ag.GeneratorSet(3, (), kind, unital),
-            ag.GeneratorSet.of(*(hidden_block_upper(rng, q, 2, kind) for _ in range(2)), unital=unital)]
+            generator_set(*(hidden_block_upper(rng, q, 2, kind) for _ in range(2)), unital=unital)]
     for gs in sets:
         want = plain_power(gs)
         rep = ag.span_matrix(gs)
@@ -371,7 +372,7 @@ def test_fold_of_a_real_s_is_block_diagonal():
     # parts are exactly 0, and the others are the two blocks of the real fold
     rng = np.random.default_rng(13)
     for n in (1, 2, 5):
-        s, _ = kron_square(ag.GeneratorSet.of(gaussian(rng, n), gaussian(rng, n)))
+        s, _ = kron_square(generator_set(gaussian(rng, n), gaussian(rng, n)))
         pairs = _swap_pairs(n)
         sym, anti = _fold(s, pairs)
         (whole,) = _fold(s.astype(complex), pairs)
@@ -414,13 +415,13 @@ def test_full_rank_colspace_is_the_identity(kind):
     # the column space of a full-rank span matrix is the whole space: no
     # eigh, the standard basis, and the verdicts of the eigenvectors' basis
     rng = np.random.default_rng(17)
-    gs = ag.GeneratorSet.of(gaussian(rng, 3, kind), gaussian(rng, 3, kind))
+    gs = generator_set(gaussian(rng, 3, kind), gaussian(rng, 3, kind))
     rep = ag.span_matrix(gs)
     assert rep.rank == 9 and rep.colspace == ag.Mat.identity(9, kind)
     units = [np.identity(9)[:, j].reshape(3, 3, order="F") for j in range(9)]
     assert all(np.array_equal(m.data, e) for m, e in zip(ag.basis(gs).mats, units))
     eigenvectors = ag.Mat(np.linalg.eigh(rep.matrix.data)[1], kind)
-    for z in (gaussian(rng, 3, kind), ag.Mat.identity(3, kind), gs.gens[0] @ gs.gens[1]):
+    for z in (gaussian(rng, 3, kind), ag.Mat.identity(3, kind), ag.Mat.wrap(gs.gens[0].data @ gs.gens[1].data, kind)):
         assert ag.membership(gs, z, report=rep).member == in_range(eigenvectors, vec(z))[0]
 
 
@@ -446,7 +447,7 @@ def test_hidden_block_triangular_rank_at_n20():
     # block upper triangular for (10, 10): 100 + 100 + 100 dimensions
     rng = np.random.default_rng(0)
     q = random_orthogonal(rng, 20)
-    rep = ag.span_matrix(ag.GeneratorSet.of(*(hidden_block_upper(rng, q, 10) for _ in range(2))))
+    rep = ag.span_matrix(generator_set(*(hidden_block_upper(rng, q, 10) for _ in range(2))))
     assert rep.rank == 300 and not rep.ill_conditioned
 
 

@@ -6,6 +6,8 @@ import pytest
 from algebragen.matrix import Mat
 from algebragen.scalars import C64, F64, RATIONAL, ScalarKind, gf
 
+from linalg_helpers import convert
+
 
 def test_tags():
     assert F64.tag == "f64" and not F64.exact
@@ -48,7 +50,7 @@ def test_coerce():
         k.coerce(Fraction(1, 7))
     # a float enters GF(p) as its exact rational
     assert k.coerce(0.5) == 4 and k.coerce(np.float64(-1.5)) == 2 and k.coerce(np.float32(3.0)) == 3
-    assert Mat.from_rows([[0.5]], F64).convert(k).data.tolist() == [[4]]
+    assert convert(Mat.from_rows([[0.5]], F64), k).data.tolist() == [[4]]
     with pytest.raises(ZeroDivisionError):
         gf(2).coerce(0.5)
     with pytest.raises(ValueError):
