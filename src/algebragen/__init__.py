@@ -11,7 +11,7 @@ dimensions of integer instances via random primes.
 
 from .algebra import AlgebraBasis, MembershipResult, basis, dimension, intersect, membership
 from .generators import GeneratorSet
-from .matrix import Mat, SingularMatrixError, in_range, inverse, realign, subspace_intersect, unvec, vec
+from .matrix import Mat, SingularMatrixError, in_range, inverse, realign, subspace_intersect, vec
 from .modp import PrimeOutcome, PrimePlan, PrimeRangeError, certified_dimension, dimension_mod_p
 from .resolvent import SpanMatrixReport, span_matrix
 from .scalars import C64, F64, RATIONAL, ScalarKind, gf

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import wordspan
 from .generators import GeneratorSet
-from .matrix import Mat, in_range, subspace_intersect, unvec, vec
+from .matrix import Mat, in_range, subspace_intersect, vec
 from .resolvent import SpanMatrixReport, span_matrix
 
 
@@ -50,11 +50,14 @@ class MembershipResult:
 
 @dataclass(frozen=True)
 class AlgebraBasis:
-    """A basis of the algebra as n x n matrices."""
+    """A basis of the algebra: a column block, each column unvectorized to an n x n matrix; ``dim`` is their count."""
 
-    dim: int
     mats: tuple[Mat, ...]
     source: str  # the variant of the span matrix it was read from
+
+    @property
+    def dim(self) -> int:
+        return len(self.mats)
 
 
 def dimension(gs: GeneratorSet) -> int:
@@ -91,9 +94,7 @@ def basis(gs: GeneratorSet) -> AlgebraBasis:
     """Basis matrices: the span matrix's column space, unvectorized (over Q
     the rows of the algebra's reduced echelon basis)."""
     report = span_matrix(gs)
-    cs = report.colspace
-    mats = tuple(unvec(cs.col(j), gs.n, gs.n) for j in range(cs.cols))
-    return AlgebraBasis(dim=len(mats), mats=mats, source=report.variant)
+    return AlgebraBasis(mats=_unvectorized(report.colspace, gs.n), source=report.variant)
 
 
 def intersect(gs_a: GeneratorSet, gs_b: GeneratorSet) -> AlgebraBasis:
@@ -107,5 +108,9 @@ def intersect(gs_a: GeneratorSet, gs_b: GeneratorSet) -> AlgebraBasis:
         raise ValueError("intersection needs matching unital flags")
     report = span_matrix(gs_a)
     w = subspace_intersect(report.colspace, span_matrix(gs_b).colspace)
-    mats = tuple(unvec(w.col(j), gs_a.n, gs_a.n) for j in range(w.cols))
-    return AlgebraBasis(dim=len(mats), mats=mats, source=report.variant)
+    return AlgebraBasis(mats=_unvectorized(w, gs_a.n), source=report.variant)
+
+
+def _unvectorized(cols: Mat, n: int) -> tuple[Mat, ...]:
+    """Each column of ``cols`` refolded column-major into an n x n matrix; they share no entries."""
+    return tuple(Mat.wrap(m, cols.kind) for m in cols.data.T.reshape(cols.cols, n, n).transpose(0, 2, 1))

@@ -38,6 +38,7 @@ class ParseError(ValueError):
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*\d+)?$")
+_TOO_LONG = "entry has an integer of more digits than Python converts (sys.get_int_max_str_digits)"
 
 
 def kind_from_field(field: str) -> ScalarKind:
@@ -54,10 +55,11 @@ def parse_entry(text, kind: ScalarKind):
     """Parse one entry string under the given field."""
     if isinstance(text, bool):
         raise ParseError(f"entry {text!r} is not a scalar")
-    if isinstance(text, (int,)):
-        text = str(text)
-    elif isinstance(text, float):
-        text = repr(text)
+    try:
+        if isinstance(text, (int, float)):  # an int's repr is its str
+            text = repr(text)
+    except ValueError:  # repr() of an int past the digit limit
+        raise ParseError(_TOO_LONG) from None
     if not isinstance(text, str):
         raise ParseError(f"entry {text!r} is not a string")
     s = text.strip()
@@ -87,6 +89,8 @@ def _fraction(s: str, text) -> Fraction:
         return Fraction(s.replace(" ", ""))
     except ZeroDivisionError:
         raise ParseError(f"entry {text!r} has a zero denominator") from None
+    except ValueError:  # a numerator or denominator past the digit limit
+        raise ParseError(_TOO_LONG) from None
 
 
 def format_entry(x, kind: ScalarKind) -> str:
@@ -102,8 +106,8 @@ def format_entry(x, kind: ScalarKind) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def _looks_rational(grids: list) -> bool:
-    return all(_RATIONAL_RE.match(str(e).strip()) for grid in grids for row in grid for e in row)
+def _looks_rational(grids: list) -> bool:  # ints skip str(), which refuses one past the digit limit
+    return all(type(e) is int or _RATIONAL_RE.match(str(e).strip()) for grid in grids for row in grid for e in row)
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ class Mat:
 
     @staticmethod
     def wrap(data, kind: ScalarKind) -> "Mat":
-        """Adopt an ndarray whose entries are already canonical scalars."""
+        """Adopt an ndarray of ``kind``'s scalars, reducing it mod p over GF(p), as ``word_span`` needs."""
         a = np.asarray(data, dtype=kind.dtype)
         if a.ndim != 2:
             raise ValueError(f"matrix data must be 2-D, got shape {a.shape}")
@@ -121,9 +121,6 @@ class Mat:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def col(self, j: int) -> "Mat":
-        return Mat(self.data[:, j : j + 1], self.kind)
-
     # -- comparison ----------------------------------------------------
 
     def _check_kind(self, other: "Mat"):
@@ -145,13 +142,6 @@ class Mat:
 def vec(a: Mat) -> Mat:
     """Stack the columns of ``a`` into one column vector."""
     return Mat.wrap(a.data.reshape(-1, 1, order="F"), a.kind)
-
-
-def unvec(v: Mat, rows: int, cols: int) -> Mat:
-    """Inverse of ``vec``: refold a (rows*cols) x 1 column into a matrix."""
-    if v.cols != 1 or v.rows != rows * cols:
-        raise ValueError(f"expected a {rows * cols}x1 column, got {v.rows}x{v.cols}")
-    return Mat.wrap(v.data.reshape(rows, cols, order="F"), v.kind)
 
 
 def realign(a: Mat) -> Mat:

@@ -182,9 +182,9 @@ def test_intersect_single_generator_algebras(tri_gens):
     )
     # same subspace: mutual containment
     for j in range(expect.cols):
-        assert ag.in_range(stacked_got, expect.col(j))[0]
+        assert ag.in_range(stacked_got, ag.Mat.wrap(expect.data[:, j : j + 1], ag.RATIONAL))[0]
     for j in range(stacked_got.cols):
-        assert ag.in_range(expect, stacked_got.col(j))[0]
+        assert ag.in_range(expect, ag.Mat.wrap(stacked_got.data[:, j : j + 1], ag.RATIONAL))[0]
     # the identity direction lies in the intersection
     assert ag.in_range(stacked_got, ag.vec(ag.Mat.identity(3, ag.RATIONAL)))[0]
 
@@ -251,7 +251,51 @@ def test_basis_is_the_unvectorized_colspace(kind):
         rep, ab = ag.span_matrix(gs), ag.basis(gs)
         assert ab.dim == rep.rank == rep.colspace.cols
         for j, m in enumerate(ab.mats):
-            assert m == ag.unvec(rep.colspace.col(j), 3, 3)
+            assert m == ag.Mat.wrap(rep.colspace.data[:, j].reshape(3, 3, order="F"), kind)
+
+
+def _reader_cases(case, tri_gens):
+    """(gs, other): ``basis`` reads gs, ``intersect`` gs and other."""
+    rng = np.random.default_rng(3)
+    nonunital = dataclasses.replace(tri_gens, unital=False)
+    if case == "f64-full":
+        gs = random_generator_set(3, 2, rng)
+        return gs, gs
+    if case == "f64-below-full":
+        gs = ag.GeneratorSet(n=4, gens=tuple(_block_triangular_f64(rng, 2, 2) for _ in range(2)), kind=ag.F64)
+        return gs, gs
+    if case == "q-unital":
+        return tri_gens, ag.GeneratorSet(n=3, gens=(), kind=ag.RATIONAL)
+    if case == "q-nonunital":
+        return nonunital, nonunital
+    zero = ag.GeneratorSet(n=3, gens=(ag.Mat.zeros(3, 3, ag.RATIONAL),), kind=ag.RATIONAL, unital=False)
+    return zero, nonunital
+
+
+@pytest.mark.parametrize("case", ["f64-full", "f64-below-full", "q-unital", "q-nonunital", "zero"])
+def test_basis_and_intersect_read_each_column_column_major(case, tri_gens):
+    gs, other = _reader_cases(case, tri_gens)
+    n = gs.n
+    colspace = ag.span_matrix(gs).colspace
+    if case == "f64-full":
+        assert np.array_equal(colspace.data, np.identity(n * n))
+    inter = ag.intersect(gs, other)
+    for ab, cols in ((ag.basis(gs), colspace),
+                     (inter, ag.subspace_intersect(colspace, ag.span_matrix(other).colspace))):
+        # the reference reader: one column at a time, refolded column-major
+        want = [cols.data[:, j].reshape(n, n, order="F") for j in range(cols.cols)]
+        assert ab.dim == len(ab.mats) == len(want)
+        for m, w in zip(ab.mats, want):
+            assert m.kind == gs.kind and m.data.shape == (n, n)
+            assert [repr(x) for x in m.data.ravel()] == [repr(x) for x in w.ravel()]
+        # writing into one matrix leaves every other one as it was
+        before = [m.data.copy() for m in ab.mats]
+        for i, m in enumerate(ab.mats):
+            m.data[...] = gs.kind.coerce(7)
+            assert all(np.array_equal(o.data, b) for j, (o, b) in enumerate(zip(ab.mats, before)) if j != i)
+            m.data[...] = before[i]
+    if case == "zero":
+        assert inter.dim == 0 and inter.mats == ()
 
 
 def test_membership_same_verdict_with_and_without_report():

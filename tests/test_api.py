@@ -11,13 +11,13 @@ PUBLIC = {
     "PrimeRangeError", "RATIONAL", "ScalarKind", "SingularMatrixError", "SpanMatrixReport",
     "WordBasis", "basis", "certified_dimension", "dimension", "dimension_mod_p", "express", "gf", "in_range",
     "intersect", "inverse", "membership", "realign", "span_matrix", "subspace_intersect",
-    "unvec", "vec", "word_span",
+    "vec", "word_span",
 }
 
 # What the bodies of the two data carriers define, operators included:
 # arithmetic is numpy on ``.data``.  ``__hash__`` is None beside a hand-written
 # ``__eq__``, and ``unital`` is the default of that field.
-MAT = {"__eq__", "__hash__", "__repr__", "_check_kind", "col", "cols", "from_rows", "identity", "rows", "wrap", "zeros"}
+MAT = {"__eq__", "__hash__", "__repr__", "_check_kind", "cols", "from_rows", "identity", "rows", "wrap", "zeros"}
 GENERATOR_SET = {"__eq__", "__hash__", "__post_init__", "__repr__", "d", "unital"}
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from algebragen import algebra, cli
+from algebragen.instances import grid_of, load_instance
 from algebragen.matrix import DEFAULT_RESIDUAL_RTOL
 
 TRIANGULAR = str(Path(__file__).resolve().parent.parent / "instances" / "triangular_pair.json")
@@ -201,6 +202,36 @@ def test_unreadable_json_is_a_usage_error(capsys, tmp_path, content, command):
     code, out, err = run(capsys, *[arg.format(a=path) for arg in command])
     assert code == cli.EXIT_PARSE and out == ""
     assert err.startswith("error: ") and "is not valid JSON" in err
+
+
+@pytest.mark.parametrize("entry", ["1" * 5000, "1/" + "3" * 5000], ids=["numerator", "denominator"])
+@pytest.mark.parametrize("command", [["dim", "{a}"], ["member", "{a}", TRIANGULAR], ["member", TRIANGULAR, "{a}"],
+                                     ["modp-dim", "{a}", "--seed", "1"]],
+                         ids=["dim", "member-generators", "member-candidate", "modp-dim"])
+def test_entry_past_the_digit_limit_is_a_usage_error(capsys, tmp_path, entry, command):
+    # Python refuses int <-> str conversions of more than 4,300 digits; the
+    # entry is malformed input, not a numeric failure (exit 4)
+    path = write_instance(tmp_path, {"n": 1, "field": "rational", "generators": [[[entry]]]})
+    code, out, err = run(capsys, *[arg.format(a=path) for arg in command])
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and "more digits" in err
+
+
+@pytest.mark.parametrize("field", [None, "f64"], ids=["rational", "f64"])
+def test_basis_and_intersect_print_the_library_matrices(capsys, field):
+    # no benchmark op runs these two commands; their grids are those of the library call
+    other = str(Path(TRIANGULAR).with_name("candidate_member.json"))
+    a, b = load_instance(TRIANGULAR, field=field), load_instance(other, field=field)
+    flags = [] if field is None else ["--field", field]
+    for argv, want in (
+        (["basis", TRIANGULAR], algebra.basis(a.gs)),
+        (["intersect", TRIANGULAR, other], algebra.intersect(a.gs, b.gs)),
+    ):
+        code, out, _ = run(capsys, *argv, *flags)
+        report = json.loads(out)
+        assert code == cli.EXIT_OK
+        assert report["basis"] == [grid_of(m) for m in want.mats]
+        assert report["dimension"] == len(report["basis"]) == want.dim
 
 
 @pytest.mark.parametrize("target", ["missing/bench.csv", "."], ids=["missing-directory", "directory"])

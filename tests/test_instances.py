@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.instances import ParseError, grid_of, instance_from_dict, kind_from_field
+from algebragen.instances import ParseError, grid_of, instance_from_dict, kind_from_field, parse_entry
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # negative imaginary parts, exponents on either side and signed zeros
@@ -73,3 +73,30 @@ def test_grid_of_refuses_gfp_entries():
     m = ag.Mat.from_rows([[1, 2], [3, 4]], ag.gf(7))
     with pytest.raises(ValueError, match="gfp:7"):
         grid_of(m)
+
+
+# Python refuses int <-> str conversions of more than 4,300 digits by default
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [(LONG, "rational"), ("1/" + LONG, "rational"), (LONG + "/3", "f64"), ("1/" + LONG, "f64"),
+     ("1/" + LONG, "c64")],
+    ids=["q-numerator", "q-denominator", "f64-numerator", "f64-denominator", "c64-denominator"],
+)
+def test_entries_past_the_digit_limit_are_parse_errors(text, field):
+    with pytest.raises(ParseError, match="more digits"):
+        parse_entry(text, kind_from_field(field))
+
+
+@pytest.mark.parametrize("field", [None, "rational", "f64", "c64"])
+def test_int_entries_past_the_digit_limit_are_parse_errors(field):
+    # a Python int, as a caller of instance_from_dict may pass; str() of it raises
+    big = (10**5000 - 1) // 9
+    with pytest.raises(ParseError, match="more digits"):
+        parse_entry(big, kind_from_field(field or "rational"))
+    with pytest.raises(ParseError, match="generator 0: .*more digits"):
+        instance_from_dict({"n": 1, "generators": [[[big]]]}, field=field)
+    # ints below the limit still read as rationals
+    assert instance_from_dict({"n": 1, "generators": [[[-3]]]}).field == "rational"

@@ -23,7 +23,7 @@ def close(a: ag.Mat, b: ag.Mat, tol=1e-12) -> bool:
     return bool(np.max(np.abs(a.data - b.data)) <= tol) if a.data.size else True
 
 
-# -- vec / unvec ----------------------------------------------------------
+# -- vec ------------------------------------------------------------------
 
 
 def test_vec_column_stacking():
@@ -36,15 +36,6 @@ def test_vec_1x1():
     assert ag.vec(m) == m
 
 
-def test_unvec_examples():
-    v = ag.Mat.from_rows([[1], [2], [3], [4]], ag.RATIONAL)
-    assert ag.unvec(v, 2, 2) == ag.Mat.from_rows([[1, 3], [2, 4]], ag.RATIONAL)
-    z = ag.Mat.zeros(6, 1, ag.RATIONAL)
-    assert ag.unvec(z, 2, 3) == ag.Mat.zeros(2, 3, ag.RATIONAL)
-    with pytest.raises(ValueError):
-        ag.unvec(v, 3, 3)
-
-
 @given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_vec_unvec_roundtrip(rows, cols, seed):
@@ -53,7 +44,7 @@ def test_vec_unvec_roundtrip(rows, cols, seed):
         [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)] for _ in range(rows)],
         ag.RATIONAL,
     )
-    assert ag.unvec(ag.vec(m), rows, cols) == m
+    assert ag.Mat.wrap(ag.vec(m).data.reshape(rows, cols, order="F"), ag.RATIONAL) == m
 
 
 # -- realignment ----------------------------------------------------------
@@ -251,7 +242,7 @@ def test_in_range_consistent_systems():
         for _ in range(10):
             n = rng.randint(2, 4)
             a = rand_mat(rng, n, kind, max_den=2)
-            x = rand_mat(rng, n, kind, max_den=2).col(0)
+            x = ag.Mat.wrap(rand_mat(rng, n, kind, max_den=2).data[:, :1], kind)
             # float in_range reads orthonormal columns spanning col(a), exact
             # kinds any columns or the exact form, as an intersection has it
             if kind.exact:
@@ -333,7 +324,8 @@ def test_subspace_intersect_random_spanning_columns(kind):
         both = ag.Mat.wrap(np.concatenate([u.data, v.data], axis=1), kind)
         assert w.cols == rank(u) + rank(v) - rank(both)
         for j in range(w.cols):
-            assert ag.in_range(u, w.col(j))[0] and ag.in_range(v, w.col(j))[0]
+            col = ag.Mat.wrap(w.data[:, j : j + 1], kind)
+            assert ag.in_range(u, col)[0] and ag.in_range(v, col)[0]
 
 
 def test_subspace_intersect_float():
@@ -553,7 +545,7 @@ def test_in_range_nonmember_residual_is_a_functional_vanishing_on_the_span(kind)
     while checked < 6:
         n = rng.randint(3, 5)
         a = ag.Mat.from_rows(low_rank_rows(rng, kind, n, n, rng.randint(1, n - 1), 0), kind)
-        v = rand_mat(rng, n, kind, max_den=4).col(0)
+        v = ag.Mat.wrap(rand_mat(rng, n, kind, max_den=4).data[:, :1], kind)
         ok, residual = ag.in_range(a, v)
         if ok:
             continue
