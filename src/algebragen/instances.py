@@ -113,8 +113,11 @@ def _looks_rational(grids: list) -> bool:  # ints skip str(), which refuses one 
 @dataclass(frozen=True)
 class Instance:
     gs: GeneratorSet
-    field: str
     path: str | None = None
+
+    @property
+    def field(self) -> str:
+        return str(self.gs.kind)
 
     @property
     def n(self) -> int:
@@ -165,7 +168,7 @@ def instance_from_dict(doc: dict, field: str | None = None, unital: bool | None 
             raise ParseError(f"generator {gi}: {e}") from None
         gens.append(mat)
     gs = GeneratorSet(n=n, gens=tuple(gens), kind=kind, unital=unital)
-    return Instance(gs=gs, field=str(kind), path=path)
+    return Instance(gs=gs, path=path)
 
 
 def load_instance(path: str, field: str | None = None, unital: bool | None = None) -> Instance:

@@ -7,7 +7,10 @@ on a descending spectrum: the singular values of ``rank``'s matrix, or the
 absolute eigenvalues of a Hermitian span matrix (``resolvent``).
 Float distances from a span have one rule, ``_project_out``: a vector lies
 in the span of orthonormal columns Q when what is left of it after
-projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.
+projecting Q out twice is at most DEFAULT_RESIDUAL_RTOL of its norm.  Both
+norms are read on the vector divided by a power of two near its largest
+entry (``_unit_scaled``), so that squaring the entries cannot overflow or
+underflow.
 
 Every exact rank, solve, inverse and intersection, the GF(p) images of
 the span matrix and the word-span insertion of ``wordspan`` go through one
@@ -436,6 +439,18 @@ def _project_out(q: np.ndarray, c: np.ndarray) -> None:
         c -= q @ (qh @ c)
 
 
+def _unit_scaled(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c / s, s) for s, per column of ``c``, the power of two at or below
+    its largest entry: the columns of c / s peak in [1, 2), so that their
+    norms, which square the entries, neither overflow nor underflow.  A
+    power of two scales without rounding (short of the subnormal range), so
+    a rule read in units of s decides as on c wherever c's norms are finite
+    and nonzero."""
+    _, e = np.frexp(np.abs(c).max(axis=0))
+    s = np.ldexp(1.0, e - 1)
+    return c / s, s
+
+
 def in_range(a: Mat, v: Mat):
     """Decide whether column ``v`` lies in the column space of ``a``.
 
@@ -448,7 +463,8 @@ def in_range(a: Mat, v: Mat):
     x[P], which vanishes on col(a), so anyone holding q can check it.  On
     float kinds ``a`` must have orthonormal columns, as a colspace has: the
     residual is the norm of v - a a^H v (see _project_out), and v is
-    accepted when it is at most DEFAULT_RESIDUAL_RTOL * max(1, |v|).
+    accepted when it is at most DEFAULT_RESIDUAL_RTOL * max(1, |v|), both
+    read on v scaled by a power of two (``_unit_scaled``).
     """
     a._check_kind(v)
     if v.cols != 1 or v.rows != a.rows:
@@ -465,10 +481,13 @@ def in_range(a: Mat, v: Mat):
         if c.size == 0:
             return True, a.kind.zero()
         return False, a.kind.coerce(Fraction(diff[c[0]], d * l))
-    c = v.data.copy()
+    c, s = _unit_scaled(v.data)
+    s = float(s[0])
+    norm = float(np.linalg.norm(c))
     _project_out(a.data, c)
     residual = float(np.linalg.norm(c))
-    return residual <= DEFAULT_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(v.data))), residual
+    # in units of s; 1 / s is inf only when every entry is below 2^-1023
+    return residual <= DEFAULT_RESIDUAL_RTOL * max(1.0 / s, norm), residual * s
 
 
 def subspace_intersect(u: Mat, v: Mat) -> Mat:

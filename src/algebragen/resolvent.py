@@ -182,10 +182,11 @@ def _fold(s: np.ndarray, pairs) -> list[np.ndarray]:
     return [np.block([[plus.real, -minus.imag], [plus.imag[:m], minus.real[:m]]])]
 
 
-def _unfold(blocks: list[np.ndarray], pairs, dtype, p: int | None = None) -> np.ndarray:
-    """W G W^-1 in ``dtype``, for G given in the form ``_fold`` returns
-    (the blocks are scaled in place); over GF(p) with ``p``, for the two
-    blocks of residues of a G that commutes with the swap, reduced mod p.
+def _unfold(blocks: list[np.ndarray], pairs, p: int | None = None) -> np.ndarray:
+    """W G W^-1, for G given in the form ``_fold`` returns (the blocks are
+    scaled in place): complex128 from the one real block of a complex G,
+    else in the blocks' dtype; over GF(p) with ``p``, for the two blocks of
+    residues of a G that commutes with the swap, reduced mod p.
 
     W^-1 reads the coordinates (x_u + x_v) / 2 (x_u where u = v) and
     (x_u - x_v) / 2i, so unfolding multiplies by 1 or 1/2 only: 0.5 on
@@ -204,6 +205,7 @@ def _unfold(blocks: list[np.ndarray], pairs, dtype, p: int | None = None) -> np.
     else:
         (g,) = blocks
         ss, aa = g[:side, :side], g[side:, side:]
+    dtype = np.complex128 if len(blocks) == 1 else ss.dtype
     half = 0.5 if p is None else (p + 1) // 2
     for h in (ss[:, :m], aa):
         h *= half
@@ -260,7 +262,7 @@ def _echelon_mod_p(x: np.ndarray, p: int, b: int | None = None, reduced: bool = 
             inv = _residues(inverse(Mat(x, kind)).data, p)
         else:
             pairs = _swap_pairs(n)
-            inv = _unfold([_residues(inverse(Mat(f, kind)).data, p) for f in _fold(x, pairs)], pairs, x.dtype, p)
+            inv = _unfold([_residues(inverse(Mat(f, kind)).data, p) for f in _fold(x, pairs)], pairs, p)
     except SingularMatrixError:
         return None
     if b is not None:
@@ -414,7 +416,7 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
         step += f
         powers.append(np.linalg.matrix_power(step, k) if gs.unital else f.dot(np.linalg.matrix_power(step, k - 1)))
     variant = f"power:{k}" if gs.unital else f"power_nonunital:{k}"
-    m = realign(Mat(_unfold(powers, pairs, gs.kind.dtype), gs.kind))
+    m = realign(Mat(_unfold(powers, pairs), gs.kind))
     values = np.sort(np.abs(np.linalg.eigvalsh(m.data)))[::-1]
     r, tol, flagged = _spectral_rank(values, m.rows)
 

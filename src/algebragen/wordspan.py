@@ -6,9 +6,11 @@ kept before it.  Each degree layer is formed by one stacked product per
 generator and selected in one step on every kind.
 On exact kinds that step is one elimination (``matrix._rref``): the layer's
 new words are the pivot columns of [kept words | layer candidates] past the
-kept ones.  On approximate kinds the orthonormal basis of the kept words is
-projected out of the whole layer block twice, in one matrix product each
-time, and a short pass over the layer then keeps each candidate whose
+kept ones.  On approximate kinds each column of the layer block is first
+divided by a power of two near its largest entry (``matrix._unit_scaled``),
+so that no norm of it overflows or underflows; the orthonormal basis of the
+kept words is then projected out of the whole block twice, in one matrix
+product each time, and a short pass over the layer keeps each candidate whose
 residual against the words kept before it in the layer stays above
 ``DEFAULT_RESIDUAL_RTOL`` of its norm.  Only kept words are extended;
 the span of kept words still contains every word, because a dependent
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _cleared, _fractions, _project_out, _rref, _solve, vec
+from .matrix import DEFAULT_RESIDUAL_RTOL, Mat, _cleared, _fractions, _project_out, _rref, _solve, _unit_scaled, vec
 from .scalars import ScalarKind
 
 
@@ -83,7 +85,7 @@ def word_span(gs: GeneratorSet) -> WordBasis:
             new = [c - k for c in pivots[k:]]
             kept.extend(vecs[j] for j in new)
         else:
-            block = np.concatenate([vec(m).data for _, m in candidates], axis=1)
+            block, _ = _unit_scaled(np.concatenate([vec(m).data for _, m in candidates], axis=1))
             norms = np.linalg.norm(block, axis=0)
             _project_out(basis[:, :k], block)
             new = []
@@ -141,7 +143,8 @@ def express(wb: WordBasis, z: Mat):
     ints before it is returned.  An ArithmeticError says that it missed,
     a SingularMatrixError that the words are dependent (``word_span`` keeps
     none such).  On float kinds the least-squares residual is cut at
-    DEFAULT_RESIDUAL_RTOL * max(1, |z|), as in ``matrix.in_range``.
+    DEFAULT_RESIDUAL_RTOL * max(1, |z|), as in ``matrix.in_range``, on vec z
+    scaled by a power of two (``matrix._unit_scaled``).
     """
     if z.rows != wb.n or z.cols != wb.n:
         raise ValueError(f"candidate must be {wb.n}x{wb.n}")
@@ -162,11 +165,12 @@ def express(wb: WordBasis, z: Mat):
             raise ArithmeticError("certificate failed exact re-verification")
         coeffs = list(x[:, 0])
     else:
-        w, target = aug[:, :-1], aug[:, -1:]
+        w, (target, s) = aug[:, :-1], _unit_scaled(aug[:, -1:])
+        s = float(s[0])
         sol, *_ = np.linalg.lstsq(w, target, rcond=None)
         residual = float(np.linalg.norm(w.dot(sol) - target))
-        bound = DEFAULT_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(target)))
-        if residual > bound:
+        # in units of s, as in matrix.in_range
+        if residual > DEFAULT_RESIDUAL_RTOL * max(1.0 / s, float(np.linalg.norm(target))):
             return None
-        coeffs = list(sol[:, 0])
+        coeffs = list(sol[:, 0] * s)
     return [(word, c) for word, c in zip(wb.words, coeffs) if c != 0]

@@ -312,6 +312,53 @@ def test_member_reports_the_applied_tolerance(capsys, tmp_path, field, want):
     assert json.loads(out)["tolerance"] == want
 
 
+ENVELOPE = {"command", "argv", "seconds"}
+INSTANCE = ENVELOPE | {"instance", "n", "d", "field", "unital"}
+SPAN = {"variant", "scale", "rank_tolerance", "cut_values", "conditioning_flag"}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["dim", TRIANGULAR], INSTANCE | SPAN | {"dimension", "primes"}),
+        (["member", TRIANGULAR, MEMBER, "--certificate"],
+         INSTANCE | SPAN | {"candidate", "member", "residual", "tolerance", "certificate"}),
+        (["basis", TRIANGULAR], INSTANCE | {"dimension", "source", "basis"}),
+        (["intersect", TRIANGULAR, MEMBER], INSTANCE | {"instance_b", "dimension", "basis"}),
+        (["modp-dim", TRIANGULAR, "--seed", "1"], INSTANCE | {"dimension", "seed", "trials", "prime_plan"}),
+        (["bench", TRIANGULAR, "--seed", "1"], ENVELOPE | {"seed", "csv", "rows"}),
+    ],
+    ids=["dim", "member", "basis", "intersect", "modp-dim", "bench"],
+)
+def test_each_command_prints_its_keys(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == cli.EXIT_OK
+    assert set(doc) == keys
+    assert doc["command"] == argv[0] and doc["argv"] == argv
+    assert isinstance(doc["seconds"], float) and doc["seconds"] >= 0
+
+
+@pytest.mark.parametrize("flags", [[], ["--certificate"]], ids=["verdict", "certificate"])
+def test_member_past_the_norm_range_is_a_non_member(capsys, tmp_path, flags):
+    # |vec z| squares 1e200 to inf, and inf <= 1e-8 * inf read as a member
+    gens = write_instance(tmp_path, {"n": 2, "field": "f64", "generators": [[["1", "1"], ["0", "1"]]]}, "gens.json")
+    cand = write_instance(tmp_path, {"n": 2, "field": "f64", "generators": [[["0", "0"], ["1e200", "0"]]]}, "cand.json")
+    code, out, _ = run(capsys, "member", gens, cand, *flags)
+    doc = json.loads(out)
+    assert code == cli.EXIT_NONMEMBER
+    assert (doc["member"], doc["residual"], doc["certificate"]) == (False, "1e+200", None)
+
+
+def test_bench_agrees_on_a_pair_scaled_past_the_norm_range(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    pair = [(rng.standard_normal((3, 3)) * 1e60).astype(str).tolist() for _ in range(2)]
+    path = write_instance(tmp_path, {"n": 3, "field": "f64", "generators": pair})
+    code, out, _ = run(capsys, "bench", path, "--seed", "0")
+    assert code == cli.EXIT_OK
+    assert [r["dim"] for r in json.loads(out)["rows"]] == [9, 9]
+
+
 def test_bench_csv_carries_the_label(capsys, tmp_path):
     out_csv = tmp_path / "bench.csv"
     code, out, _ = run(capsys, "bench", "--random", "3", "2", "2", "--seed", "0", "--csv", str(out_csv))

@@ -3,7 +3,8 @@
 Each module of ``algebragen`` is parsed with ``ast``: an import that its
 module never reads, or a module-level private name that nothing in the
 package reads, is a leftover of a deletion.  No module asserts: ``python -O``
-strips an ``assert``, and the CLI's exit table maps no AssertionError.
+strips an ``assert``, and the CLI's exit table maps no AssertionError.  The
+CLI's subcommands and its ``cmd_*`` functions match one to one.
 """
 
 import ast
@@ -61,3 +62,14 @@ def test_private_names_are_used():
                 defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert sorted(private - read) == []
+
+
+def test_every_subcommand_has_its_command():
+    # main looks up cmd_<subcommand> by name: a missing function would be a
+    # KeyError traceback, which exits 1, the non-member code
+    tree = MODULES["cli.py"]
+    subcommands = [node.args[0].value.replace("-", "_") for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_parser"]
+    commands = [node.name.removeprefix("cmd_") for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert commands and sorted(subcommands) == sorted(commands)

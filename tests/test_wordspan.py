@@ -95,6 +95,23 @@ def test_float_backend(tri_gens):
     assert np.allclose(combo, y.data)
 
 
+def test_express_refuses_a_candidate_past_the_norm_range():
+    # |vec z| squares 1e200 to inf, and inf <= 1e-8 * inf read as a fit
+    wb = wordspan.word_span(generator_set(ag.Mat.from_rows([[1, 1], [0, 1]], ag.F64)))
+    assert wordspan.express(wb, ag.Mat.from_rows([[0, 0], [1e200, 0]], ag.F64)) is None
+
+
+@pytest.mark.parametrize("scale", [2.0**200, 2.0**-200], ids=["huge", "tiny"])
+def test_float_word_span_is_scale_free(scale):
+    # words of degree 2 square entries of 2^±400, which overflow or underflow
+    # a norm; a power of two scales the words without rounding
+    rng = np.random.default_rng(0)
+    pair = [rng.standard_normal((3, 3)) for _ in range(2)]
+    want = wordspan.word_span(generator_set(*(ag.Mat.wrap(a, ag.F64) for a in pair))).words
+    assert len(want) == 9
+    assert wordspan.word_span(generator_set(*(ag.Mat.wrap(a * scale, ag.F64) for a in pair))).words == want
+
+
 def test_gfp_backend(tri_gens):
     kind = ag.gf(101)
     cleared = tuple(ag.Mat.wrap(_cleared(g.data)[1], kind) for g in tri_gens.gens)
