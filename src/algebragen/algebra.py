@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import wordspan
 from .generators import GeneratorSet
-from .matrix import Mat, in_range, subspace_intersect, vec
+from .matrix import Mat, _exact_verdict, in_range, subspace_intersect, vec
 from .resolvent import SpanMatrixReport, span_matrix
 
 
@@ -36,8 +36,9 @@ class MembershipResult:
     ``residual`` is the projection defect |v - Q Q^H v| of v = vec(z) on
     approximate backends.  On exact ones it is zero for members, and for a
     non-member the first nonzero entry of v - q v[P], q the basis ``basis``
-    prints: f(v) for a functional f zero on the algebra (``matrix.in_range``).
-    ``certificate`` (when requested and available) lists (word,
+    prints: f(v) for a functional f zero on the algebra (``matrix.in_range``),
+    and ``witness_index`` is its index c in v; it is None for members and
+    on approximate backends.  ``certificate`` (when requested and available) lists (word,
     coefficient) pairs whose combination reconstructs the candidate; words
     are tuples of 0-based generator indices, the empty tuple meaning the
     identity.
@@ -46,6 +47,7 @@ class MembershipResult:
     member: bool
     residual: object
     certificate: list | None = None
+    witness_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,9 @@ def membership(
 
     A float verdict accepts a residual of at most DEFAULT_RESIDUAL_RTOL *
     max(1, |z|) (see in_range).  Pass a precomputed ``report`` to amortize
-    the span matrix and its column space across many candidates.
+    the span matrix and its column space across many candidates.  Over Q
+    the verdict reads the report's integer rows of the lifted basis, and
+    builds no Fraction ``colspace``.
     """
     if z.rows != gs.n or z.cols != gs.n:
         raise ValueError(f"candidate must be {gs.n}x{gs.n}")
@@ -83,11 +87,15 @@ def membership(
         raise ValueError("candidate kind differs from generator kind")
     if report is None:
         report = span_matrix(gs)
-    member, residual = in_range(report.colspace, vec(z))
+    if report._lifted is None:
+        member, residual = in_range(report.colspace, vec(z))
+        index = None
+    else:
+        member, residual, index = _exact_verdict(*report._lifted, vec(z).data, z.kind)
     certificate = None
     if member and want_certificate:
         certificate = wordspan.express(wordspan.word_span(gs), z)
-    return MembershipResult(member=member, residual=residual, certificate=certificate)
+    return MembershipResult(member=member, residual=residual, certificate=certificate, witness_index=index)
 
 
 def basis(gs: GeneratorSet) -> AlgebraBasis:

@@ -78,7 +78,8 @@ def _instance_fields(inst) -> dict:
 def _span_fields(rep) -> dict:
     """How the span matrix report ``rep`` was obtained and cut.  ``cut_values``
     is [sigma_r, sigma_(r+1)], the spectrum on both sides of the rank cut:
-    None over Q, and None for a side with no value (rank 0, full rank)."""
+    None over Q, and None for a side with no value (rank 0, full rank).
+    ``primes`` are the lift's primes over Q, None on floats."""
     sv, r = rep.singular_values, rep.rank
     return {
         "variant": rep.variant,
@@ -86,6 +87,7 @@ def _span_fields(rep) -> dict:
         "rank_tolerance": rep.tol,
         "cut_values": None if sv is None else [sv[r - 1] if r > 0 else None, sv[r] if r < len(sv) else None],
         "conditioning_flag": rep.ill_conditioned,
+        "primes": None if rep.primes is None else list(rep.primes),
     }
 
 
@@ -96,7 +98,6 @@ def cmd_dim(args) -> tuple[int, dict, str]:
         **_instance_fields(inst),
         "dimension": rep.rank,
         **_span_fields(rep),
-        "primes": None if rep.primes is None else list(rep.primes),
     }
     return EXIT_OK, fields, f"dimension {rep.rank} ({inst.field}, {'unital' if inst.gs.unital else 'non-unital'})"
 
@@ -117,6 +118,7 @@ def cmd_member(args) -> tuple[int, dict, str]:
         "candidate": args.candidate,
         "member": result.member,
         "residual": str(result.residual),
+        "witness_index": result.witness_index,
         "tolerance": None if z.kind.exact else DEFAULT_RESIDUAL_RTOL,
         "certificate": None
         if result.certificate is None
@@ -151,6 +153,7 @@ def cmd_intersect(args) -> tuple[int, dict, str]:
         **_instance_fields(a),
         "instance_b": b.path,
         "dimension": ab.dim,
+        "source": ab.source,
         "basis": [grid_of(m) for m in ab.mats],
     }
     return EXIT_OK, fields, f"intersection dimension {ab.dim}"

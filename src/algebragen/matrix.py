@@ -23,10 +23,16 @@ fraction-free (Bareiss) elimination.  ``_rref`` describes both.
 Every exact column space has one form q, a transposed reduced echelon
 basis: q[P, :] is the identity on its pivot rows P, and v lies in it
 exactly when v - q v[P] is zero (``_in_span``, no elimination; its first
-nonzero entry witnesses a non-member, see ``in_range``).  It has two
+nonzero entry witnesses a non-member, see ``_exact_verdict``).  It has two
 producers: over Q the span matrix lifts this form from GF(p) eliminations
 and checks it by the same rule (``resolvent``), and ``subspace_intersect``
-reads it off its Zassenhaus elimination.
+reads it off its Zassenhaus elimination.  The rule reads q as integer rows
+R = d q^T and forms d w - w[P] R for each integer row w.  When
+max|w| (|d| + r max|R|) < 2^53, r the number of rows, it forms that on
+float64 (BLAS): every product, every partial sum of any subset of the
+terms and the difference are then integers below 2^53, which float64
+holds exactly, so the result is exact in any summation order.  Past the
+bound it runs on Python ints.
 
 Exact results hold Python ``int`` / ``Fraction`` entries, never numpy
 integers, so later object-array products cannot wrap.
@@ -421,11 +427,24 @@ def rank(a: Mat) -> int:
     return _spectral_rank(np.linalg.svd(a.data, compute_uv=False), max(a.rows, a.cols))[0]
 
 
+def _peak(a: np.ndarray) -> int:
+    """max |x| over the integers of ``a`` (int64 or Python ints) as a Python int, 0 when empty."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
 def _in_span(v: np.ndarray, rows: np.ndarray, d: int, pivots, p: int | None = None) -> np.ndarray:
     """d w - w[pivots] rows (mod p over GF(p)) for each row w of the integer
     array ``v``: zero exactly when w lies in the span of ``rows`` / d, whose
-    pivot columns ``pivots`` hold d times the identity."""
-    diff = d * v - v[:, pivots].dot(rows)
+    pivot columns ``pivots`` hold d times the identity.  ``v`` and ``rows``
+    may hold int64 or Python ints; the result holds int64 when the float64
+    bound of the module docstring holds, else Python ints."""
+    top = max(_peak(v), 1)
+    if top * (abs(d) + len(pivots) * _peak(rows)) < 2**53:
+        f = v.astype(np.float64)
+        diff = (d * f - f[:, pivots].dot(rows.astype(np.float64))).astype(np.int64)
+    else:
+        v, rows = np.asarray(v, dtype=object), np.asarray(rows, dtype=object)
+        diff = d * v - v[:, pivots].dot(rows)
     return diff if p is None else diff % p
 
 
@@ -451,6 +470,21 @@ def _unit_scaled(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c / s, s
 
 
+def _exact_verdict(rows: np.ndarray, d: int, pivots, v: np.ndarray, kind: ScalarKind):
+    """(member, residual, c) of the exact column ``v`` against the span of
+    the integer ``rows`` / d in the exact form (``_in_span``): c is the
+    index of the residual, the first nonzero entry of v - q v[P], and is
+    None for a member.  See ``in_range``."""
+    l, w = _cleared(v.T)
+    # the difference is d l (v - q v[P])
+    diff = _in_span(w, rows, d, pivots, kind.modulus)[0]
+    nz = np.flatnonzero(diff)
+    if nz.size == 0:
+        return True, kind.zero(), None
+    c = int(nz[0])
+    return False, kind.coerce(Fraction(int(diff[c]), d * l)), c
+
+
 def in_range(a: Mat, v: Mat):
     """Decide whether column ``v`` lies in the column space of ``a``.
 
@@ -470,17 +504,12 @@ def in_range(a: Mat, v: Mat):
     if v.cols != 1 or v.rows != a.rows:
         raise ValueError(f"candidate must be a {a.rows}x1 column")
     if a.kind.exact:
-        (d, rows), (l, w) = _cleared(a.data.T), _cleared(v.data.T)
+        d, rows = _cleared(a.data.T)
         pivots = (rows != 0).argmax(axis=1).tolist() if rows.size else []
         if not np.array_equal(rows[:, pivots], d * np.identity(a.cols, dtype=object)):
             r, pivots = _rref(a.data.T, a.kind)
             d, rows = _cleared(r[: len(pivots)])
-        # the difference is d l (v - q v[P])
-        diff = _in_span(w, rows, d, pivots, a.kind.modulus)[0]
-        c = np.flatnonzero(diff)
-        if c.size == 0:
-            return True, a.kind.zero()
-        return False, a.kind.coerce(Fraction(diff[c[0]], d * l))
+        return _exact_verdict(rows, d, pivots, v.data, a.kind)[:2]
     c, s = _unit_scaled(v.data)
     s = float(s[0])
     norm = float(np.linalg.norm(c))

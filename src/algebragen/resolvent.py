@@ -36,10 +36,13 @@ picks the series; no caller can choose another:
   is inverted mod p, realigned and brought to reduced echelon form
   (``_echelon_mod_p``), whose rank is a lower bound on the Q rank.  Images
   of equal rank and pivots are combined by CRT and lifted to Q by rational
-  reconstruction, and a lift R is accepted only when a check on Python
-  ints shows that its span holds the algebra (``_spans_algebra``).  Then
+  reconstruction, and a lift R is accepted only when an exact check on
+  integers shows that its span holds the algebra (``_spans_algebra``).  Then
   span R is the algebra: ``colspace`` is R^T, with small entries, and
-  ``pivots`` are R's pivot columns.  ``matrix`` is the realigned resolvent
+  ``pivots`` are R's pivot columns.  The report keeps the lift itself, R's
+  integer rows N = d R with d and the pivots, as a private field: a Q
+  member verdict reads them (``algebra.membership``), so it builds no
+  Fraction ``colspace``.  ``matrix`` is the realigned resolvent
   itself, B X^-1 (B X^-1 - I for a non-unital set) realigned, with
   Fraction entries: B X^-1 is the solution Y of X Y = B I, found on X's
   Python ints by ``matrix._solve``.  It is built only when read.
@@ -62,8 +65,8 @@ from typing import Callable
 import numpy as np
 
 from .generators import GeneratorSet
-from .matrix import (Mat, SingularMatrixError, _as_int64, _cleared, _fractions, _in_span, _realign, _residues, _rref,
-                     _solve, _spectral_rank, inverse, realign)
+from .matrix import (Mat, SingularMatrixError, _as_int64, _cleared, _fractions, _in_span, _peak, _realign, _residues,
+                     _rref, _solve, _spectral_rank, inverse, realign)
 from .primes import is_prime
 from .scalars import RATIONAL, gf
 
@@ -94,7 +97,10 @@ class SpanMatrixReport:
     kinds.  ``matrix`` and ``colspace`` are built on first read: over Q
     the lift does not need the resolvent, and on floats the rank needs the
     eigenvalues only, so the eigenvectors cost one ``eigh`` when read below
-    full rank.
+    full rank.  ``_lifted`` is (N, d, pivots) over Q, the integer rows
+    N = d R of the lift (int64 when every entry fits, ``matrix._as_int64``),
+    and None on float kinds; Q member verdicts read it in place of
+    ``colspace``.
     """
 
     rank: int
@@ -107,6 +113,7 @@ class SpanMatrixReport:
     primes: tuple[int, ...] | None
     _matrix: Callable[[], Mat] = field(repr=False, compare=False)
     _colspace: Callable[[], Mat] = field(repr=False, compare=False)
+    _lifted: tuple[np.ndarray, int, list[int]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def matrix(self) -> Mat:
@@ -134,18 +141,22 @@ def kron_square(gs: GeneratorSet) -> tuple[np.ndarray, int]:
     its denominator lcm (``matrix._cleared``), which leaves the algebra
     unchanged, since every word just picks up a nonzero factor; S and B
     then hold Python ints, never int64, since products of wide entries
-    wrap.  Floats keep the kind's dtype.
+    wrap.  Floats keep the kind's dtype; when the sum of squared norms
+    overflows (entries past about 1e154), every generator is first divided
+    by one power of two near the largest entry, another common nonzero
+    factor.
     """
-    if gs.kind.tag == "rational":
-        gens = [_cleared(g.data)[1] for g in gs.gens]
-    else:
-        gens = [g.data for g in gs.gens]
+    rational = gs.kind.tag == "rational"
+    gens = [_cleared(g.data)[1] if rational else g.data for g in gs.gens]
+    total = sum(np.vdot(g, g).real for g in gens)
+    if not gs.kind.exact and not np.isfinite(total):
+        top = max(max(np.abs(g.real).max(), np.abs(g.imag).max()) for g in gens)
+        gens = [g * 2.0 ** -int(np.frexp(top)[1]) for g in gens]
+        total = sum(np.vdot(g, g).real for g in gens)
     nn = gs.n * gs.n
     s = np.zeros((nn, nn), dtype=gs.kind.dtype)
-    total = 0
     for g in gens:
         s += np.kron(g.conj(), g)
-        total += np.vdot(g, g).real
     return s, math.ceil(total) + 1
 
 
@@ -276,47 +287,64 @@ def _reconstruct(residues: np.ndarray, m: int):
     each entry the fraction num / den with |num|, den <= sqrt(m / 2)
     (Wang's rational reconstruction by the extended Euclidean algorithm;
     von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5), d the lcm
-    of the den.  None when an entry has no such fraction.
+    of the den.  None when an entry has no such fraction.  The entries
+    within t = isqrt(m / 2) of 0 or of m are u / 1 and (u - m) / 1, read
+    at once (on int64 when m fits it, as on one lift prime); only the rest
+    run the Euclidean loop.
     """
     t = math.isqrt(m // 2)
+    u = residues.ravel()
+    if m < 2**63:
+        # one lift prime: the residues fit int64
+        u = u.astype(np.int64)
+    nums = np.where(u <= t, u, u - m).astype(object)
+    hard = np.flatnonzero((u > t) & (u < m - t)).tolist()
     fracs = []
-    for u in residues.ravel().tolist():
-        if u <= t:
-            fracs.append((u, 1))
-        elif m - u <= t:
-            fracs.append((u - m, 1))
-        else:
-            # r_i = s_i u mod m along the remainder sequence of (m, u)
-            r0, r1, s0, s1 = m, u, 0, 1
-            while r1 > t:
-                q = r0 // r1
-                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-            if abs(s1) > t or math.gcd(r1, s1) != 1:
-                return None
-            fracs.append((r1 if s1 > 0 else -r1, abs(s1)))
+    for x in u[hard].tolist():
+        # r_i = s_i x mod m along the remainder sequence of (m, x)
+        r0, r1, s0, s1 = m, x, 0, 1
+        while r1 > t:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) > t or math.gcd(r1, s1) != 1:
+            return None
+        fracs.append((r1 if s1 > 0 else -r1, abs(s1)))
     d = math.lcm(1, *(den for _, den in fracs))
-    nums = np.array([num * (d // den) for num, den in fracs], dtype=object)
+    if d > 1:
+        nums *= d
+    for i, (num, den) in zip(hard, fracs):
+        nums[i] = num * (d // den)
     return nums.reshape(residues.shape), d
 
 
 def _spans_algebra(rows: np.ndarray, d: int, pivots: list[int], gens: list[np.ndarray], unital: bool) -> bool:
     """Does the span of the rows of ``rows`` / d, in reduced echelon form
     with the pivot columns ``pivots``, hold the algebra of the integer
-    generators ``gens``?  Checked on Python ints: it holds when it holds
+    generators ``gens``?  Checked exactly: it holds when it holds
     vec(I) (the generators when not ``unital``) and vec(g E) for every
     generator g and every row E, because it is then closed under left
     multiplication by the generators and so holds every word.
 
     A vector v lies in the span exactly when d v = v[pivots] rows, the rule
-    of every exact colspace (``matrix._in_span``).
+    of every exact colspace (``matrix._in_span``).  The products g E are
+    formed on float64 when n max|rows| max|g| < 2^53: each entry is a sum
+    of n integer products, every partial sum an integer below 2^53, so it
+    is exact in any summation order.
     """
     r, nn = rows.shape
     n = math.isqrt(nn)
+    fast = n * max(_peak(rows), 1) * max([1, *map(_peak, gens)]) < 2**53
+    dtype = np.float64 if fast else object
     # row-major, a row is vec(E) reshaped to E^T, and (g E)^T = E^T g^T
-    ets = rows.reshape(r, n, n)
-    seeds = [np.identity(n, dtype=object)] if unital else gens
-    vs = [g.T.reshape(1, nn) for g in seeds] + [(ets @ g.T).reshape(r, nn) for g in gens]
-    return not vs or not _in_span(np.concatenate(vs), rows, d, pivots).any()
+    ets = rows.astype(dtype).reshape(r, n, n)
+    seeds = [np.identity(n, dtype=dtype)] if unital else gens
+    vs = [g.T.reshape(1, nn).astype(dtype) for g in seeds] + [(ets @ g.T.astype(dtype)).reshape(r, nn) for g in gens]
+    if not vs:
+        return True
+    vs = np.concatenate(vs)
+    if fast:
+        vs, rows = vs.astype(np.int64), rows.astype(np.int64)
+    return not _in_span(vs, rows, d, pivots).any()
 
 
 # The head of the Q lift's primes: the four largest below
@@ -404,7 +432,8 @@ def span_matrix(gs: GeneratorSet) -> SpanMatrixReport:
         return SpanMatrixReport(rank=len(pivots), tol=None, ill_conditioned=False, singular_values=None,
                                 pivots=tuple(pivots), variant="resolvent" if gs.unital else "resolvent_nonunital",
                                 scale=b, primes=primes, _matrix=realigned_resolvent,
-                                _colspace=lambda: Mat(_fractions(rows.T, d), RATIONAL))
+                                _colspace=lambda: Mat(_fractions(rows.T, d), RATIONAL),
+                                _lifted=(_as_int64(rows), d, pivots))
     k = default_power_exponent(gs.n)
     pairs = _swap_pairs(gs.n)
     blocks = _fold(s, pairs)

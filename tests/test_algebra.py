@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import algebragen as ag
-from algebragen import matrix, wordspan
+from algebragen import matrix, resolvent, wordspan
 from algebragen.instances import random_generator_set
 
 from conftest import hidden_block_upper, rand_int_generator_set, rand_mat, random_orthogonal, word_value
@@ -357,6 +357,38 @@ def test_q_member_verdict_against_a_report_eliminates_nothing(monkeypatch, tri_g
     # a non-member's witness is read off the same difference
     res = ag.membership(tri_gens, nonmember_candidate, report=rep)
     assert not res.member and res.residual == want != 0
+
+
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "nonunital"])
+def test_q_membership_against_a_report_reads_the_lifted_rows(monkeypatch, unital):
+    # the verdict reads the report's integer rows: no Fraction colspace is
+    # built, and it agrees with in_range on that colspace by repr
+    rng = random.Random(31 + unital)
+    gs = rand_int_generator_set(rng, 3, 1, unital)
+    words = wordspan.word_span(gs).mats
+    members = [ag.Mat.wrap(sum(w.data * Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for w in words), ag.RATIONAL)
+               for _ in range(3)]
+    zs = members + [rand_mat(rng, 3, ag.RATIONAL, max_den=3) for _ in range(3)]
+    rep = ag.span_matrix(gs)
+    calls = []
+    built = matrix._fractions
+    for module in (matrix, resolvent):
+        monkeypatch.setattr(module, "_fractions", lambda *args: calls.append(args) or built(*args))
+    results = [ag.membership(gs, z, report=rep) for z in zs]
+    assert calls == []
+    monkeypatch.undo()
+    q, pivots = rep.colspace.data, list(rep.pivots)
+    for z, res in zip(zs, results):
+        v = ag.vec(z).data[:, 0]
+        assert repr((res.member, res.residual)) == repr(ag.in_range(rep.colspace, ag.vec(z)))
+        diff = (v - q.dot(v[pivots])).tolist()
+        if res.member:
+            assert res.witness_index is None and not any(diff)
+        else:
+            # the residual is the first nonzero entry of vec(z) - q vec(z)[P]
+            c = res.witness_index
+            assert not any(diff[:c]) and diff[c] == res.residual != 0
+    assert [res.member for res in results[:3]] == [True] * 3 and not any(res.member for res in results[3:])
 
 
 def test_zero_algebra_membership_and_intersect(tri_gens):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,7 @@ def test_nonunital_member_needs_the_identity(capsys):
     assert code == cli.EXIT_NONMEMBER
     # without the identity the algebra misses vec(MEMBER)[4] = MEMBER[1, 1] = 1
     assert (report["member"], report["residual"], report["unital"]) == (False, "1", False)
+    assert report["witness_index"] == 4
 
 
 @pytest.mark.parametrize(
@@ -314,17 +316,17 @@ def test_member_reports_the_applied_tolerance(capsys, tmp_path, field, want):
 
 ENVELOPE = {"command", "argv", "seconds"}
 INSTANCE = ENVELOPE | {"instance", "n", "d", "field", "unital"}
-SPAN = {"variant", "scale", "rank_tolerance", "cut_values", "conditioning_flag"}
+SPAN = {"variant", "scale", "rank_tolerance", "cut_values", "conditioning_flag", "primes"}
 
 
 @pytest.mark.parametrize(
     "argv, keys",
     [
-        (["dim", TRIANGULAR], INSTANCE | SPAN | {"dimension", "primes"}),
+        (["dim", TRIANGULAR], INSTANCE | SPAN | {"dimension"}),
         (["member", TRIANGULAR, MEMBER, "--certificate"],
-         INSTANCE | SPAN | {"candidate", "member", "residual", "tolerance", "certificate"}),
+         INSTANCE | SPAN | {"candidate", "member", "residual", "witness_index", "tolerance", "certificate"}),
         (["basis", TRIANGULAR], INSTANCE | {"dimension", "source", "basis"}),
-        (["intersect", TRIANGULAR, MEMBER], INSTANCE | {"instance_b", "dimension", "basis"}),
+        (["intersect", TRIANGULAR, MEMBER], INSTANCE | {"instance_b", "dimension", "source", "basis"}),
         (["modp-dim", TRIANGULAR, "--seed", "1"], INSTANCE | {"dimension", "seed", "trials", "prime_plan"}),
         (["bench", TRIANGULAR, "--seed", "1"], ENVELOPE | {"seed", "csv", "rows"}),
     ],
@@ -348,6 +350,17 @@ def test_member_past_the_norm_range_is_a_non_member(capsys, tmp_path, flags):
     doc = json.loads(out)
     assert code == cli.EXIT_NONMEMBER
     assert (doc["member"], doc["residual"], doc["certificate"]) == (False, "1e+200", None)
+
+
+@pytest.mark.parametrize("field", ["f64", "c64"])
+def test_dim_past_the_squared_norm_range(capsys, tmp_path, field):
+    # the squared norms of 1e200 overflow; I and a nilpotent span 2
+    gens = [[["1e200", "1e200"], ["0", "1e200"]]]
+    path = write_instance(tmp_path, {"n": 2, "field": "f64", "generators": gens})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "dim", path, "--field", field)
+    assert code == cli.EXIT_OK and json.loads(out)["dimension"] == 2
 
 
 def test_bench_agrees_on_a_pair_scaled_past_the_norm_range(capsys, tmp_path):
@@ -503,5 +516,5 @@ def test_member_carries_the_span_matrix_report(capsys, monkeypatch, field):
     code, out, _ = run(capsys, "member", "--field", field, TRIANGULAR, MEMBER)
     assert code == cli.EXIT_OK and len(calls) == 1
     member, dim = json.loads(out), json.loads(run(capsys, "dim", "--field", field, TRIANGULAR)[1])
-    for key in ("variant", "scale", "rank_tolerance", "cut_values", "conditioning_flag"):
+    for key in ("variant", "scale", "rank_tolerance", "cut_values", "conditioning_flag", "primes"):
         assert member[key] == dim[key]

@@ -209,6 +209,62 @@ def test_the_check_on_random_sets():
             assert not _spans_algebra(rows[1:], d, pivots[1:], gens, gs.unital)
 
 
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "nonunital"])
+def test_the_check_on_either_side_of_its_product_bound(unital):
+    # rows k / (d k) span what rows / d spans, and n max|rows| max|g| passes
+    # 2^53 between k and k + 1: the float64 products of g E and the
+    # Python-int ones give the same verdicts
+    gs = _fraction_set(random.Random(4), 3, 2, unital, split=1)
+    (rows, d, pivots, _), gens = _lifted(gs)
+    peak = max(abs(x) for g in gens for x in g.flat)
+    k = (2**53 - 1) // (gs.n * max(abs(x) for x in rows.flat) * peak)
+    free = next(j for j in range(rows.shape[1]) if j not in pivots and j > pivots[0])
+    for scale, below in ((k, True), (k + 1, False)):
+        wide = rows * scale
+        assert (gs.n * max(abs(x) for x in wide.flat) * peak < 2**53) == below
+        assert _spans_algebra(wide, d * scale, pivots, gens, unital)
+        assert not _spans_algebra(wide[1:], d * scale, pivots[1:], gens, unital)
+        bent = wide.copy()
+        bent[0, free] += 1
+        assert not _spans_algebra(bent, d * scale, pivots, gens, unital)
+
+
+def _euclid(u, m):
+    """The fraction of one residue, entry by entry: num / den = u mod m with
+    |num|, den <= sqrt(m / 2), or None."""
+    t = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > t:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > t or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1 if s1 > 0 else -r1, abs(s1))
+
+
+@pytest.mark.parametrize("primes", [1, 2], ids=["one-prime", "two-primes"])
+def test_reconstruct_matches_the_entrywise_euclid(primes):
+    # entries within t of 0 or of m, those at t and m - t among them, are
+    # read at once; the rest run the Euclid loop
+    m = math.prod(resolvent.LIFT_PRIMES[:primes])
+    t = math.isqrt(m // 2)
+    rng = random.Random(primes)
+    fracs = [Fraction(rng.randint(-t, t), rng.randint(1, t)) for _ in range(20)]
+    hard = [f.numerator * pow(f.denominator, -1, m) % m for f in fracs]
+    easy = [0, 1, t, m - t, m - 1, rng.randint(0, t), m - rng.randint(0, t)]
+    mixed = easy + hard
+    rng.shuffle(mixed)
+    residues = np.array(mixed, dtype=object).reshape(3, 9)
+    nums, d = _reconstruct(residues, m)
+    want = [_euclid(u, m) for u in mixed]
+    assert nums.shape == (3, 9) and all(type(v) is int for v in nums.flat)
+    assert d == math.lcm(*(f.denominator for f in want))
+    assert [Fraction(v, d) for v in nums.flat] == want
+    # t + 1 has no fraction within the bound, beside easy entries
+    assert _euclid(t + 1, m) is None
+    assert _reconstruct(np.array([[0, t, t + 1, m - t]], dtype=object), m) is None
+
+
 def test_empty_and_zero_sets_lift():
     for unital, rank in ((True, 1), (False, 0)):
         for gens in ((), (ag.Mat.zeros(2, 2, ag.RATIONAL),)):

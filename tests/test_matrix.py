@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebragen as ag
-from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _mul_mod, _rref, _slack, _spectral_rank, rank
+from algebragen.matrix import INT64_MODULUS_LIMIT, PANEL, _in_span, _mul_mod, _rref, _slack, _spectral_rank, rank
 from algebragen.primes import is_prime
 
 from conftest import rand_mat
@@ -563,3 +563,47 @@ def test_in_range_nonmember_residual_is_a_functional_vanishing_on_the_span(kind)
         # a in the exact form q gives the same witness with no elimination
         assert ag.in_range(q, v) == (False, residual)
         checked += 1
+
+
+# -- the membership rule on float64 under its bound -----------------------------
+
+
+def _rule_on_ints(v, rows, d, pivots, p=None):
+    """d w - w[P] rows on Python ints, the reference of ``_in_span``."""
+    v, rows = v.astype(object), rows.astype(object)
+    diff = d * v - v[:, pivots].dot(rows)
+    return (diff if p is None else diff % p).tolist()
+
+
+@pytest.mark.parametrize("p", [None, 1048583], ids=["Q", "gf"])
+def test_in_span_on_either_side_of_the_float64_bound(p):
+    # max|w| (|d| + r max|rows|) on both sides of 2^53, for rows in the
+    # exact form (d I on the pivots, as every lift has) and for arbitrary
+    # integer rows; tests/test_lift.py runs the rule on unital and
+    # non-unital lifts across the bound of their products
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        r, nn, k = rng.integers(1, 6), 9, rng.integers(1, 4)
+        pivots = sorted(rng.choice(nn, r, replace=False).tolist())
+        bits = int(rng.integers(20, 34))
+        rows = rng.integers(-(2**bits), 2**bits, (r, nn), dtype=np.int64)
+        d = int(rng.integers(1, 2**12))
+        if trial % 2:
+            rows[:, pivots] = d * np.identity(r, dtype=np.int64)
+        top = 2**53 // (d + r * int(np.abs(rows).max()))
+        for bound in (top, 4 * top):
+            v = rng.integers(-bound, bound + 1, (k, nn), dtype=np.int64)
+            got = _in_span(v, rows, d, pivots, p)
+            assert got.tolist() == _rule_on_ints(v, rows, d, pivots, p)
+            # Python-int input takes the same path by its bound
+            assert _in_span(v.astype(object), rows.astype(object), d, pivots, p).tolist() == got.tolist()
+
+
+def test_in_span_keeps_python_ints_just_past_the_bound():
+    # max|w| (|d| + r max|rows|) = (2^26 + 1) 2^27 = 2^53 + 2^27 is past the
+    # bound, and float64 would round w[0] rows[0, 1] = 2^53 + 2^26 - 1 to
+    # an even number; just below it the product is exact
+    rows = np.array([[1, 2**27 - 1]], dtype=object)
+    for w0 in (2**26 + 1, 2**26 - 1):
+        v = np.array([[w0, 0]], dtype=object)
+        assert _in_span(v, rows, 1, [0]).tolist() == [[0, -w0 * (2**27 - 1)]]
